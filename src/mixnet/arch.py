@@ -12,7 +12,18 @@ All variants share the same building blocks:
 * output unit: pyramid pooling global prior (average pooling onto
   2x2, 4x4, 6x6 and 12x12 grids, each bilinearly resized back and
   concatenated with the input, giving 5x the channels), then a 3x3
-  convolution down to the class logits.
+  convolution down to the class logits.  Per-pixel channel mixing
+  commutes with every per-channel spatial linear map (region pooling,
+  bilinear resize, zero-padded tap shifts).  Split the kernel W along
+  its input channels into W_x (for x) and W_b (for bin b), and let
+  W_b,tap be the (C, K) matrix of W_b at one kernel tap; then
+
+      conv(concat(x, up(pool_b x) ...), W)
+          = conv(x, W_x) + sum_b sum_tap shift_tap(up(pool_b(x) @ W_b,tap))
+
+  so ``ops.pyramid_head`` runs the prior's share of the head (4/5 of
+  its input channels with four bins) at bin resolution, with the
+  parameters of the plain 3x3 convolution.
 
 They differ in how the three modality streams are mixed:
 
@@ -38,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .autodiff import Node
+from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
 from .tensor import Tensor, derive_seed, he_init, zeros
 
@@ -215,7 +226,8 @@ class Network:
         self._recording = True
         # materialize every parameter (and the manifest) with a dummy pass
         side = 2 * max(config.pyramid_bins) if config.init_pool else max(config.pyramid_bins)
-        self.forward(np.zeros((1, side, side, config.modalities), np.float32))
+        with no_grad():
+            self.forward(np.zeros((1, side, side, config.modalities), np.float32))
         self._recording = False
 
     # -- building blocks ----------------------------------------------------
@@ -245,8 +257,9 @@ class Network:
     def _res_unit(self, name: str, x: Node, c_out: int, f: int, d: int) -> Node:
         c_in = x.shape[-1]
         mid = f // 2
-        y = ops.relu(self._conv(name + ".reduce", x, 1, mid))
-        y = ops.relu(self._conv(name + ".dilated", y, 3, mid, dilation=d))
+        y = ops.relu(self._conv(name + ".reduce", x, 1, mid), name=name + ".relu1")
+        y = ops.relu(self._conv(name + ".dilated", y, 3, mid, dilation=d),
+                     name=name + ".relu2")
         y = self._conv(name + ".expand", y, 1, c_out)
         convs = [name + ".reduce", name + ".dilated", name + ".expand"]
         if c_in != c_out:
@@ -254,19 +267,17 @@ class Network:
             convs.append(name + ".shortcut")
         else:
             shortcut = x
-        out = ops.relu(ops.add(y, shortcut), name=name + ".out")
+        out = ops.relu(ops.add(y, shortcut, name=name + ".add"), name=name + ".out")
         self._record(UnitRow(name, "res", c_in, c_out, f, d), convs)
         return out
 
     def _output_unit(self, name: str, x: Node, out_hw) -> Node:
         c_in = x.shape[-1]
-        h, w = x.shape[1], x.shape[2]
-        parts = [x]
-        for bins in self.config.pyramid_bins:
-            pooled = ops.avgpool_region(x, bins, name=f"{name}.pool{bins}")
-            parts.append(ops.bilinear_resize(pooled, h, w, name=f"{name}.prior{bins}"))
-        y = ops.concat_channels(parts, name=name + ".concat")
-        logits = self._conv(name + ".final", y, 3, self.config.classes)
+        bins = self.config.pyramid_bins
+        classes = self.config.classes
+        w = self.store.kernel(name + ".final.w", (3, 3, (1 + len(bins)) * c_in, classes))
+        b = self.store.bias(name + ".final.b", classes)
+        logits = ops.pyramid_head(x, w, b, bins, name=name + ".final")
         if self.config.init_pool:
             logits = ops.bilinear_resize(logits, out_hw[0], out_hw[1],
                                          name=name + ".upscale")
@@ -353,7 +364,9 @@ class Network:
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities for a batch of slices."""
-        return ops.softmax(self.forward(x).data, axis=-1)
+        with no_grad():
+            logits = self.forward(x)
+        return ops.softmax(logits.data, axis=-1)
 
     def receptive_field(self) -> int:
         """Receptive field (in input pixels) of one aggregate feature
@@ -381,10 +394,6 @@ class Network:
                          f"{u.filters or '':>4} {u.dilation or '':>3} {u.params:9d}")
         lines.append(f"total parameters: {self.param_count}")
         return "\n".join(lines)
-
-
-def build_network(config: NetConfig, seed: int = 0) -> Network:
-    return Network(config, seed)
 
 
 def embed_v3_into_v1(src: Network, dst: Optional[Network] = None,

@@ -9,10 +9,16 @@ The finite-difference checker in this module is the independent oracle
 used to validate every backward rule.  It evaluates the graph in float64
 (callers pass float64 inputs) so the central-difference error is far
 below the tolerance being enforced.
+
+Inside ``with no_grad():`` ops compute the same values but their nodes
+keep no parents and no backward rule, so inference holds no graph and
+each intermediate array is freed once the next op has consumed it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +26,18 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .tensor import Tensor
+
+_GRAD_ENABLED = contextvars.ContextVar("mixnet_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no backward graph inside the block (for inference)."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 class Node:
@@ -36,6 +54,8 @@ class Node:
                  requires_grad: Optional[bool] = None, name: str = ""):
         if not isinstance(value, Tensor):
             value = Tensor(value)
+        if not _GRAD_ENABLED.get():
+            parents, backward = (), None
         if requires_grad is None:
             requires_grad = any(p.requires_grad for p in parents)
         self.value = value

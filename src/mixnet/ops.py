@@ -131,6 +131,34 @@ def concat_channels(parts: Sequence[Node], name: str = "concat") -> Node:
 # convolution
 
 
+def _conv_taps(xp: np.ndarray, w: np.ndarray, h: int, wd: int,
+               dh: int, dw: int) -> np.ndarray:
+    """Sum over kernel taps of a shifted (h, wd) view of the padded input
+    ``xp`` times that tap's (Cin, Cout) matrix."""
+    kh, kw = w.shape[:2]
+    out = np.zeros((xp.shape[0], h, wd, w.shape[3]), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out += xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] @ w[i, j]
+    return out
+
+
+def _conv_taps_adjoint(xp: np.ndarray, w: np.ndarray, g: np.ndarray,
+                       dh: int, dw: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of :func:`_conv_taps` for the padded input and the kernel,
+    given the output gradient ``g``."""
+    kh, kw = w.shape[:2]
+    h, wd = g.shape[1:3]
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :]
+            gw[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
+            gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ w[i, j].T
+    return gxp, gw
+
+
 def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
            name: str = "conv") -> Node:
     """Stride-1 dilated cross-correlation with size-preserving zero padding.
@@ -159,27 +187,17 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     wd_ = w.data
 
-    out = np.zeros((n, h, wd, cout), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :]
-            out += patch @ wd_[i, j]
+    out = _conv_taps(xp, wd_, h, wd, dh, dw)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        gw = np.zeros_like(wd_)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :]
-                gw[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
-                gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ wd_[i, j].T
-        gx = gxp[:, pt:pt + h, pl:pl + wd, :]
+        gxp, gw = _conv_taps_adjoint(xp, wd_, g, dh, dw)
+        gx = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
         if b is None:
-            return np.ascontiguousarray(gx), gw
-        return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 1, 2))
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 1, 2))
 
     return Node(Tensor(out), parents, bwd, name=name)
 
@@ -244,6 +262,41 @@ def avgpool2x2(x: Node, name: str = "avgpool") -> Node:
     return Node(Tensor(out), (x,), bwd, name=name)
 
 
+def _region_edges(size: int, bins: int) -> list:
+    return [i * size // bins for i in range(bins + 1)]
+
+
+def _region_mean(x: np.ndarray, bins: int) -> np.ndarray:
+    """(N, H, W, C) -> (N, bins, bins, C) region means; see avgpool_region."""
+    n, h, w, c = x.shape
+    if bins < 1:
+        raise ParameterError(f"bins must be >= 1, got {bins}")
+    if h < bins or w < bins:
+        raise ShapeError(f"region pooling with {bins} bins needs spatial size "
+                         f">= {bins}, got {h}x{w}")
+    he, we = _region_edges(h, bins), _region_edges(w, bins)
+    out = np.empty((n, bins, bins, c), dtype=x.dtype)
+    for r in range(bins):
+        for s in range(bins):
+            region = x[:, he[r]:he[r + 1], we[s]:we[s + 1], :]
+            out[:, r, s, :] = region.mean(axis=(1, 2), dtype=np.float64)
+    return out
+
+
+def _region_mean_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Gradient of :func:`_region_mean` for an (N, h, w, C) input, given
+    the (N, bins, bins, C) output gradient ``g``."""
+    n, bins, _, c = g.shape
+    he, we = _region_edges(h, bins), _region_edges(w, bins)
+    gx = np.zeros((n, h, w, c), dtype=g.dtype)
+    for r in range(bins):
+        for s in range(bins):
+            area = (he[r + 1] - he[r]) * (we[s + 1] - we[s])
+            gx[:, he[r]:he[r + 1], we[s]:we[s + 1], :] += \
+                g[:, r:r + 1, s:s + 1, :] / area
+    return gx
+
+
 def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     """Adaptive average pooling onto a bins x bins grid.
 
@@ -253,30 +306,11 @@ def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     """
     if x.value.ndim != 4:
         raise ShapeError(f"avgpool_region input must be (N,H,W,C), got {x.shape}")
-    bins = int(bins)
-    n, h, w, c = x.shape
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
-    if h < bins or w < bins:
-        raise ShapeError(f"avgpool_region with {bins} bins needs spatial size "
-                         f">= {bins}, got {h}x{w}")
-    he = [i * h // bins for i in range(bins + 1)]
-    we = [i * w // bins for i in range(bins + 1)]
-    out = np.empty((n, bins, bins, c), dtype=x.dtype)
-    for r in range(bins):
-        for s in range(bins):
-            region = x.data[:, he[r]:he[r + 1], we[s]:we[s + 1], :]
-            out[:, r, s, :] = region.mean(axis=(1, 2), dtype=np.float64)
-    shp, dt = x.shape, x.dtype
+    out = _region_mean(x.data, int(bins))
+    h, w = x.shape[1:3]
 
     def bwd(g):
-        gx = np.zeros(shp, dtype=dt)
-        for r in range(bins):
-            for s in range(bins):
-                area = (he[r + 1] - he[r]) * (we[s + 1] - we[s])
-                gx[:, he[r]:he[r + 1], we[s]:we[s + 1], :] += \
-                    g[:, r:r + 1, s:s + 1, :] / area
-        return (gx,)
+        return (_region_mean_adjoint(g, h, w),)
 
     return Node(Tensor(out), (x,), bwd, name=name)
 
@@ -311,6 +345,29 @@ def _resize_axis(in_size: int, out_size: int, dtype) -> tuple:
     return entry
 
 
+def _resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """(N, H, W, C) -> (N, out_h, out_w, C); see bilinear_resize."""
+    h0, h1, hw, _ = _resize_axis(x.shape[1], out_h, x.dtype)
+    w0, w1, ww, _ = _resize_axis(x.shape[2], out_w, x.dtype)
+    xa = np.take(x, h0, axis=1)
+    xb = np.take(x, h1, axis=1)
+    xh = xa + hw[None, :, None, None] * (xb - xa)
+    ya = np.take(xh, w0, axis=2)
+    yb = np.take(xh, w1, axis=2)
+    return ya + ww[None, None, :, None] * (yb - ya)
+
+
+def _resize_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Gradient of :func:`_resize` for an (N, h, w, C) input: the
+    transposed interpolation matrices applied to ``g``."""
+    hmat = _resize_axis(h, g.shape[1], g.dtype)[3]
+    wmat = _resize_axis(w, g.shape[2], g.dtype)[3]
+    # (N, oh, ow, C) -> undo the W interpolation -> (N, oh, W, C)
+    gh = np.moveaxis(np.tensordot(g, wmat, axes=([2], [0])), 3, 2)
+    gx = np.moveaxis(np.tensordot(gh, hmat, axes=([1], [0])), 3, 1)
+    return np.ascontiguousarray(gx)
+
+
 def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> Node:
     """Bilinear resampling to (out_h, out_w) with half-pixel centers.
 
@@ -323,24 +380,84 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
     out_h, out_w = int(out_h), int(out_w)
     if out_h < 1 or out_w < 1:
         raise ParameterError(f"target size must be positive, got {(out_h, out_w)}")
-    n, h, w, c = x.shape
-    h0, h1, hw, hmat = _resize_axis(h, out_h, x.dtype)
-    w0, w1, ww, wmat = _resize_axis(w, out_w, x.dtype)
-
-    xa = np.take(x.data, h0, axis=1)
-    xb = np.take(x.data, h1, axis=1)
-    xh = xa + hw[None, :, None, None] * (xb - xa)
-    ya = np.take(xh, w0, axis=2)
-    yb = np.take(xh, w1, axis=2)
-    out = ya + ww[None, None, :, None] * (yb - ya)
+    out = _resize(x.data, out_h, out_w)
+    h, w = x.shape[1:3]
 
     def bwd(g):
-        # (N, oh, ow, C) -> undo the W interpolation -> (N, oh, W, C)
-        gh = np.moveaxis(np.tensordot(g, wmat, axes=([2], [0])), 3, 2)
-        gx = np.moveaxis(np.tensordot(gh, hmat, axes=([1], [0])), 3, 1)
-        return (np.ascontiguousarray(gx),)
+        return (_resize_adjoint(g, h, w),)
 
     return Node(Tensor(out), (x,), bwd, name=name)
+
+
+# ---------------------------------------------------------------------------
+# pyramid pooling head
+
+
+def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
+                 name: str = "pyramid_head") -> Node:
+    """Pyramid pooling prior plus the output convolution in one op.
+
+    Computes ``conv2d(concat([x] + [bilinear_resize(avgpool_region(x, n),
+    H, W) for n in bins]), w, b)`` without forming the concatenation.
+    x: (N, H, W, C), w: (kh, kw, (1 + len(bins)) * C, K), b: (K,); input
+    channel block k of ``w`` belongs to ``x`` (k = 0) or to ``bins[k-1]``.
+
+    The x block is an ordinary convolution.  For each bin, the pooled map
+    is multiplied by the block's kernel as one (C, kh*kw*K) matrix at bin
+    resolution; the products are resized, summed, and their kh*kw tap
+    slices added at the tap offsets of the zero-padded convolution.
+    """
+    if x.value.ndim != 4:
+        raise ShapeError(f"pyramid_head input must be (N,H,W,C), got {x.shape}")
+    if w.value.ndim != 4:
+        raise ShapeError(f"pyramid_head kernel must be (kh,kw,cin,cout), got {w.shape}")
+    bins = tuple(int(v) for v in bins)
+    n, h, wd, c = x.shape
+    kh, kw, wcin, cout = w.shape
+    if wcin != (1 + len(bins)) * c:
+        raise ShapeError(f"kernel expects {wcin} input channels, the pyramid "
+                         f"over {len(bins)} bins gives {(1 + len(bins)) * c}")
+    if b.shape != (cout,):
+        raise ShapeError(f"bias must be ({cout},), got {b.shape}")
+
+    taps = kh * kw
+    pt, pb = same_padding(kh, 1)
+    pl, pr = same_padding(kw, 1)
+    pad = ((0, 0), (pt, pb), (pl, pr), (0, 0), (0, 0))
+    xp = np.pad(x.data, pad[:4])
+    wd_ = w.data
+    wx = wd_[:, :, :c, :]
+    # block k as a (C, taps*K) matrix, tap-major columns
+    wmats = [wd_[:, :, k * c:(k + 1) * c, :].transpose(2, 0, 1, 3).reshape(c, taps * cout)
+             for k in range(1, len(bins) + 1)]
+    pooled = [_region_mean(x.data, nb) for nb in bins]
+
+    out = _conv_taps(xp, wx, h, wd, 1, 1)
+    prior = sum(_resize(p @ m, h, wd) for p, m in zip(pooled, wmats))
+    prior = np.pad(prior.reshape(n, h, wd, taps, cout), pad)
+    for i in range(kh):
+        for j in range(kw):
+            out += prior[:, i:i + h, j:j + wd, i * kw + j, :]
+    out += b.data
+
+    def bwd(g):
+        gxp, gwx = _conv_taps_adjoint(xp, wx, g, 1, 1)
+        gx = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
+        gprior = np.zeros((n, h + pt + pb, wd + pl + pr, taps, cout), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gprior[:, i:i + h, j:j + wd, i * kw + j, :] = g
+        gprior = gprior[:, pt:pt + h, pl:pl + wd].reshape(n, h, wd, taps * cout)
+        gw = np.empty_like(wd_)
+        gw[:, :, :c, :] = gwx
+        for k, (nb, p, m) in enumerate(zip(bins, pooled, wmats), 1):
+            gq = _resize_adjoint(gprior, nb, nb)
+            gm = np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2]))
+            gw[:, :, k * c:(k + 1) * c, :] = gm.reshape(c, kh, kw, cout).transpose(1, 2, 0, 3)
+            gx += _region_mean_adjoint(gq @ m.T, h, wd)
+        return gx, gw, g.sum(axis=(0, 1, 2))
+
+    return Node(Tensor(out), (x, w, b), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +517,10 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
         gflat *= g.reshape(())
         if reduction == "mean":
             gflat /= count
+        # Flush subnormals (no entry moves by more than tiny): saturated
+        # float32 logits leave subnormal probabilities, and the matmuls of
+        # the rest of the backward pass run far slower on them.
+        gflat[np.abs(gflat) < np.finfo(dt).tiny] = 0
         return (gflat.reshape(shp),)
 
     return Node(out, (logits,), bwd, name=name)

@@ -57,6 +57,8 @@ def _op_builders(rng):
     logits = rng.normal(size=(1, 4, 4, 3))
     labels = rng.integers(0, 3, size=(1, 4, 4))
     pair = rng.normal(size=(1, 4, 4, 2))
+    w_head = rng.normal(size=(3, 3, 6, 3))
+    g_head = Node.leaf(rng.normal(size=(1, 5, 6, 3)))
 
     return [
         ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
@@ -73,6 +75,8 @@ def _op_builders(rng):
          [x]),
         ("bilinear_down", lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], 3, 2)),
          [x]),
+        ("pyramid_head", lambda lv: ops.reduce_sum(ops.mul(
+            ops.pyramid_head(lv[0], lv[1], lv[2], (2, 3)), g_head)), [x, w_head, b]),
         ("relu", lambda lv: ops.reduce_sum(ops.relu(lv[0])), [x]),
         ("add_mul", lambda lv: ops.reduce_sum(ops.mul(ops.add(lv[0], lv[1]), lv[0])),
          [pair, pair + 0.5]),

@@ -3,6 +3,10 @@
 Everything here is written the obvious way (explicit loops, float64)
 and stays independent of the code under test: no imports from the
 mixnet op modules.  Tests compare the fast paths against these.
+
+The one exception is ``pyramid_head_unfused``: the output head built
+from the separately tested ops it fuses, so that its gradients come
+from their backward rules.
 """
 
 import numpy as np
@@ -92,6 +96,16 @@ def bilinear_naive(x, out_h, out_w):
             bot = x[:, y1, x0] * (1 - fx) + x[:, y1, x1] * fx
             out[:, oy, ox] = top * (1 - fy) + bot * fy
     return out
+
+
+def pyramid_head_unfused(x, w, b, bins):
+    """The pyramid head as its plain composition on graph nodes: region
+    pools resized back to full size, concatenated with x, 3x3 conv."""
+    from mixnet import ops
+    h, wd = x.shape[1:3]
+    parts = [x] + [ops.bilinear_resize(ops.avgpool_region(x, nb), h, wd)
+                   for nb in bins]
+    return ops.conv2d(ops.concat_channels(parts), w, b)
 
 
 def softmax_xent_naive(logits, labels, reduction="sum"):

@@ -83,6 +83,8 @@ def _op_cases(rng):
     logits = rng.normal(size=(n, h, w, 3))
     labels = rng.integers(0, 3, size=(n, h, w))
     pair = rng.normal(size=(n, h, w, c))
+    k_head = rng.normal(size=(3, 3, 3 * c, 3))
+    g_head = Node.leaf(rng.normal(size=(n, h, w, 3)))
     return [
         ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
          [x, k3, b3]),
@@ -99,6 +101,9 @@ def _op_cases(rng):
          lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], h + 3, w + 5)), [x]),
         ("bilinear_down",
          lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], 3, 2)), [x]),
+        ("pyramid_head",
+         lambda lv: ops.reduce_sum(ops.mul(
+             ops.pyramid_head(lv[0], lv[1], lv[2], (2, 4)), g_head)), [x, k_head, b3]),
         ("relu", lambda lv: ops.reduce_sum(ops.relu(lv[0])), [x]),
         ("add", lambda lv: ops.reduce_sum(ops.add(lv[0], lv[1])), [pair, x]),
         ("mul", lambda lv: ops.reduce_sum(ops.mul(lv[0], lv[1])), [pair, x]),

@@ -3,7 +3,7 @@ import pytest
 
 from mixnet import ops
 from mixnet.arch import NetConfig, Network, embed_v3_into_v1
-from mixnet.autodiff import backward
+from mixnet.autodiff import backward, no_grad, topo_order
 from mixnet.errors import BuildError, ConfigError, ShapeError
 
 
@@ -174,6 +174,29 @@ def test_every_parameter_receives_gradient():
         assert dead == [], f"{variant}: no gradient reached {dead}"
         net.zero_grad()
         assert all(p.grad is None for _, p in net.store.items())
+
+
+def test_graph_nodes_carry_unit_names():
+    # default op names would hide a node from per-unit profiles
+    defaults = {"relu", "add", "conv", "concat", "resize", "regionpool"}
+    x = np.random.default_rng(3).normal(size=(1, 24, 24, 3)).astype(np.float32)
+    labels = np.random.default_rng(4).integers(0, 4, size=(1, 24, 24))
+    for variant in ("v1", "v2", "v3"):
+        loss = ops.softmax_cross_entropy(small(variant).forward(x), labels, "mean")
+        bare = sorted({n.name for n in topo_order(loss)} & defaults)
+        assert bare == [], f"{variant}: nodes named {bare}"
+
+
+def test_inference_builds_no_graph():
+    x = np.random.default_rng(6).normal(size=(2, 24, 24, 3)).astype(np.float32)
+    for variant in ("v1", "v2", "v3"):
+        net = small(variant)
+        np.testing.assert_array_equal(net.predict_probs(x),
+                                      ops.softmax(net.forward(x).data))
+        with no_grad():
+            logits = net.forward(x)
+        assert topo_order(logits) == [logits]
+        assert not logits.requires_grad
 
 
 def test_avg_pool_kind_runs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixnet.autodiff import Node, backward, grad_check, topo_order
+from mixnet.autodiff import Node, backward, grad_check, no_grad, topo_order
 from mixnet.errors import ShapeError
 from mixnet import ops
 
@@ -55,6 +55,17 @@ def test_no_grad_paths_stay_untouched():
     backward(y)
     np.testing.assert_allclose(x.grad, [3.0, 3.0, 3.0, 3.0])
     assert frozen.grad is None
+
+
+def test_no_grad_keeps_values_and_drops_the_graph():
+    x = Node.leaf(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+    with no_grad():
+        y = ops.reduce_sum(ops.mul(ops.relu(x), x))
+        assert Node.leaf(np.ones(2), requires_grad=True).requires_grad
+    assert float(y.data) == 13.0
+    assert y.parents == () and y._backward is None and not y.requires_grad
+    z = ops.relu(x)   # the graph is back after the block
+    assert z.parents == (x,) and z.requires_grad
 
 
 def test_grad_accumulates_across_backward_calls():

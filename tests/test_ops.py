@@ -246,6 +246,51 @@ def test_bilinear_gradient_up_and_down():
 
 
 # ---------------------------------------------------------------------------
+# pyramid pooling head
+
+# aggregate width feeding the head at each variant's default config
+HEAD_WIDTHS = {"v1": 360, "v2": 216, "v3": 360}
+BINS = (2, 4, 6, 12)
+
+
+def _head_and_grads(head, arrays, g):
+    lv = [Node.leaf(a, requires_grad=True) for a in arrays]
+    out = head(*lv, BINS)
+    backward(ops.reduce_sum(ops.mul(out, Node.leaf(g))))
+    return [out.data] + [node.grad for node in lv]
+
+
+@pytest.mark.parametrize("variant", sorted(HEAD_WIDTHS))
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_pyramid_head_matches_unfused_composition(variant, dtype, tol):
+    c = HEAD_WIDTHS[variant]
+    rng = np.random.default_rng(22)
+    # h = w = max(bins); sizes no bin divides; a batch of one and of several
+    for n, h, w in ((1, 12, 12), (2, 13, 17), (3, 25, 14)):
+        arrays = [rng.normal(size=(n, h, w, c)).astype(dtype),
+                  (rng.normal(size=(3, 3, 5 * c, 4)) / np.sqrt(45 * c)).astype(dtype),
+                  rng.normal(size=(4,)).astype(dtype)]
+        g = rng.normal(size=(n, h, w, 4)).astype(dtype)
+        got = _head_and_grads(ops.pyramid_head, arrays, g)
+        want = _head_and_grads(oracles.pyramid_head_unfused, arrays, g)
+        for what, a, ref in zip(("logits", "gx", "gw", "gb"), got, want):
+            assert a.dtype == dtype, what
+            rel = np.abs(a - ref).max() / np.abs(ref).max()
+            assert rel <= tol, f"{what} at {(n, h, w, c)}: rel err {rel:.2e}"
+
+
+def test_pyramid_head_shape_errors():
+    x = leaf(np.zeros((1, 6, 6, 2)))
+    b = leaf(np.zeros(3))
+    with pytest.raises(ShapeError):   # kernel not (1 + len(bins)) * C wide
+        ops.pyramid_head(x, leaf(np.zeros((3, 3, 4, 3))), b, (2, 3))
+    with pytest.raises(ShapeError):
+        ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), leaf(np.zeros(2)), (2, 3))
+    with pytest.raises(ShapeError):   # more bins than pixels
+        ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), b, (2, 7))
+
+
+# ---------------------------------------------------------------------------
 # structural ops
 
 
@@ -338,6 +383,37 @@ def test_xent_gradient_is_probs_minus_onehot():
     probs = ops.softmax(logits, axis=-1)
     onehot = np.eye(3)[labels]
     np.testing.assert_allclose(node.grad, probs - onehot, rtol=1e-12)
+
+
+def _swung_logits():
+    """float32 logits spread over +-170, as early v1 training produces."""
+    rng = np.random.default_rng(24)
+    logits = rng.uniform(-170, 170, size=(4, 12, 12, 4)).astype(np.float32)
+    return logits, rng.integers(0, 4, size=(4, 12, 12))
+
+
+def test_xent_gradient_of_swung_logits_has_no_subnormals():
+    logits, labels = _swung_logits()
+    tiny = np.finfo(np.float32).tiny
+    for red in ("sum", "mean"):
+        node = Node.leaf(logits, requires_grad=True)
+        backward(ops.softmax_cross_entropy(node, labels, red))
+        assert node.grad.dtype == np.float32
+        grad = np.abs(node.grad)
+        assert not np.any((grad > 0) & (grad < tiny)), red
+
+
+def test_xent_flushed_gradient_is_within_tiny_of_unflushed():
+    logits, labels = _swung_logits()
+    tiny = np.finfo(np.float32).tiny
+    node = Node.leaf(logits, requires_grad=True)
+    backward(ops.softmax_cross_entropy(node, labels, "mean"))
+    flat = ops.softmax(logits.reshape(-1, 4), axis=1)
+    flat[np.arange(flat.shape[0]), labels.reshape(-1)] -= 1
+    flat /= flat.shape[0]
+    unflushed = flat.reshape(logits.shape)
+    assert np.any((unflushed != 0) & (np.abs(unflushed) < tiny))  # the case is hit
+    assert np.abs(node.grad - unflushed).max() < tiny
 
 
 def test_xent_label_validation():
