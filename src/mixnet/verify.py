@@ -8,8 +8,10 @@ machine with nothing but the package installed.
 
 The metric checks compare the library against straight-line reference
 implementations written here with plain loops.  They repeat, on
-purpose, logic that exists in optimized form in :mod:`mixnet.metrics`;
-the duplication is the point, the two paths must agree exactly.
+purpose, what :mod:`mixnet.metrics` computes by other means (HD95 from
+distance transforms rather than an all-pairs scan); the two paths must
+agree exactly.  These references are the package's only plain-loop
+copy, and the test suite's oracles reuse them.
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ def check_embedding(seed: int = 0, tol: float = EMBED_TOL, probes: int = 3) -> l
 # metrics (inline plain-loop references)
 
 
-def _dice_ref(a, b):
+def dice_ref(a, b):
     inter = 0
     na = nb = 0
     for x, y in zip(a.ravel(), b.ravel()):
@@ -288,7 +290,7 @@ def _dice_ref(a, b):
     return 2.0 * inter / (na + nb)
 
 
-def _vs_ref(a, b):
+def vs_ref(a, b):
     na = int(np.count_nonzero(a))
     nb = int(np.count_nonzero(b))
     if na + nb == 0:
@@ -296,7 +298,7 @@ def _vs_ref(a, b):
     return 1.0 - abs(na - nb) / (na + nb)
 
 
-def _surface_ref(mask):
+def surface_ref(mask):
     pts = []
     dims = mask.shape
     for i in range(dims[0]):
@@ -317,9 +319,9 @@ def _surface_ref(mask):
     return np.array(pts, dtype=np.int64).reshape(-1, 3)
 
 
-def _hd95_ref(a, b, spacing):
-    sa = _surface_ref(a)
-    sb = _surface_ref(b)
+def hd95_ref(a, b, spacing=(1.0, 1.0, 1.0)):
+    sa = surface_ref(a)
+    sb = surface_ref(b)
     if sa.shape[0] == 0 or sb.shape[0] == 0:
         return None
     sp = np.asarray(spacing, dtype=np.float64)
@@ -335,31 +337,68 @@ def _hd95_ref(a, b, spacing):
     return max(directed(sa, sb), directed(sb, sa))
 
 
+# isotropic non-integer spacings: mathematically equal distances from
+# different voxel deltas differ in their last bits, the case HD95's
+# near-tie search exists for
+ISO_SPACINGS = (0.3, 0.7, 0.958, 1.1)
+
+# (dims, isotropic spacing, source voxel, offsets of three voxels at one
+# real distance from it) for which scipy 1.17's distance transform names
+# a voxel whose pinned distance is a last bit above the nearest's, so
+# HD95 comes out right only through the near-tie search
+NEAR_TIE_CASES = (
+    ((10, 12, 19), 0.3, (6, 10, 2), ((-2, -1, -2), (-1, -2, 2), (0, 0, 3))),
+    ((8, 14, 18), 0.7, (6, 0, 0), ((-3, 1, 2), (-3, 2, 1), (-1, 2, 3))),
+)
+
+
+def near_tie_pair(dims, src, offsets):
+    """Masks (a, b) whose HD95 is the distance from src to the nearest
+    offset voxel: b holds the offset voxels, a those and src."""
+    b = np.zeros(dims, bool)
+    for off in offsets:
+        b[tuple(np.add(src, off))] = True
+    a = b.copy()
+    a[tuple(src)] = True
+    return a, b
+
+
 def check_metrics(trials: int = 100, max_dim: int = 12, seed: int = 0) -> list:
+    """Each trial scores one random mask pair at a random anisotropic
+    spacing and again at an isotropic non-integer one; the near-tie
+    cases follow."""
     rng = np.random.default_rng(seed)
     mismatches = []
+    for dims, s, src, offsets in NEAR_TIE_CASES:
+        a, b = near_tie_pair(dims, src, offsets)
+        if metrics.hd95(a, b, (s, s, s)) != hd95_ref(a, b, (s, s, s)):
+            mismatches.append(f"hd95-near-tie/{s}")
     defined = 0
     for t in range(trials):
         dims = tuple(rng.integers(3, max_dim + 1, size=3))
         a = rng.random(size=dims) < rng.uniform(0.05, 0.5)
         b = rng.random(size=dims) < rng.uniform(0.05, 0.5)
         spacing = tuple(rng.uniform(0.5, 3.0, size=3))
-        if metrics.dice_binary(a, b) != _dice_ref(a, b):
+        iso = (float(rng.choice(ISO_SPACINGS)),) * 3
+        if metrics.dice_binary(a, b) != dice_ref(a, b):
             mismatches.append(f"dice@{t}")
-        if metrics.volumetric_similarity(a, b) != _vs_ref(a, b):
+        if metrics.volumetric_similarity(a, b) != vs_ref(a, b):
             mismatches.append(f"vs@{t}")
-        got = metrics.hd95(a, b, spacing)
-        want = _hd95_ref(a, b, spacing)
-        if want is None:
-            if got is not None:
-                mismatches.append(f"hd95-defined@{t}")
-        else:
-            defined += 1
-            if got != want:
-                mismatches.append(f"hd95@{t}")
-    passed = not mismatches and defined >= trials // 2
+        for sp in (spacing, iso):
+            got = metrics.hd95(a, b, sp)
+            want = hd95_ref(a, b, sp)
+            if want is None:
+                if got is not None:
+                    mismatches.append(f"hd95-defined@{t}")
+            else:
+                defined += 1
+                if got != want:
+                    mismatches.append(f"hd95@{t}/{sp[0]:.3g}")
+    passed = not mismatches and defined >= trials
     return [_result("metrics/oracle_agreement", passed,
-                    f"{trials} trials, {defined} with defined hd95, "
+                    f"{trials} trials, hd95 at a random and at an isotropic "
+                    f"spacing, {defined} of {2 * trials} defined, "
+                    f"{len(NEAR_TIE_CASES)} near-tie cases, "
                     f"mismatches: {mismatches[:5] if mismatches else 'none'}")]
 
 

@@ -7,9 +7,17 @@ mixnet op modules.  Tests compare the fast paths against these.
 The one exception is ``pyramid_head_unfused``: the output head built
 from the separately tested ops it fuses, so that its gradients come
 from their backward rules.
+
+The metric references are the plain-loop ones that ship with the
+package in :mod:`mixnet.verify` for ``mixnet verify``; they share no
+code with :mod:`mixnet.metrics`.
 """
 
 import numpy as np
+
+from mixnet.verify import (dice_ref as dice_naive, hd95_ref as hd95_naive,  # noqa: F401
+                           surface_ref as surface_voxels_naive,
+                           vs_ref as volumetric_similarity_naive)
 
 
 def conv2d_naive(x, w, b=None, dilation=1):
@@ -140,75 +148,6 @@ def num_grad(f, x, step=1e-3):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * step)
     return g
-
-
-def dice_naive(a, b):
-    a = np.asarray(a, bool)
-    b = np.asarray(b, bool)
-    na, nb = a.sum(), b.sum()
-    if na + nb == 0:
-        return 1.0
-    return 2.0 * np.logical_and(a, b).sum() / (na + nb)
-
-
-def volumetric_similarity_naive(a, b):
-    a = np.asarray(a, bool)
-    b = np.asarray(b, bool)
-    na, nb = int(a.sum()), int(b.sum())
-    if na + nb == 0:
-        return 1.0
-    return 1.0 - abs(na - nb) / (na + nb)
-
-
-def surface_voxels_naive(mask):
-    """Voxels of the mask with at least one 6-neighbour outside it
-    (out-of-bounds counts as outside)."""
-    mask = np.asarray(mask, bool)
-    coords = []
-    dims = mask.shape
-    for idx in zip(*np.nonzero(mask)):
-        on_surface = False
-        for ax in range(3):
-            for d in (-1, 1):
-                nb = list(idx)
-                nb[ax] += d
-                if nb[ax] < 0 or nb[ax] >= dims[ax]:
-                    on_surface = True
-                    break
-                if not mask[tuple(nb)]:
-                    on_surface = True
-                    break
-            if on_surface:
-                break
-        if on_surface:
-            coords.append(idx)
-    return np.array(coords, dtype=np.int64).reshape(-1, 3)
-
-
-def hd95_naive(a, b, spacing=(1.0, 1.0, 1.0)):
-    """95th percentile symmetric surface distance, nearest-rank, float64.
-
-    Distances use ((delta * spacing) ** 2 summed over axes) ** 0.5 with
-    the squared terms added in axis order 0, 1, 2.  Returns None when
-    either mask is empty.
-    """
-    sa = surface_voxels_naive(a)
-    sb = surface_voxels_naive(b)
-    if sa.shape[0] == 0 or sb.shape[0] == 0:
-        return None
-    sp = np.asarray(spacing, dtype=np.float64)
-
-    def directed(src, dst):
-        dists = np.empty(src.shape[0])
-        for i in range(src.shape[0]):
-            d = (dst - src[i]) * sp
-            d2 = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
-            dists[i] = np.sqrt(d2.min())
-        dists.sort()
-        rank = int(np.ceil(0.95 * dists.size)) - 1
-        return dists[max(rank, 0)]
-
-    return max(directed(sa, sb), directed(sb, sa))
 
 
 def nesterov_trace(p0, grads, lr, momentum, weight_decay):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixnet import metrics as M
+from mixnet import metrics as M, verify
 from mixnet.errors import DataError, ParameterError
 
 import oracles
@@ -138,6 +138,105 @@ def test_hd95_bitwise_equals_naive_oracle():
             assert got == want, f"trial {trial}: {got!r} != {want!r}"
             checked_defined += 1
     assert checked_defined >= 20
+
+
+def test_hd95_checks_spacing_and_shapes_before_empty_masks():
+    empty = np.zeros((4, 4, 4), bool)
+    full = np.ones((4, 4, 4), bool)
+    with pytest.raises(ParameterError):
+        M.hd95(empty, full, spacing=(1.0, 0.0, 1.0))
+    with pytest.raises(ParameterError):
+        M.hd95(empty, full, spacing=(1.0, 1.0))
+    with pytest.raises(DataError):
+        M.hd95(np.ones((5, 5, 5), bool), np.ones((9, 9, 9), bool))
+    with pytest.raises(DataError):
+        M.hd95(empty, np.zeros((4, 4, 5), bool))
+
+
+def assert_hd95_exact(a, b, spacing):
+    want = oracles.hd95_naive(a, b, spacing)
+    assert want is not None
+    assert M.hd95(a, b, spacing) == want, f"{M.hd95(a, b, spacing)!r} != {want!r}"
+    assert M.hd95(b, a, spacing) == want
+    return want
+
+
+def test_hd95_near_tie_offsets_at_isotropic_spacing():
+    # (0,3,4) and (0,0,5) voxels are both 3.5 mm away at 0.7 mm, but the
+    # pinned expression gives the first 3.4999999999999996 and the second 3.5
+    c = np.array([6, 6, 6])
+    for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)):
+        for flip in ((1, 1, 1), (-1, 1, -1), (1, -1, -1)):
+            near = tuple(c + np.array([0, 3, 4])[list(perm)] * flip)
+            far = tuple(c + np.array([0, 0, 5])[list(perm)] * flip)
+            b = np.zeros((13, 13, 13), bool)
+            b[near] = b[far] = True
+            a = b.copy()
+            a[tuple(c)] = True    # its distance to b is the rank value
+            assert assert_hd95_exact(a, b, (0.7, 0.7, 0.7)) == 3.4999999999999996
+            single = np.zeros_like(b)
+            single[tuple(c)] = True
+            b[near] = False
+            assert assert_hd95_exact(single, b, (0.7, 0.7, 0.7)) == 3.5
+
+
+def test_hd95_near_ties_the_distance_transform_misses():
+    for dims, s, src, offsets in verify.NEAR_TIE_CASES:
+        a, b = verify.near_tie_pair(dims, src, offsets)
+        assert_hd95_exact(a, b, (s, s, s))
+
+
+def test_hd95_identical_masks_at_non_integer_spacing():
+    rng = np.random.default_rng(2)
+    for spacing in ((0.7, 0.7, 0.7), (0.958, 0.958, 3.0), (1.3, 0.6, 2.2)):
+        for _ in range(5):
+            a = rng.random(size=tuple(rng.integers(3, 12, size=3))) < 0.4
+            if a.any():
+                assert assert_hd95_exact(a, a.copy(), spacing) == 0.0
+
+
+def test_hd95_box_against_shifted_copies():
+    # a shifted copy puts a large share of the surface at one distance,
+    # so many entries tie with the rank value
+    box = np.zeros((14, 14, 14), bool)
+    box[4:9, 3:8, 4:10] = True
+    for shift in ((2, 0, 0), (3, 4, 0), (1, 2, 2)):
+        moved = np.roll(box, shift, axis=(0, 1, 2))
+        for spacing in ((0.7, 0.7, 0.7), (0.958, 0.958, 3.0), (1.0, 1.0, 1.0),
+                        (0.3, 0.3, 0.3)):
+            assert_hd95_exact(box, moved, spacing)
+
+
+def test_hd95_one_far_outlier_voxel():
+    # a line of 9 shared voxels plus a stray: at 10 points the nearest
+    # rank is the stray; next to a 98-voxel box surface it falls past it
+    line = np.zeros((16, 16, 20), bool)
+    line[1, 0:9, 1] = True
+    box = np.zeros_like(line)
+    box[2:7, 2:7, 2:7] = True
+    for shared in (line, box):
+        stray = shared.copy()
+        stray[15, 15, 19] = True
+        for spacing in ((0.7, 0.7, 0.7), (0.958, 0.958, 3.0)):
+            got = assert_hd95_exact(stray, shared, spacing)
+            assert (got > 10.0) if shared is line else (got == 0.0)
+
+
+def test_hd95_random_masks_at_isotropic_non_integer_spacing():
+    rng = np.random.default_rng(7)
+    defined = 0
+    for trial in range(120):
+        dims = tuple(rng.integers(3, 21, size=3))
+        a = rng.random(size=dims) < rng.uniform(0.02, 0.5)
+        b = rng.random(size=dims) < rng.uniform(0.02, 0.5)
+        got = M.hd95(a, b, (0.7, 0.7, 0.7))
+        want = oracles.hd95_naive(a, b, (0.7, 0.7, 0.7))
+        if want is None:
+            assert got is None
+        else:
+            assert got == want, f"trial {trial}: {got!r} != {want!r}"
+            defined += 1
+    assert defined >= 100
 
 
 # ---------------------------------------------------------------------------
