@@ -19,11 +19,13 @@ All variants share the same building blocks:
   W_b,tap be the (C, K) matrix of W_b at one kernel tap; then
 
       conv(concat(x, up(pool_b x) ...), W)
-          = conv(x, W_x) + sum_b sum_tap shift_tap(up(pool_b(x) @ W_b,tap))
+          = sum_tap shift_tap(x @ W_x,tap + sum_b up(pool_b(x) @ W_b,tap))
 
-  so ``ops.pyramid_head`` runs the prior's share of the head (4/5 of
-  its input channels with four bins) at bin resolution, with the
-  parameters of the plain 3x3 convolution.
+  where x is the identity bin (its pool and resize are the identity).
+  So ``ops.pyramid_head`` runs the prior's share of the head (4/5 of
+  its input channels with four bins) at bin resolution, and every block
+  as one (C, taps * K) matmul whose tap slices share one pad and
+  shift-add, with the parameters of the plain 3x3 convolution.
 
 They differ in how the three modality streams are mixed:
 

@@ -46,13 +46,6 @@ def validate_shape(dims) -> tuple[int, ...]:
     return shape
 
 
-def element_count(shape) -> int:
-    count = 1
-    for d in validate_shape(shape):
-        count *= d
-    return count
-
-
 class Tensor:
     """A dense n-dimensional float array with validated shape.
 
@@ -116,48 +109,6 @@ def he_init(shape, fan_in: int, seed: int, dtype=DEFAULT_DTYPE) -> Tensor:
     rng = np.random.Generator(np.random.PCG64(seed))
     std = np.sqrt(2.0 / fan_in)
     return Tensor((rng.standard_normal(shape) * std).astype(dtype))
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise sum; operands must have identical shapes (no broadcasting)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return Tensor(a.data + b.data)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    """Pointwise multiplication by a scalar."""
-    return Tensor(a.data * a.dtype.type(factor))
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0) applied pointwise."""
-    return Tensor(np.maximum(a.data, 0))
-
-
-def ravel_index(index, shape) -> int:
-    """Row-major flat offset of a multi-index."""
-    shape = validate_shape(shape)
-    if len(index) != len(shape):
-        raise ShapeError(f"index {index} does not match rank of {shape}")
-    flat = 0
-    for i, d in zip(index, shape):
-        if not 0 <= i < d:
-            raise ShapeError(f"index {index} out of bounds for {shape}")
-        flat = flat * d + i
-    return flat
-
-
-def unravel_index(flat: int, shape) -> tuple[int, ...]:
-    """Inverse of :func:`ravel_index`."""
-    shape = validate_shape(shape)
-    if not 0 <= flat < element_count(shape):
-        raise ShapeError(f"flat index {flat} out of bounds for {shape}")
-    out = []
-    for d in reversed(shape):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
 
 
 def derive_seed(*parts) -> int:

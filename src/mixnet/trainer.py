@@ -31,6 +31,7 @@ from . import ops
 from .arch import NetConfig, Network
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
+from .volume import atomic_open
 
 # fractions of total training at which the learning rate halves again
 LR_BOUNDARIES = (0.2, 0.4, 0.6, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -280,7 +281,7 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
         header["train_config"] = trainer.config.to_dict()
         header["rng_state"] = trainer.rng.bit_generator.state
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<IQ", CKPT_VERSION, len(blob)))
         fh.write(blob)

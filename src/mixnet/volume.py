@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -84,6 +85,21 @@ def _sidecar(path) -> str:
     return str(path) + ".json"
 
 
+@contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Write ``path`` through a temp file beside it.  A clean exit renames
+    the temp file over ``path`` in one step; an exception removes it, so a
+    failed write leaves the previous file as it was, never a torn one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_volume(path, data: np.ndarray, spacing, kind: str,
                  modality: str = "", classes: int = 0) -> VolumeMeta:
     """Write the body file and its JSON sidecar; returns the metadata."""
@@ -103,11 +119,11 @@ def write_volume(path, data: np.ndarray, spacing, kind: str,
     meta = VolumeMeta(dims=tuple(data.shape), spacing=tuple(spacing),
                       dtype=dtype, kind=kind, modality=modality,
                       classes=int(classes)).validate()
-    with open(path, "wb") as fh:
+    # both temp files are complete before either replaces its target
+    with atomic_open(path) as fh, atomic_open(_sidecar(path), "w") as sh:
         fh.write(np.ascontiguousarray(body).tobytes())
-    with open(_sidecar(path), "w") as fh:
-        json.dump(asdict(meta), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        json.dump(asdict(meta), sh, indent=1, sort_keys=True)
+        sh.write("\n")
     return meta
 
 
@@ -320,7 +336,7 @@ def generate_dataset(out_dir, subjects: int = 3, dims=(64, 64, 64),
         entries.append({"id": sid, "modalities": mod_files, "labels": lab})
     manifest = {"classes": classes, "spacing": list(spacing),
                 "dims": list(dims), "seed": seed, "subjects": entries}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return manifest

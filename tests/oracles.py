@@ -62,6 +62,32 @@ def maxpool2x2_naive(x):
     return out
 
 
+def maxpool2x2_first_max_naive(x, g):
+    """Max pool forward and backward in x's dtype, one window at a time:
+    each 2x2 window (ceil mode, in-bounds cells only) picks its first
+    maximum in scan order, or its first NaN if it holds one, and that cell
+    alone receives the window's output gradient from g."""
+    x = np.asarray(x)
+    n, h, w, c = x.shape
+    ho, wo = (h + 1) // 2, (w + 1) // 2
+    out = np.empty((n, ho, wo, c), dtype=x.dtype)
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    for b_i in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for ch in range(c):
+                    best = None
+                    for y in range(2 * i, min(2 * i + 2, h)):
+                        for xx in range(2 * j, min(2 * j + 2, w)):
+                            v = x[b_i, y, xx, ch]
+                            if best is None or (not np.isnan(x[best])
+                                                and (np.isnan(v) or v > x[best])):
+                                best = (b_i, y, xx, ch)
+                    out[b_i, i, j, ch] = x[best]
+                    gx[best] = g[b_i, i, j, ch]
+    return out, gx
+
+
 def avgpool2x2_naive(x):
     x = np.asarray(x, dtype=np.float64)
     n, h, w, c = x.shape

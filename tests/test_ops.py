@@ -131,6 +131,45 @@ def test_maxpool_tie_goes_to_first_window_slot():
     np.testing.assert_array_equal(node.grad[0, :, :, 0], [[1, 0], [0, 0]])
 
 
+def _bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+def _value_and_grad(op, x, g):
+    node = Node.leaf(x, requires_grad=True)
+    out = op(node)
+    backward(ops.reduce_sum(ops.mul(out, Node.leaf(g))))
+    return out.data, node.grad
+
+
+def _maxpool_cases(rng):
+    yield np.fmax(rng.normal(size=(2, 6, 8, 3)), 0)           # many tied zeros
+    yield np.fmax(rng.normal(size=(1, 5, 7, 2)), 0)           # ragged edges
+    yield rng.normal(size=(2, 3, 1, 2))
+    yield np.full((1, 4, 3, 2), 0.25)                          # all-equal windows
+    yield rng.choice([0.0, -0.0], size=(2, 4, 4, 2))           # +-0 ties
+    with_nan = rng.normal(size=(1, 5, 5, 2))
+    with_nan[0, 1, 1, 0] = np.nan    # not the window's first cell
+    with_nan[0, 0, 2, 1] = np.nan    # first cell of its window
+    with_nan[0, 1, 3, 1] = np.nan    # a second NaN in that window
+    with_nan[0, 4, 4, 0] = np.nan    # ragged corner window
+    yield with_nan
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_forward_and_backward_match_first_max_oracle(dtype):
+    rng = np.random.default_rng(31)
+    for x in _maxpool_cases(rng):
+        x = x.astype(dtype)
+        n, h, w, c = x.shape
+        g = rng.normal(size=(n, (h + 1) // 2, (w + 1) // 2, c)).astype(dtype)
+        out, gx = _value_and_grad(ops.maxpool2x2, x, g)
+        want_out, want_gx = oracles.maxpool2x2_first_max_naive(x, g)
+        assert out.dtype == gx.dtype == dtype
+        np.testing.assert_array_equal(_bits(out), _bits(want_out))
+        np.testing.assert_array_equal(_bits(gx), _bits(want_gx))
+
+
 def test_maxpool_gradient():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 5, 4, 2))
@@ -292,6 +331,35 @@ def test_pyramid_head_shape_errors():
 
 # ---------------------------------------------------------------------------
 # structural ops
+
+
+def _relu_input(rng, dtype):
+    x = rng.normal(size=(3, 7, 5, 4))
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+    x.flat[:len(special)] = special
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.2] = 0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_forward_bits_match_where(dtype):
+    x = _relu_input(np.random.default_rng(32), dtype)
+    out = ops.relu(Node.leaf(x)).data
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(_bits(out), _bits(np.where(x > 0, x, 0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_bits_match_masked_gradient(dtype):
+    rng = np.random.default_rng(33)
+    x = _relu_input(rng, dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    g[rng.random(g.shape) < 0.1] = -0.0
+    _, gx = _value_and_grad(ops.relu, x, g)
+    assert gx.dtype == dtype
+    np.testing.assert_array_equal(_bits(gx), _bits(np.where(x > 0, g, 0)))
+
 
 
 def test_concat_channels_values_and_gradient():

@@ -69,33 +69,6 @@ def test_he_init_rejects_bad_fan_in():
         T.he_init((3, 3), fan_in=0, seed=1)
 
 
-def test_add_and_shape_mismatch():
-    a = T.Tensor([1.0, 2.0])
-    b = T.Tensor([3.0, 4.0])
-    np.testing.assert_array_equal(T.add(a, b).data, [4.0, 6.0])
-    with pytest.raises(ShapeError):
-        T.add(a, T.Tensor([[1.0]]))
-
-
-def test_scale_and_relu():
-    a = T.Tensor([-2.0, 0.0, 3.0])
-    np.testing.assert_array_equal(T.scale(a, 2.0).data, [-4.0, 0.0, 6.0])
-    np.testing.assert_array_equal(T.relu(a).data, [0.0, 0.0, 3.0])
-    assert T.relu(a).dtype == np.float32
-
-
-def test_ravel_unravel_round_trip():
-    shape = (3, 4, 5)
-    for flat in range(60):
-        idx = T.unravel_index(flat, shape)
-        assert T.ravel_index(idx, shape) == flat
-    assert T.ravel_index((2, 3, 4), shape) == 59
-    with pytest.raises(ShapeError):
-        T.ravel_index((3, 0, 0), shape)
-    with pytest.raises(ShapeError):
-        T.unravel_index(60, shape)
-
-
 def test_derive_seed_is_stable_and_sensitive():
     s1 = T.derive_seed("layer", 3, "weight")
     s2 = T.derive_seed("layer", 3, "weight")

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import numpy as np
@@ -261,3 +262,75 @@ def test_load_manifest_errors(tmp_path):
     (tmp_path / "manifest.json").write_text("{}")
     with pytest.raises(DataError):
         vol.load_manifest(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# crash-safe writes
+
+
+class _TornFile:
+    """A file whose first write stores half its bytes and then fails, as a
+    full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _write_checkpoint(path, seed):
+    from mixnet.arch import NetConfig, Network
+    from mixnet.trainer import save_checkpoint
+    save_checkpoint(path, Network(NetConfig(variant="v3", classes=3, filters=4), seed=seed))
+
+
+def _write_volume(path, seed):
+    data = np.random.default_rng(seed).normal(size=(4, 5, 6))
+    vol.write_volume(path, data, (1, 1, 2), "intensity", modality=f"m{seed}")
+
+
+def _write_dataset(path, seed):
+    vol.generate_dataset(path.parent, subjects=1, dims=(8, 8, 8), classes=3,
+                         modalities=1, seed=seed)
+
+
+# (writer, file it writes, temp file whose write tears, files that must survive)
+TORN_WRITES = {
+    "checkpoint": (_write_checkpoint, "ck.bin", "ck.bin.tmp", ["ck.bin"]),
+    "volume body": (_write_volume, "a.vol", "a.vol.tmp", ["a.vol", "a.vol.json"]),
+    "volume sidecar": (_write_volume, "a.vol", "a.vol.json.tmp", ["a.vol", "a.vol.json"]),
+    "manifest": (_write_dataset, "manifest.json", "manifest.json.tmp", ["manifest.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORN_WRITES))
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, case):
+    write, target, victim, kept = TORN_WRITES[case]
+    write(tmp_path / target, seed=1)
+    before = {name: (tmp_path / name).read_bytes() for name in kept}
+
+    real_open = open
+
+    def torn_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return _TornFile(fh) if str(file).endswith("/" + victim) else fh
+
+    monkeypatch.setattr(vol, "open", torn_open, raising=False)
+    with pytest.raises(OSError):
+        write(tmp_path / target, seed=2)
+    monkeypatch.undo()
+
+    for name in kept:
+        assert (tmp_path / name).read_bytes() == before[name], name
+    assert not list(tmp_path.glob("*.tmp"))
+    # the same write without the fault replaces the file
+    write(tmp_path / target, seed=2)
+    assert (tmp_path / target).read_bytes() != before[target]
