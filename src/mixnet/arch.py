@@ -3,7 +3,7 @@
 All variants share the same building blocks:
 
 * init unit: one 5x5 convolution + ReLU, optionally followed by a 2x2
-  stride-2 pool (halves memory; the output unit then upscales by 2).
+  stride-2 max pool (halves memory; the output unit then upscales by 2).
 * residual dilated unit: 1x1 conv to f/2 channels, ReLU, 3x3 dilated
   conv at f/2, ReLU, 1x1 conv to the output width, plus a shortcut
   (identity when input and output widths match, else a 1x1 projection),
@@ -45,7 +45,7 @@ v1's; ``embed_v3_into_v1`` materializes that inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -72,7 +72,6 @@ class NetConfig:
     filters: int = 24
     dilations: tuple = (2, 1, 4, 1, 8)
     init_pool: bool = True
-    pool_kind: str = "max"
     pyramid_bins: tuple = (2, 4, 6, 12)
 
     def validate(self) -> "NetConfig":
@@ -88,8 +87,6 @@ class NetConfig:
             raise ConfigError("dilations must name at least one level")
         if any(int(d) < 1 for d in self.dilations):
             raise ConfigError(f"dilations must be >= 1, got {self.dilations}")
-        if self.pool_kind not in ("max", "avg"):
-            raise ConfigError(f"pool_kind must be 'max' or 'avg', got {self.pool_kind!r}")
         if not self.pyramid_bins or any(int(b) < 1 for b in self.pyramid_bins):
             raise ConfigError(f"pyramid_bins must be positive, got {self.pyramid_bins}")
         return self
@@ -104,24 +101,21 @@ class NetConfig:
         return len(self.dilations)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "modalities": self.modalities,
-            "classes": self.classes,
-            "filters": self.filters,
-            "dilations": list(self.dilations),
-            "init_pool": self.init_pool,
-            "pool_kind": self.pool_kind,
-            "pyramid_bins": list(self.pyramid_bins),
-        }
+        d = asdict(self)
+        for key in ("dilations", "pyramid_bins"):
+            d[key] = list(d[key])
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        extra = set(d) - known
+        kw = dict(d)
+        # older checkpoints record the init unit's pool, which is always max
+        if kw.pop("pool_kind", "max") != "max":
+            raise ConfigError(f"unsupported pool_kind {d['pool_kind']!r}: the init "
+                              "unit pools with max only")
+        extra = set(kw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown network config keys: {sorted(extra)}")
-        kw = dict(d)
         for key in ("dilations", "pyramid_bins"):
             if key in kw:
                 kw[key] = tuple(int(v) for v in kw[key])
@@ -251,8 +245,7 @@ class Network:
         c_in = x.shape[-1]
         y = ops.relu(self._conv(name + ".conv", x, 5, c_out), name=name + ".relu")
         if self.config.init_pool:
-            pool = ops.maxpool2x2 if self.config.pool_kind == "max" else ops.avgpool2x2
-            y = pool(y, name=name + ".pool")
+            y = ops.maxpool2x2(y, name=name + ".pool")
         self._record(UnitRow(name, "init", c_in, c_out), [name + ".conv"])
         return y
 

@@ -27,8 +27,8 @@ from .errors import (ConfigError, DataError, MixNetError, ParameterError,
                      VerificationFailure)
 from .metrics import evaluate_segmentation
 from .tensor import derive_seed
-from .trainer import (TrainConfig, Trainer, load_network, resume_trainer,
-                      save_checkpoint)
+from .trainer import (TrainConfig, Trainer, load_checkpoint, load_network,
+                      resume_trainer, save_checkpoint)
 from .volume import PLANES
 
 EXIT_OK = 0
@@ -88,6 +88,13 @@ def resolve_config(defaults: dict, config_path, flags: dict) -> dict:
     return resolved
 
 
+def _resolve(defaults: dict, args) -> dict:
+    """resolve_config with the flags of ``args``; each key of ``defaults``
+    is its flag's argparse dest."""
+    return resolve_config(defaults, args.config,
+                          {k: getattr(args, k) for k in defaults})
+
+
 def _echo_config(command: str, resolved: dict, out_dir=None) -> None:
     doc = {"command": command, **{k: resolved[k] for k in sorted(resolved)}}
     text = json.dumps(doc, indent=1, sort_keys=False)
@@ -113,10 +120,7 @@ GENERATE_DEFAULTS = {
 
 
 def cmd_generate(args) -> int:
-    cfg = resolve_config(GENERATE_DEFAULTS, args.config, {
-        "subjects": args.subjects, "dims": args.dims, "spacing": args.spacing,
-        "classes": args.classes, "modalities": args.modalities, "seed": args.seed,
-    })
+    cfg = _resolve(GENERATE_DEFAULTS, args)
     _echo_config("generate", cfg, args.out)
     manifest = volume.generate_dataset(
         args.out, subjects=cfg["subjects"], dims=tuple(cfg["dims"]),
@@ -131,24 +135,35 @@ def cmd_generate(args) -> int:
 # train
 
 
+# train settings passed to TrainConfig under their own names
+TRAIN_CONFIG_KEYS = ("epochs", "batch_size", "lr0", "momentum", "weight_decay",
+                     "loss_reduction", "val_every", "checkpoint_every")
+
+
+def _owned_settings(train: TrainConfig, net: NetConfig) -> dict:
+    """The train settings whose values TrainConfig and NetConfig hold."""
+    return {**{k: getattr(train, k) for k in TRAIN_CONFIG_KEYS},
+            "lr_schedule": train.use_lr_schedule,
+            "variant": net.variant, "filters": net.filters}
+
+
 TRAIN_DEFAULTS = {
-    "variant": "v2",
+    **_owned_settings(TrainConfig(), NetConfig()),
     "plane": "transverse",
-    "filters": 24,
-    "epochs": 40,
-    "batch_size": 4,
-    "lr0": 2e-4,
-    "momentum": 0.99,
-    "weight_decay": 1e-3,
-    "loss_reduction": "mean",
-    "lr_schedule": True,
     "augment": "plane",
     "max_slices": 0,
     "holdout": "",
-    "val_every": 1,
-    "checkpoint_every": 0,
     "seed": 0,
 }
+
+
+def _checkpoint_settings(path) -> tuple[dict, int]:
+    """(settings, batch-order seed) recorded in a resumable checkpoint."""
+    header, _ = load_checkpoint(path)
+    if "train_config" not in header:
+        raise DataError(f"{path}: checkpoint has no trainer state")
+    saved = TrainConfig.from_dict(header["train_config"])
+    return _owned_settings(saved, NetConfig.from_dict(header["net_config"])), saved.seed
 
 
 def _stack_subjects(data_dir, entries, plane):
@@ -162,17 +177,22 @@ def _stack_subjects(data_dir, entries, plane):
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(TRAIN_DEFAULTS, args.config, {
-        "variant": args.variant, "plane": args.plane, "filters": args.filters,
-        "epochs": args.epochs, "batch_size": args.batch_size, "lr0": args.lr0,
-        "momentum": args.momentum, "weight_decay": args.weight_decay,
-        "loss_reduction": args.loss_reduction, "lr_schedule": args.lr_schedule,
-        "augment": args.augment, "max_slices": args.max_slices,
-        "holdout": args.holdout, "val_every": args.val_every,
-        "checkpoint_every": args.checkpoint_every, "seed": args.seed,
-    })
+    # a resumed run starts from the checkpoint's settings; a file or flag
+    # may change its epochs, and nothing else it records
+    recorded = {}
+    if args.resume:
+        recorded, batch_seed = _checkpoint_settings(args.resume)
+    cfg = _resolve({**TRAIN_DEFAULTS, **recorded}, args)
     if cfg["plane"] not in PLANES:
         raise ConfigError(f"plane must be one of {PLANES}, got {cfg['plane']!r}")
+    if args.resume:
+        changed = [f"{k} {cfg[k]!r} (checkpoint {v!r})" for k, v in recorded.items()
+                   if k != "epochs" and cfg[k] != v]
+        if derive_seed(cfg["seed"], "batches") != batch_seed:
+            changed.append(f"seed {cfg['seed']!r} (the checkpoint used another)")
+        if changed:
+            raise ConfigError(f"{args.resume}: cannot resume with changed settings: "
+                              + ", ".join(changed))
     cfg["data"] = args.data
     cfg["resume"] = args.resume or ""
     _echo_config("train", cfg, args.out)
@@ -208,11 +228,8 @@ def cmd_train(args) -> int:
           f"{images.shape[2]} ({cfg['plane']}, policy {policy})")
 
     train_config = TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr0=cfg["lr0"],
-        momentum=cfg["momentum"], weight_decay=cfg["weight_decay"],
-        loss_reduction=cfg["loss_reduction"], use_lr_schedule=cfg["lr_schedule"],
-        seed=derive_seed(cfg["seed"], "batches"), val_every=cfg["val_every"],
-        checkpoint_every=cfg["checkpoint_every"]).validate()
+        **{k: cfg[k] for k in TRAIN_CONFIG_KEYS}, use_lr_schedule=cfg["lr_schedule"],
+        seed=derive_seed(cfg["seed"], "batches")).validate()
     log_path = os.path.join(args.out, "train_log.csv")
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
     if args.resume:

@@ -6,7 +6,7 @@ cross-correlations (no kernel flip), stride 1, with zero padding chosen
 so the spatial size is preserved for any kernel size and dilation
 (total pad ``(k - 1) * d``, split floor-left / ceil-right).
 
-Pooling ops use 2x2 windows with stride 2 and ceil-mode output sizes:
+The max pool uses 2x2 windows with stride 2 and ceil-mode output sizes:
 a ragged bottom/right edge still produces an output cell, fed by the
 in-bounds values only.
 
@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import tensor as T
 from .autodiff import Node
 from .errors import DataError, ParameterError, ShapeError
 from .tensor import Tensor
@@ -89,33 +88,12 @@ def mul(a: Node, b: Node, name: str = "mul") -> Node:
     return Node(out, (a, b), bwd, name=name)
 
 
-def scale(x: Node, s: float, name: str = "scale") -> Node:
-    s = float(s)
-    out = Tensor(x.data * x.dtype.type(s))
-
-    def bwd(g):
-        return (g * s,)
-
-    return Node(out, (x,), bwd, name=name)
-
-
 def reduce_sum(x: Node, name: str = "sum") -> Node:
     out = Tensor(np.asarray(x.data.sum(dtype=np.float64), dtype=x.dtype).reshape(()))
     shp, dt = x.shape, x.dtype
 
     def bwd(g):
         return (np.broadcast_to(g.reshape(()), shp).astype(dt, copy=True),)
-
-    return Node(out, (x,), bwd, name=name)
-
-
-def reduce_mean(x: Node, name: str = "mean") -> Node:
-    n = x.value.size
-    out = Tensor(np.asarray(x.data.mean(dtype=np.float64), dtype=x.dtype).reshape(()))
-    shp, dt = x.shape, x.dtype
-
-    def bwd(g):
-        return (np.broadcast_to(g.reshape(()) / n, shp).astype(dt, copy=True),)
 
     return Node(out, (x,), bwd, name=name)
 
@@ -216,19 +194,6 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
 # pooling
 
 
-def _window_view(xp: np.ndarray) -> np.ndarray:
-    """(N, Hp, Wp, C) with even Hp, Wp -> (N, Hp/2, Wp/2, C, 4) window copy."""
-    n, hp, wp, c = xp.shape
-    v = xp.reshape(n, hp // 2, 2, wp // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-    return v.reshape(n, hp // 2, wp // 2, c, 4)
-
-
-def _unwindow(win: np.ndarray, hp: int, wp: int) -> np.ndarray:
-    n, ho, wo, c, _ = win.shape
-    v = win.reshape(n, ho, wo, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    return v.reshape(n, hp, wp, c)
-
-
 def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     """2x2 stride-2 max pool, ceil mode.  Ties route the gradient to the
     first maximum in window scan order, so backward is deterministic; a
@@ -239,9 +204,10 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
         raise ShapeError(f"maxpool2x2 input must be (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
     hp, wp = -(-h // 2) * 2, -(-w // 2) * 2
-    fill = np.finfo(x.dtype).min if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
+    # -inf padding never beats an in-bounds cell, and every window's
+    # scan-first cell is in bounds, so no gradient lands in the padding
     xp = np.pad(x.data, ((0, 0), (0, hp - h), (0, wp - w), (0, 0)),
-                constant_values=fill)
+                constant_values=-np.inf)
     scan = [(slice(None), slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
     v0, v1, v2, v3 = (xp[s] for s in scan)
     # np.maximum returns its second argument on a tie, so on +-0 ties
@@ -258,27 +224,6 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
             free ^= hit
             gxp[s] = _masked(g, hit)
         return (np.ascontiguousarray(gxp[:, :h, :w, :]),)
-
-    return Node(Tensor(out), (x,), bwd, name=name)
-
-
-def avgpool2x2(x: Node, name: str = "avgpool") -> Node:
-    """2x2 stride-2 average pool, ceil mode; ragged edge cells average
-    the in-bounds values only."""
-    if x.value.ndim != 4:
-        raise ShapeError(f"avgpool2x2 input must be (N,H,W,C), got {x.shape}")
-    n, h, w, c = x.shape
-    hp, wp = -(-h // 2) * 2, -(-w // 2) * 2
-    xp = np.pad(x.data, ((0, 0), (0, hp - h), (0, wp - w), (0, 0)))
-    ones = np.pad(np.ones((1, h, w, 1), dtype=x.dtype),
-                  ((0, 0), (0, hp - h), (0, wp - w), (0, 0)))
-    counts = _window_view(ones).sum(axis=-1)
-    out = _window_view(xp).sum(axis=-1) / counts
-
-    def bwd(g):
-        per_cell = (g / counts)[..., None]
-        scatter = np.broadcast_to(per_cell, g.shape + (4,)).astype(g.dtype, copy=True)
-        return (np.ascontiguousarray(_unwindow(scatter, hp, wp)[:, :h, :w, :]),)
 
     return Node(Tensor(out), (x,), bwd, name=name)
 
@@ -523,8 +468,6 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
     total = per_pixel.sum(dtype=np.float64)
     if reduction == "mean":
         total = total / count
-    if T.CHECK_FINITE and not np.isfinite(total):
-        raise DataError("cross entropy produced a non-finite value")
     out = Tensor(np.asarray(total, dtype=logits.dtype).reshape(()))
 
     probs = softmax(flat, axis=1)

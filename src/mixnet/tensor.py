@@ -27,10 +27,6 @@ DEFAULT_DTYPE = np.float32
 # Generous ceiling; anything past this is a bookkeeping bug, not a tensor.
 MAX_ELEMENTS = 1 << 40
 
-# When True, every Tensor constructed is scanned for NaN/Inf.  Too slow to
-# leave on in training loops; handy when chasing a numerical bug.
-CHECK_FINITE = False
-
 
 def validate_shape(dims) -> tuple[int, ...]:
     """Check that every extent is a positive integer and the element count
@@ -68,8 +64,6 @@ class Tensor:
             # keep 0-d scalars 0-d; ascontiguousarray would promote them
             arr = np.ascontiguousarray(arr)
             validate_shape(arr.shape)
-        if CHECK_FINITE and not np.all(np.isfinite(arr)):
-            raise ParameterError("tensor contains NaN or Inf")
         self.data = arr
 
     @property

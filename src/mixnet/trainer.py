@@ -12,9 +12,10 @@ The learning rate starts at ``lr0`` and halves every time the completed
 fraction of training crosses one of the schedule boundaries, so the
 final sixteenth of a long run trains at lr0/256.
 
-Checkpoints capture parameters, optimizer velocities and the shuffling
-RNG state, which makes an interrupted run bit-identical to an
-uninterrupted one when resumed at an epoch boundary.
+Checkpoints capture parameters, optimizer velocities, the shuffling
+RNG state and the per-epoch history, which makes an interrupted run,
+and its log, bit-identical to an uninterrupted one when resumed at an
+epoch boundary.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import ops
 from .arch import NetConfig, Network
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
+from .metrics import dice_binary
 from .volume import atomic_open
 
 # fractions of total training at which the learning rate halves again
@@ -58,8 +60,7 @@ class Optimizer:
     buffers live here, keyed by name, in the parameter's dtype.
     """
 
-    def __init__(self, params, lr0: float = 2e-4, momentum: float = 0.99,
-                 weight_decay: float = 1e-3):
+    def __init__(self, params, lr0: float, momentum: float, weight_decay: float):
         self.params = dict(params.items())
         self.lr0 = float(lr0)
         self.momentum = float(momentum)
@@ -138,17 +139,6 @@ def predict_slices(net: Network, images: np.ndarray,
     return np.concatenate(out, axis=0)
 
 
-def _foreground_dice(pred: np.ndarray, labels: np.ndarray, classes: int) -> list:
-    scores = []
-    for k in range(1, classes):
-        a = pred == k
-        b = labels == k
-        denom = int(a.sum()) + int(b.sum())
-        scores.append(1.0 if denom == 0 else
-                      2.0 * int(np.logical_and(a, b).sum()) / denom)
-    return scores
-
-
 class Trainer:
     """Mini-batch SGD over a stack of 2D training slices.
 
@@ -214,7 +204,8 @@ class Trainer:
         if self.val is not None and cfg.val_every and self.epoch % cfg.val_every == 0:
             probs = predict_slices(self.net, self.val[0], cfg.batch_size)
             pred = probs.argmax(axis=-1)
-            dice = _foreground_dice(pred, self.val[1], self.net.config.classes)
+            dice = [dice_binary(pred == k, self.val[1] == k)
+                    for k in range(1, self.net.config.classes)]
             row["val_dice"] = dice
             row["val_dice_mean"] = float(np.mean(dice))
         self.history.append(row)
@@ -280,6 +271,7 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
         header["step_count"] = trainer.step_count
         header["train_config"] = trainer.config.to_dict()
         header["rng_state"] = trainer.rng.bit_generator.state
+        header["history"] = trainer.history
     blob = json.dumps(header, sort_keys=True).encode()
     with atomic_open(path) as fh:
         fh.write(CKPT_MAGIC)
@@ -315,14 +307,17 @@ def load_checkpoint(path) -> tuple[dict, dict]:
     return header, arrays
 
 
-def load_network(path) -> Network:
-    """Rebuild just the network from a checkpoint."""
-    header, arrays = load_checkpoint(path)
+def _network_from(header: dict, arrays: dict) -> Network:
     net = Network(NetConfig.from_dict(header["net_config"]),
                   seed=header.get("store_seed", 0))
     net.store.load_arrays({name: arr for (kind, name), arr in arrays.items()
                            if kind == "param"})
     return net
+
+
+def load_network(path) -> Network:
+    """Rebuild just the network from a checkpoint."""
+    return _network_from(*load_checkpoint(path))
 
 
 def resume_trainer(path, images, labels, val=None, log_path=None,
@@ -332,7 +327,7 @@ def resume_trainer(path, images, labels, val=None, log_path=None,
     header, arrays = load_checkpoint(path)
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
-    net = load_network(path)
+    net = _network_from(header, arrays)
     config = TrainConfig.from_dict(header["train_config"])
     trainer = Trainer(net, images, labels, config, val=val, log_path=log_path,
                       checkpoint_path=checkpoint_path)
@@ -346,4 +341,5 @@ def resume_trainer(path, images, labels, val=None, log_path=None,
     state = header["rng_state"]
     # JSON round-trips the PCG64 state dict with string keys intact
     trainer.rng.bit_generator.state = state
+    trainer.history = header.get("history", [])
     return trainer

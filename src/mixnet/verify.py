@@ -70,7 +70,6 @@ def _op_builders(rng):
         ("conv2d_5x5", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1])),
          [x, w5]),
         ("maxpool2x2", lambda lv: ops.reduce_sum(ops.maxpool2x2(lv[0])), [x]),
-        ("avgpool2x2", lambda lv: ops.reduce_sum(ops.avgpool2x2(lv[0])), [x]),
         ("avgpool_region", lambda lv: ops.reduce_sum(ops.avgpool_region(lv[0], 3)),
          [x]),
         ("bilinear_up", lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], 9, 11)),

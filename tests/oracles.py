@@ -88,17 +88,6 @@ def maxpool2x2_first_max_naive(x, g):
     return out, gx
 
 
-def avgpool2x2_naive(x):
-    x = np.asarray(x, dtype=np.float64)
-    n, h, w, c = x.shape
-    ho, wo = (h + 1) // 2, (w + 1) // 2
-    out = np.empty((n, ho, wo, c))
-    for i in range(ho):
-        for j in range(wo):
-            out[:, i, j] = x[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].mean(axis=(1, 2))
-    return out
-
-
 def avgpool_region_naive(x, bins):
     x = np.asarray(x, dtype=np.float64)
     n, h, w, c = x.shape

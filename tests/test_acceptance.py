@@ -17,7 +17,7 @@ from mixnet.augment import (elastic_slice, expand_slices, policy_for_plane,
                             policy_ops)
 from mixnet.autodiff import Node, backward, topo_order
 from mixnet.tensor import Tensor
-from mixnet.trainer import Optimizer, _foreground_dice, lr_at
+from mixnet.trainer import Optimizer, lr_at
 from mixnet.volume import synthesize_subject
 
 TOL = 1e-4
@@ -94,7 +94,6 @@ def _op_cases(rng):
         ("conv2d_5x5", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1])),
          [x, k5]),
         ("maxpool2x2", lambda lv: ops.reduce_sum(ops.maxpool2x2(lv[0])), [x]),
-        ("avgpool2x2", lambda lv: ops.reduce_sum(ops.avgpool2x2(lv[0])), [x]),
         ("avgpool_region",
          lambda lv: ops.reduce_sum(ops.avgpool_region(lv[0], 2)), [x]),
         ("bilinear_up",
@@ -107,12 +106,10 @@ def _op_cases(rng):
         ("relu", lambda lv: ops.reduce_sum(ops.relu(lv[0])), [x]),
         ("add", lambda lv: ops.reduce_sum(ops.add(lv[0], lv[1])), [pair, x]),
         ("mul", lambda lv: ops.reduce_sum(ops.mul(lv[0], lv[1])), [pair, x]),
-        ("scale", lambda lv: ops.reduce_sum(ops.scale(lv[0], -1.7)), [x]),
         ("concat",
          lambda lv: ops.reduce_sum(ops.mul(ops.concat_channels(lv),
                                            ops.concat_channels(lv))),
          [pair, x]),
-        ("reduce_mean", lambda lv: ops.reduce_mean(ops.mul(lv[0], lv[0])), [x]),
         ("xent_sum",
          lambda lv: ops.softmax_cross_entropy(lv[0], labels, "sum"), [logits]),
         ("xent_mean",
@@ -270,7 +267,8 @@ def test_criterion_4_overfit_single_slice():
             opt.step()
             if step % 25 == 0:
                 pred = net.predict_probs(img[None]).argmax(-1)[0]
-                dice = float(np.mean(_foreground_dice(pred, lab, 4)))
+                dice = float(np.mean([metrics.dice_binary(pred == k, lab == k)
+                                      for k in range(1, 4)]))
                 if dice >= 0.95:
                     reached[variant] = (step, dice)
                     break

@@ -28,8 +28,6 @@ def test_config_validation():
         NetConfig(dilations=()).validate()
     with pytest.raises(ConfigError):
         NetConfig(dilations=(2, 0)).validate()
-    with pytest.raises(ConfigError):
-        NetConfig(pool_kind="min").validate()
     NetConfig().validate()
 
 
@@ -197,12 +195,6 @@ def test_inference_builds_no_graph():
             logits = net.forward(x)
         assert topo_order(logits) == [logits]
         assert not logits.requires_grad
-
-
-def test_avg_pool_kind_runs():
-    net = small("v1", pool_kind="avg")
-    out = net.forward(np.ones((1, 24, 24, 3), np.float32))
-    assert out.shape == (1, 24, 24, 4)
 
 
 def test_state_arrays_round_trip():

@@ -35,7 +35,7 @@ def test_backward_rejects_non_scalar_root():
 
 def test_simple_chain_gradient():
     x = Node.leaf(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
-    y = ops.reduce_sum(ops.scale(ops.relu(x), 2.0))
+    y = ops.reduce_sum(ops.mul(ops.relu(x), Node.leaf(np.full(3, 2.0))))
     backward(y)
     np.testing.assert_allclose(x.grad, [0.0, 2.0, 2.0])
 
@@ -70,7 +70,7 @@ def test_no_grad_keeps_values_and_drops_the_graph():
 
 def test_grad_accumulates_across_backward_calls():
     x = Node.leaf(np.ones(2), requires_grad=True)
-    y = ops.reduce_sum(ops.scale(x, 1.0))
+    y = ops.reduce_sum(ops.relu(x))
     backward(y)
     backward(y)
     np.testing.assert_allclose(x.grad, [2.0, 2.0])
@@ -122,7 +122,8 @@ def test_grad_check_agrees_with_independent_numeric_gradient():
     x0 = rng.normal(size=(2, 3))
 
     def build(leaves):
-        return ops.reduce_sum(ops.relu(ops.scale(leaves[0], -1.5)))
+        scaled = ops.mul(leaves[0], Node.leaf(np.full(x0.shape, -1.5)))
+        return ops.reduce_sum(ops.relu(scaled))
 
     report = grad_check(build, [x0])
     assert report.passed

@@ -105,6 +105,48 @@ def test_train_resume_matches_uninterrupted(dataset, tmp_path):
         np.testing.assert_array_equal(arrays_a[key], arrays_b[key])
 
 
+def test_train_resume_in_place_keeps_the_log(dataset, tmp_path):
+    straight = tmp_path / "straight"
+    assert train_fast(dataset, straight, "--epochs", "2") == 0
+    run_dir = tmp_path / "run"
+    assert train_fast(dataset, run_dir, "--epochs", "1") == 0
+    assert train_fast(dataset, run_dir, "--epochs", "2",
+                      "--resume", run_dir / "checkpoint.ckpt") == 0
+    assert (run_dir / "train_log.csv").read_bytes() == \
+        (straight / "train_log.csv").read_bytes()
+
+
+def test_train_resume_rejects_a_changed_setting(dataset, tmp_path):
+    first = tmp_path / "first"
+    assert train_fast(dataset, first) == 0
+    resumed = tmp_path / "resumed"
+    assert train_fast(dataset, resumed, "--epochs", "2", "--lr0", "0.5",
+                      "--resume", first / "checkpoint.ckpt") == 1
+    assert not (resumed / "checkpoint.ckpt").exists()
+
+
+def test_default_keys_are_flag_dests():
+    parser = cli.build_parser()
+    for argv, defaults in ((["generate", "--out", "o"], cli.GENERATE_DEFAULTS),
+                           (["train", "--data", "d", "--out", "o"], cli.TRAIN_DEFAULTS)):
+        args = vars(parser.parse_args(argv))
+        assert set(defaults) <= set(args)
+        assert all(args[k] is None for k in defaults)
+
+
+def test_default_train_run_echoes_the_recipe(tmp_path):
+    out = tmp_path / "run"
+    # the echo comes before the data is read, so a missing dataset still
+    # writes the resolved configuration
+    assert run("train", "--data", tmp_path / "missing", "--out", out) == 2
+    assert json.loads((out / "config.json").read_text()) == {
+        "command": "train", "augment": "plane", "batch_size": 4,
+        "checkpoint_every": 0, "data": str(tmp_path / "missing"), "epochs": 40,
+        "filters": 24, "holdout": "", "loss_reduction": "mean", "lr0": 2e-4,
+        "lr_schedule": True, "max_slices": 0, "momentum": 0.99, "plane": "transverse",
+        "resume": "", "seed": 0, "val_every": 1, "variant": "v2", "weight_decay": 1e-3}
+
+
 def test_train_config_file_merges_under_flags(dataset, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(

@@ -154,6 +154,9 @@ def _maxpool_cases(rng):
     with_nan[0, 1, 3, 1] = np.nan    # a second NaN in that window
     with_nan[0, 4, 4, 0] = np.nan    # ragged corner window
     yield with_nan
+    all_neg_inf = np.zeros((1, 3, 3, 1))
+    all_neg_inf[0, 2, 2, 0] = -np.inf    # the only in-bounds cell of its window
+    yield all_neg_inf
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -176,28 +179,6 @@ def test_maxpool_gradient():
 
     def build(lv):
         return ops.reduce_sum(ops.maxpool2x2(lv[0]))
-
-    assert grad_check(build, [x]).passed
-
-
-def test_avgpool_values_and_ragged_edge():
-    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
-    out = ops.avgpool2x2(leaf(x)).data
-    np.testing.assert_allclose(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
-    y = np.arange(9, dtype=np.float64).reshape(1, 3, 3, 1)
-    out = ops.avgpool2x2(leaf(y)).data
-    np.testing.assert_allclose(got_actual := out[0, :, :, 0],
-                               oracles.avgpool2x2_naive(y)[0, :, :, 0])
-    # the ragged corner averages the single in-bounds value
-    assert got_actual[1, 1] == 8.0
-
-
-def test_avgpool_gradient():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(1, 5, 5, 2))
-
-    def build(lv):
-        return ops.reduce_sum(ops.avgpool2x2(lv[0]))
 
     assert grad_check(build, [x]).passed
 
@@ -386,18 +367,7 @@ def test_add_mul_scale_and_reductions():
     b = leaf(np.array([[3.0, 5.0]]), rq=True)
     np.testing.assert_array_equal(ops.add(a, b).data, [[4.0, 3.0]])
     np.testing.assert_array_equal(ops.mul(a, b).data, [[3.0, -10.0]])
-    np.testing.assert_array_equal(ops.scale(a, -1.0).data, [[-1.0, 2.0]])
     assert float(ops.reduce_sum(b).data) == 8.0
-    assert float(ops.reduce_mean(b).data) == 4.0
-
-
-def test_reduce_mean_gradient():
-    x = np.random.default_rng(17).normal(size=(3, 4))
-
-    def build(lv):
-        return ops.reduce_mean(ops.mul(lv[0], lv[0]))
-
-    assert grad_check(build, [x]).passed
 
 
 # ---------------------------------------------------------------------------

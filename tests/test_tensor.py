@@ -81,12 +81,7 @@ def test_derive_seed_is_stable_and_sensitive():
 
 
 def test_check_finite_flag():
-    T.CHECK_FINITE = True
-    try:
-        with pytest.raises(ParameterError):
-            T.Tensor([np.nan, 1.0])
-    finally:
-        T.CHECK_FINITE = False
-    # with the flag off NaNs pass through untouched
+    # a Tensor never scans its values: the trainer checks the loss and the
+    # optimizer the gradients, so NaNs pass through construction untouched
     t = T.Tensor([np.nan, 1.0])
     assert np.isnan(t.data[0])

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -96,7 +99,7 @@ def test_weight_decay_pulls_toward_zero_without_gradient():
 
 def test_optimizer_aborts_on_non_finite_gradient():
     p = scalar_param(1.0)
-    opt = tr.Optimizer({"p": p})
+    opt = tr.Optimizer({"p": p}, lr0=2e-4, momentum=0.99, weight_decay=1e-3)
     p.grad = np.array(np.inf)
     with pytest.raises(TrainingDiverged):
         opt.step()
@@ -104,7 +107,7 @@ def test_optimizer_aborts_on_non_finite_gradient():
 
 def test_optimizer_keeps_float32_buffers_float32():
     net = tiny_net()
-    opt = tr.Optimizer(net.store, lr0=1e-3)
+    opt = tr.Optimizer(net.store, lr0=1e-3, momentum=0.99, weight_decay=1e-3)
     for name, p in net.store.items():
         p.grad = np.ones(p.shape, dtype=np.float32)
     opt.step()
@@ -210,6 +213,47 @@ def test_resume_is_bit_exact(tmp_path):
     for name, v in straight.optimizer.velocities.items():
         np.testing.assert_array_equal(v, resumed.optimizer.velocities[name])
     assert straight.rng.bit_generator.state == resumed.rng.bit_generator.state
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header passed through ``edit``."""
+    raw = src.read_bytes()
+    at = len(tr.CKPT_MAGIC)
+    version, hlen = struct.unpack("<IQ", raw[at:at + 12])
+    header = json.loads(raw[at + 12:at + 12 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:at] + struct.pack("<IQ", version, len(blob)) + blob
+                    + raw[at + 12 + hlen:])
+
+
+def test_resume_restores_history(tmp_path):
+    x, y = tiny_task(seed=3, n=4)
+    t = tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=2, batch_size=2),
+                   val=(x[:1], y[:1]))
+    t.fit()
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, t.net, t)
+    assert len(t.history) == 2 and "val_dice" in t.history[0]
+    assert tr.resume_trainer(path, x, y).history == t.history
+    # checkpoints written before the history was stored resume with none
+    old = tmp_path / "old.bin"
+    _rewrite_header(path, old, lambda h: h.pop("history"))
+    assert tr.resume_trainer(old, x, y).history == []
+
+
+def test_checkpoint_pool_kind_max_loads_and_avg_is_rejected(tmp_path):
+    net = tiny_net()
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, net)
+    probe = tiny_task()[0][:1]
+    kept, avg = tmp_path / "max.bin", tmp_path / "avg.bin"
+    _rewrite_header(path, kept, lambda h: h["net_config"].update(pool_kind="max"))
+    _rewrite_header(path, avg, lambda h: h["net_config"].update(pool_kind="avg"))
+    np.testing.assert_array_equal(tr.load_network(kept).forward(probe).data,
+                                  net.forward(probe).data)
+    with pytest.raises(ConfigError):
+        tr.load_network(avg)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
