@@ -21,7 +21,9 @@ permutations instead of interpolation victims.
 
 Randomized ops (translation, elastic) draw from a stream seeded by
 (global seed, slice index, op tag): the expansion is reproducible and
-independent of processing order.
+independent of processing order.  So ``expand_slices`` returns views
+that build a slice each time it is indexed: training holds only the
+source slices, and pays for augmentation in every epoch's steps.
 """
 
 from __future__ import annotations
@@ -179,31 +181,113 @@ def apply_op(image, label, op: tuple, rng: np.random.Generator):
 # dataset expansion
 
 
+class _Expansion:
+    """The source stack, the policy's ops and the seed shared by the image
+    and label views of one expansion, plus one batch computed for one
+    view and not yet taken by the other."""
+
+    def __init__(self, images, labels, ops, seed):
+        self.images, self.labels = images, labels
+        self.ops, self.seed = ops, seed
+        self.pending = None          # (index bytes, view part, array)
+
+    def slices(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Augmented slices ``idx`` (non-negative, in range), images and
+        labels: slice i * k + o is op o applied to source slice i."""
+        k = len(self.ops)
+        img = np.empty((idx.size,) + self.images.shape[1:], dtype=self.images.dtype)
+        lab = np.empty((idx.size,) + self.labels.shape[1:], dtype=self.labels.dtype)
+        for pos, j in enumerate(idx.tolist()):
+            i, o = divmod(j, k)
+            op = self.ops[o]
+            rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, i, op[0])))
+            img[pos], lab[pos] = apply_op(self.images[i], self.labels[i], op, rng)
+        return img, lab
+
+    def take(self, part: int, idx: np.ndarray) -> np.ndarray:
+        """View ``part``'s slices ``idx``.  A batch is computed for both
+        views at once; the other view's half waits here until that view
+        asks for the same indices (``Trainer`` reads images[idx], then
+        labels[idx]) or any other batch is computed."""
+        key = idx.tobytes()
+        if self.pending is not None and self.pending[:2] == (key, part):
+            out, self.pending = self.pending[2], None
+            return out
+        both = self.slices(idx)
+        self.pending = (key, 1 - part, both[1 - part])
+        return both[part]
+
+
+class AugmentedSlices:
+    """Read-only view of one half (images or labels) of an augmented
+    stack that builds each slice when it is indexed.
+
+    Indexing takes an int, a slice or an integer array along the slice
+    axis and returns a new ndarray; ``np.asarray`` materialises the whole
+    stack.  ``nbytes`` counts the source half the view holds, not the
+    stack it stands for."""
+
+    def __init__(self, expansion: _Expansion, part: int):
+        self._expansion = expansion
+        self._part = part
+        self._source = (expansion.images, expansion.labels)[part]
+        self.shape = (self._source.shape[0] * len(expansion.ops),) + \
+            self._source.shape[1:]
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def dtype(self):
+        return self._source.dtype
+
+    @property
+    def nbytes(self) -> int:
+        return self._source.nbytes
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        n = self.shape[0]
+        if isinstance(index, (int, np.integer)):
+            if not -n <= index < n:
+                raise IndexError(f"index {index} out of range for {n} slices")
+            return self._expansion.take(self._part, np.array([index % n]))[0]
+        if isinstance(index, slice):
+            idx = np.arange(n)[index]
+        else:
+            idx = None if isinstance(index, tuple) else np.asarray(index)
+            if idx is None or idx.ndim != 1 or not (
+                    idx.size == 0 or np.issubdtype(idx.dtype, np.integer)):
+                raise IndexError("augmented slices take an int, a slice or a 1-D "
+                                 "integer array along the slice axis")
+            if idx.size and (idx.min() < -n or idx.max() >= n):
+                raise IndexError(f"index out of range for {n} slices")
+            idx = idx.astype(np.int64) % n
+        return self._expansion.take(self._part, idx)
+
+    def __array__(self, dtype=None, copy=None):
+        out = self._expansion.slices(np.arange(self.shape[0]))[self._part]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 def expand_slices(images: np.ndarray, labels: np.ndarray, policy: str,
-                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                  seed: int = 0) -> tuple[AugmentedSlices, AugmentedSlices]:
     """Augment a slice stack (S, H, W, C) + (S, H, W) under a policy.
 
-    Returns the expanded stack; slice i of the input produces the block
+    Returns image and label views of the expanded stack, which compute
+    slices when indexed: slice i of the input produces the block
     [i * k, (i + 1) * k) of the output, k = expansion_factor(policy), in
-    the canonical op order.
+    the canonical op order.  Every slice is a pure function of (seed,
+    source slice, op), so the views equal the stack they stand for.
+    The views read the given arrays; do not change them afterwards.
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
     if images.ndim != 4 or labels.shape != images.shape[:3]:
         raise DataError(f"bad slice stack: images {images.shape}, "
                         f"labels {labels.shape}")
-    ops = policy_ops(policy)
-    out_img = np.empty((images.shape[0] * len(ops),) + images.shape[1:],
-                       dtype=images.dtype)
-    out_lab = np.empty((labels.shape[0] * len(ops),) + labels.shape[1:],
-                       dtype=labels.dtype)
-    pos = 0
-    for i in range(images.shape[0]):
-        for op in ops:
-            rng = np.random.Generator(np.random.PCG64(
-                derive_seed(seed, i, op[0])))
-            img, lab = apply_op(images[i], labels[i], op, rng)
-            out_img[pos] = img
-            out_lab[pos] = lab
-            pos += 1
-    return out_img, out_lab
+    expansion = _Expansion(images, labels, policy_ops(policy), seed)
+    return AugmentedSlices(expansion, 0), AugmentedSlices(expansion, 1)

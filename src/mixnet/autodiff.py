@@ -5,6 +5,12 @@ computed from and a rule that maps the output gradient to the parent
 gradients.  Graphs are acyclic by construction; ``backward`` visits each
 node exactly once in reverse topological order.
 
+A backward rule computes a parent's gradient only if
+``parent.requires_grad``; for any other parent it returns ``None``
+rather than an array ``backward`` would drop.  The network's input
+slices are such parents: they are data leaves, so the first conv of
+each stream builds no input gradient.
+
 The finite-difference checker in this module is the independent oracle
 used to validate every backward rule.  It evaluates the graph in float64
 (callers pass float64 inputs) so the central-difference error is far

@@ -27,7 +27,7 @@ from .errors import (ConfigError, DataError, MixNetError, ParameterError,
                      VerificationFailure)
 from .metrics import evaluate_segmentation
 from .tensor import derive_seed
-from .trainer import (TrainConfig, Trainer, load_checkpoint, load_network,
+from .trainer import (TrainConfig, Trainer, load_checkpoint_header, load_network,
                       resume_trainer, save_checkpoint)
 from .volume import PLANES
 
@@ -157,13 +157,19 @@ TRAIN_DEFAULTS = {
 }
 
 
+# train settings that choose the training slices; Trainer.slice_settings
+SLICE_KEYS = ("plane", "augment", "max_slices", "holdout")
+
+
 def _checkpoint_settings(path) -> tuple[dict, int]:
-    """(settings, batch-order seed) recorded in a resumable checkpoint."""
-    header, _ = load_checkpoint(path)
+    """(settings, batch-order seed) recorded in a resumable checkpoint's
+    header.  Checkpoints older than the slice settings record none."""
+    header = load_checkpoint_header(path)
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
     saved = TrainConfig.from_dict(header["train_config"])
-    return _owned_settings(saved, NetConfig.from_dict(header["net_config"])), saved.seed
+    settings = _owned_settings(saved, NetConfig.from_dict(header["net_config"]))
+    return {**settings, **header.get("slice_settings", {})}, saved.seed
 
 
 def _stack_subjects(data_dir, entries, plane):
@@ -244,6 +250,7 @@ def cmd_train(args) -> int:
         trainer = Trainer(net, images, labels, train_config, val=val,
                           log_path=log_path, checkpoint_path=ckpt_path)
 
+    trainer.slice_settings = {k: cfg[k] for k in SLICE_KEYS}
     trainer.fit()
     save_checkpoint(ckpt_path, trainer.net, trainer)
     if trainer.history:

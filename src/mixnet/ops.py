@@ -131,20 +131,19 @@ def _conv_taps(xp: np.ndarray, w: np.ndarray, h: int, wd: int,
     return out
 
 
-def _conv_taps_adjoint(xp: np.ndarray, w: np.ndarray, g: np.ndarray,
-                       dh: int, dw: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of :func:`_conv_taps` for the padded input and the kernel,
-    given the output gradient ``g``."""
-    kh, kw = w.shape[:2]
-    h, wd = g.shape[1:3]
-    gw = np.zeros_like(w)
-    gxp = np.zeros_like(xp)
+def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
+                  dh: int, dw: int) -> np.ndarray:
+    """(N*h*wd, kh*kw*Cin) matrix whose row holds the padded input ``xp``
+    under one output pixel's kernel window, tap-major like a (kh, kw, Cin,
+    Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped."""
+    n, cin = xp.shape[0], xp.shape[3]
+    if kh == kw == 1:
+        return xp.reshape(n * h * wd, cin)
+    cols = np.empty((n, h, wd, kh * kw, cin), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :]
-            gw[i, j] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
-            gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ w[i, j].T
-    return gxp, gw
+            cols[:, :, :, i * kw + j] = xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :]
+    return cols.reshape(n * h * wd, kh * kw * cin)
 
 
 def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
@@ -152,9 +151,12 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     """Stride-1 dilated cross-correlation with size-preserving zero padding.
 
     x: (N, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) or None.
-    Runs as a loop over kernel taps: each tap is a shifted view of the
-    padded input hit with a (Cin, Cout) matmul.  This keeps peak memory at
-    one padded copy of the input instead of a full patch matrix.
+    Forward runs as a loop over kernel taps: each tap is a shifted view of
+    the padded input hit with a (Cin, Cout) matmul, so it holds one padded
+    copy of the input and no patch matrix.  Backward computes the kernel
+    gradient as one GEMM, the patch matrix transposed times the output
+    gradient, and the input gradient, when x needs one, as the same tap
+    loop run backwards (one matmul for a 1x1 kernel).
     """
     if x.value.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
@@ -181,11 +183,22 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        gxp, gw = _conv_taps_adjoint(xp, wd_, g, dh, dw)
-        gx = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 1, 2))
+        grads = [None] * len(parents)
+        if x.requires_grad:
+            if kh == kw == 1:
+                grads[0] = g @ wd_[0, 0].T
+            else:
+                gxp = np.zeros_like(xp)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ wd_[i, j].T
+                grads[0] = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
+        if w.requires_grad:
+            cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
+            grads[1] = (cols.T @ g.reshape(-1, cout)).reshape(wd_.shape)
+        if b is not None and b.requires_grad:
+            grads[2] = g.sum(axis=(0, 1, 2))
+        return tuple(grads)
 
     return Node(Tensor(out), parents, bwd, name=name)
 
@@ -251,16 +264,13 @@ def _region_mean(x: np.ndarray, bins: int) -> np.ndarray:
 
 def _region_mean_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
     """Gradient of :func:`_region_mean` for an (N, h, w, C) input, given
-    the (N, bins, bins, C) output gradient ``g``."""
-    n, bins, _, c = g.shape
-    he, we = _region_edges(h, bins), _region_edges(w, bins)
-    gx = np.zeros((n, h, w, c), dtype=g.dtype)
-    for r in range(bins):
-        for s in range(bins):
-            area = (he[r + 1] - he[r]) * (we[s + 1] - we[s])
-            gx[:, he[r]:he[r + 1], we[s]:we[s + 1], :] += \
-                g[:, r:r + 1, s:s + 1, :] / area
-    return gx
+    the (N, bins, bins, C) output gradient ``g``: each bin's g / area,
+    repeated over the bin's rows, then over its columns."""
+    bins = g.shape[1]
+    hs, ws = np.diff(_region_edges(h, bins)), np.diff(_region_edges(w, bins))
+    share = g / np.multiply.outer(hs, ws)[:, :, None].astype(g.dtype)
+    share += 0      # -0.0 -> +0.0, as when shares are added into zeros
+    return np.repeat(np.repeat(share, hs, axis=1), ws, axis=2)
 
 
 def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
@@ -460,8 +470,8 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
     flat = logits.data.reshape(-1, k)
     lab = labels.reshape(-1)
     m = flat.max(axis=1, keepdims=True)
-    z = flat - m
-    lse = np.log(np.exp(z).sum(axis=1, dtype=np.float64)) + m[:, 0]
+    e = np.exp(flat - m)
+    lse = np.log(e.sum(axis=1, dtype=np.float64)) + m[:, 0]
     picked = flat[np.arange(flat.shape[0]), lab]
     per_pixel = lse - picked
     count = flat.shape[0]
@@ -470,7 +480,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
         total = total / count
     out = Tensor(np.asarray(total, dtype=logits.dtype).reshape(()))
 
-    probs = softmax(flat, axis=1)
+    probs = e / e.sum(axis=1, keepdims=True)      # softmax(flat, axis=1)
     shp, dt = logits.shape, logits.dtype
 
     def bwd(g):

@@ -13,7 +13,8 @@ fraction of training crosses one of the schedule boundaries, so the
 final sixteenth of a long run trains at lr0/256.
 
 Checkpoints capture parameters, optimizer velocities, the shuffling
-RNG state and the per-epoch history, which makes an interrupted run,
+RNG state, the per-epoch history and the settings that chose the
+training slices, which makes an interrupted run,
 and its log, bit-identical to an uninterrupted one when resumed at an
 epoch boundary.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import ops
 from .arch import NetConfig, Network
+from .augment import AugmentedSlices
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import dice_binary
@@ -143,16 +146,20 @@ class Trainer:
     """Mini-batch SGD over a stack of 2D training slices.
 
     ``images`` is (S, H, W, M) float32, ``labels`` (S, H, W) integer class
-    ids.  An optional validation pair is scored with per-class foreground
-    Dice after each epoch.
+    ids, either as arrays or as the views :func:`augment.expand_slices`
+    returns, which are kept as they are and indexed one batch at a time.
+    An optional validation pair is scored with per-class foreground Dice
+    after each epoch.
     """
 
     def __init__(self, net: Network, images: np.ndarray, labels: np.ndarray,
                  config: TrainConfig, val: Optional[tuple] = None,
                  log_path=None, checkpoint_path=None):
         config.validate()
-        images = np.asarray(images, dtype=np.float32)
-        labels = np.asarray(labels)
+        if not isinstance(images, AugmentedSlices):
+            images = np.asarray(images, dtype=np.float32)
+        if not isinstance(labels, AugmentedSlices):
+            labels = np.asarray(labels)
         if images.ndim != 4 or labels.shape != images.shape[:3]:
             raise DataError(f"bad training set: images {images.shape}, "
                             f"labels {labels.shape}")
@@ -169,6 +176,8 @@ class Trainer:
         self.epoch = 0
         self.step_count = 0
         self.history: list[dict] = []
+        # the settings that chose the training slices, recorded in checkpoints
+        self.slice_settings: dict = {}
         self.log_path = log_path
         self.checkpoint_path = checkpoint_path
 
@@ -185,7 +194,7 @@ class Trainer:
         seen = 0
         for lo in range(0, order.size, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            logits = self.net.forward(self.images[idx])
+            logits = self.net.forward(np.asarray(self.images[idx], dtype=np.float32))
             loss = ops.softmax_cross_entropy(logits, self.labels[idx],
                                              cfg.loss_reduction)
             value = float(loss.data)
@@ -239,7 +248,9 @@ class Trainer:
 # checkpoints
 #
 # layout: MAGIC, u32 format version, u64 header length, JSON header,
-# then the raw little-endian buffers in manifest order.
+# then the raw little-endian buffers in manifest order.  Each manifest
+# entry carries the buffer's zlib CRC-32; entries written before it
+# existed have none and load unchecked.
 
 CKPT_MAGIC = b"MIXCKPT\x00"
 CKPT_VERSION = 1
@@ -251,9 +262,10 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
 
     def push(kind, name, arr):
         arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-        manifest.append({"kind": kind, "name": name,
-                         "shape": list(arr.shape), "dtype": arr.dtype.str})
-        blobs.append(arr.tobytes())
+        blob = arr.tobytes()
+        manifest.append({"kind": kind, "name": name, "shape": list(arr.shape),
+                         "dtype": arr.dtype.str, "crc32": zlib.crc32(blob)})
+        blobs.append(blob)
 
     for name, node in net.store.items():
         push("param", name, node.value.data)
@@ -272,6 +284,7 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
         header["train_config"] = trainer.config.to_dict()
         header["rng_state"] = trainer.rng.bit_generator.state
         header["history"] = trainer.history
+        header["slice_settings"] = trainer.slice_settings
     blob = json.dumps(header, sort_keys=True).encode()
     with atomic_open(path) as fh:
         fh.write(CKPT_MAGIC)
@@ -281,19 +294,33 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
             fh.write(b)
 
 
+def _read_header(fh, path) -> dict:
+    """The JSON header of the checkpoint open as ``fh``, after checking
+    its magic and version; leaves ``fh`` at the first buffer."""
+    if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    fixed = fh.read(12)
+    if len(fixed) != 12:
+        raise DataError(f"{path}: truncated checkpoint header")
+    version, hlen = struct.unpack("<IQ", fixed)
+    if version != CKPT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        return json.loads(fh.read(hlen).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
+
+
+def load_checkpoint_header(path) -> dict:
+    """Read only a checkpoint's header, not its buffers."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def load_checkpoint(path) -> tuple[dict, dict]:
     """Read a checkpoint file; returns (header, {(kind, name): array})."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<IQ", fh.read(12))
-        if version != CKPT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            header = json.loads(fh.read(hlen).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
+        header = _read_header(fh, path)
         arrays = {}
         for entry in header["buffers"]:
             dtype = np.dtype(entry["dtype"])
@@ -302,6 +329,9 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             if len(raw) != n * dtype.itemsize:
                 raise DataError(f"{path}: truncated checkpoint buffer "
                                 f"{entry['name']!r}")
+            if "crc32" in entry and zlib.crc32(raw) != entry["crc32"]:
+                raise DataError(f"{path}: checksum mismatch in checkpoint "
+                                f"{entry['kind']} buffer {entry['name']!r}")
             arrays[(entry["kind"], entry["name"])] = \
                 np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
     return header, arrays
@@ -342,4 +372,5 @@ def resume_trainer(path, images, labels, val=None, log_path=None,
     # JSON round-trips the PCG64 state dict with string keys intact
     trainer.rng.bit_generator.state = state
     trainer.history = header.get("history", [])
+    trainer.slice_settings = header.get("slice_settings", {})
     return trainer

@@ -61,6 +61,9 @@ def _op_builders(rng):
     pair = rng.normal(size=(1, 4, 4, 2))
     w_head = rng.normal(size=(3, 3, 6, 3))
     g_head = Node.leaf(rng.normal(size=(1, 5, 6, 3)))
+    w1 = rng.normal(size=(1, 1, 2, 3))
+    x_cin1 = rng.normal(size=(2, 6, 5, 1))
+    w5_cin1 = rng.normal(size=(5, 5, 1, 3))
 
     return [
         ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
@@ -69,6 +72,10 @@ def _op_builders(rng):
             ops.conv2d(lv[0], lv[1], lv[2], dilation=2)), [x, w, b]),
         ("conv2d_5x5", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1])),
          [x, w5]),
+        ("conv2d_5x5_cin1", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
+         [x_cin1, w5_cin1, b]),
+        ("conv2d_1x1", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
+         [x, w1, b]),
         ("maxpool2x2", lambda lv: ops.reduce_sum(ops.maxpool2x2(lv[0])), [x]),
         ("avgpool_region", lambda lv: ops.reduce_sum(ops.avgpool_region(lv[0], 3)),
          [x]),

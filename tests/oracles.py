@@ -4,9 +4,10 @@ Everything here is written the obvious way (explicit loops, float64)
 and stays independent of the code under test: no imports from the
 mixnet op modules.  Tests compare the fast paths against these.
 
-The one exception is ``pyramid_head_unfused``: the output head built
-from the separately tested ops it fuses, so that its gradients come
-from their backward rules.
+The exceptions build on separately tested parts: ``pyramid_head_unfused``
+is the output head composed of the ops it fuses, so that its gradients
+come from their backward rules, and ``expand_slices_naive`` is the
+materialising loop over the tested ``augment.apply_op``.
 
 The metric references are the plain-loop ones that ship with the
 package in :mod:`mixnet.verify` for ``mixnet verify``; they share no
@@ -100,6 +101,21 @@ def avgpool_region_naive(x, bins):
     return out
 
 
+def region_mean_adjoint_naive(g, h, w):
+    """Gradient of the bins x bins region mean of an (N, h, w, C) input,
+    added into zeros one region at a time, in g's dtype."""
+    n, bins, _, c = g.shape
+    he = [i * h // bins for i in range(bins + 1)]
+    we = [i * w // bins for i in range(bins + 1)]
+    gx = np.zeros((n, h, w, c), dtype=g.dtype)
+    for r in range(bins):
+        for s in range(bins):
+            area = (he[r + 1] - he[r]) * (we[s + 1] - we[s])
+            gx[:, he[r]:he[r + 1], we[s]:we[s + 1], :] += \
+                g[:, r:r + 1, s:s + 1, :] / area
+    return gx
+
+
 def bilinear_naive(x, out_h, out_w):
     """Half-pixel-center bilinear resampling, one output pixel at a time."""
     x = np.asarray(x, dtype=np.float64)
@@ -129,6 +145,25 @@ def pyramid_head_unfused(x, w, b, bins):
     parts = [x] + [ops.bilinear_resize(ops.avgpool_region(x, nb), h, wd)
                    for nb in bins]
     return ops.conv2d(ops.concat_channels(parts), w, b)
+
+
+def expand_slices_naive(images, labels, policy, seed=0):
+    """The whole augmented stack, one slice after another: block i holds
+    every op of the policy applied to source slice i."""
+    from mixnet.augment import apply_op, policy_ops
+    from mixnet.tensor import derive_seed
+    ops = policy_ops(policy)
+    out_img = np.empty((images.shape[0] * len(ops),) + images.shape[1:],
+                       dtype=images.dtype)
+    out_lab = np.empty((labels.shape[0] * len(ops),) + labels.shape[1:],
+                       dtype=labels.dtype)
+    pos = 0
+    for i in range(images.shape[0]):
+        for op in ops:
+            rng = np.random.Generator(np.random.PCG64(derive_seed(seed, i, op[0])))
+            out_img[pos], out_lab[pos] = apply_op(images[i], labels[i], op, rng)
+            pos += 1
+    return out_img, out_lab
 
 
 def softmax_xent_naive(logits, labels, reduction="sum"):
@@ -177,3 +212,25 @@ def nesterov_trace(p0, grads, lr, momentum, weight_decay):
         p = p + momentum * v - lr * gp
         hist.append(p)
     return hist
+
+
+def conv2d_kernel_grad_naive(x, g, w_shape, dilation=1):
+    """Gradient of sum(g * conv2d(x, w)) for the kernel, one tap and one
+    output pixel at a time (padding as in conv2d_naive)."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    n, h, wid, _ = x.shape
+    kh, kw = w_shape[:2]
+    pt, pl = (kh - 1) * dilation // 2, (kw - 1) * dilation // 2
+    gw = np.zeros(w_shape)
+    for ky in range(kh):
+        for kx in range(kw):
+            for oy in range(h):
+                iy = oy + ky * dilation - pt
+                if not 0 <= iy < h:
+                    continue
+                for ox in range(wid):
+                    ix = ox + kx * dilation - pl
+                    if 0 <= ix < wid:
+                        gw[ky, kx] += x[:, iy, ix].T @ g[:, oy, ox]
+    return gw

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mixnet import augment as A
 from mixnet.errors import DataError, PolicyError
+
+import oracles
 
 
 def checkerboard(h=16, w=16, channels=2):
@@ -193,3 +197,78 @@ def test_augmented_slices_keep_dtype():
     img, lab = A.expand_slices(images, labels, "full", seed=0)
     assert img.dtype == np.float32
     assert lab.dtype == np.uint8
+
+
+# ---------------------------------------------------------------------------
+# the expansion as a view
+
+
+def _source(seed, n=3, size=12, channels=2):
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(n, size, size, channels)).astype(np.float32)
+    labels = rng.integers(0, 4, size=(n, size, size)).astype(np.uint8)
+    return images, labels
+
+
+@pytest.mark.parametrize("policy", ["full", "light"])
+def test_view_materialises_to_the_naive_stack(policy):
+    images, labels = _source(8)
+    img, lab = A.expand_slices(images, labels, policy, seed=4)
+    want_img, want_lab = oracles.expand_slices_naive(images, labels, policy, seed=4)
+    got_img, got_lab = np.asarray(img), np.asarray(lab)
+    assert got_img.dtype == want_img.dtype and got_lab.dtype == want_lab.dtype
+    np.testing.assert_array_equal(got_img, want_img)
+    np.testing.assert_array_equal(got_lab, want_lab)
+
+
+def test_view_indexing_matches_the_stack():
+    images, labels = _source(9)
+    img, lab = A.expand_slices(images, labels, "full", seed=2)
+    want_img, want_lab = oracles.expand_slices_naive(images, labels, "full", seed=2)
+    assert img.shape == want_img.shape and lab.shape == want_lab.shape
+    assert len(img) == 45 and img.ndim == 4 and lab.ndim == 3
+    assert img.dtype == np.float32 and lab.dtype == np.uint8
+    assert img.nbytes == images.nbytes and lab.nbytes == labels.nbytes
+    for index in (0, 17, 44, -1, -45, np.int64(30)):
+        np.testing.assert_array_equal(img[index], want_img[index])
+        np.testing.assert_array_equal(lab[index], want_lab[index])
+    for index in (slice(None), slice(3, 20, 4), slice(None, None, -7), slice(50, 60)):
+        np.testing.assert_array_equal(img[index], want_img[index])
+        np.testing.assert_array_equal(lab[index], want_lab[index])
+    # repeated and unordered indices, as an array and as a list, read in
+    # the image/label order Trainer uses, twice from one view, and reversed
+    for index in (np.array([5, 5, 44, 0, 5]), [12, 3, 12], np.array([-2, 1])):
+        for view, want in ((img, want_img), (img, want_img), (lab, want_lab),
+                           (lab, want_lab), (img, want_img)):
+            np.testing.assert_array_equal(view[index], want[index])
+    got = img[np.array([], dtype=np.int64)]
+    assert got.shape == (0, 12, 12, 2)
+
+
+def test_view_rejects_bad_indices():
+    images, labels = _source(10, n=2)
+    img, lab = A.expand_slices(images, labels, "light", seed=0)
+    for index in (6, -7, np.array([0, 6]), np.array([-7]), [1, 100]):
+        with pytest.raises(IndexError):
+            img[index]
+        with pytest.raises(IndexError):
+            lab[index]
+    for index in (np.zeros((2, 2), np.int64), np.array([0.0, 1.0]), (0, 1)):
+        with pytest.raises(IndexError):
+            img[index]
+
+
+def test_view_allocates_the_source_plus_one_batch():
+    # full policy over 96x96 slices: the stack would be 15x the source
+    images, labels = _source(11, n=8, size=96, channels=3)
+    batch = np.array([0, 20, 61, 119])          # one of each kind of op
+    batch_bytes = (images.nbytes + labels.nbytes) * batch.size // images.shape[0]
+    tracemalloc.start()
+    try:
+        img, lab = A.expand_slices(images, labels, "full", seed=3)
+        x, y = img[batch], lab[batch]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (4, 96, 96, 3) and y.shape == (4, 96, 96)
+    assert peak <= images.nbytes + labels.nbytes + batch_bytes, peak

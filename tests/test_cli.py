@@ -6,8 +6,11 @@ import pytest
 
 from mixnet import cli, volume
 from mixnet.arch import Network, NetConfig
+from mixnet.errors import DataError
 from mixnet.tensor import derive_seed
 from mixnet.trainer import load_checkpoint, load_network
+
+from test_trainer import _rewrite_header
 
 
 DIMS = (24, 24, 24)
@@ -123,6 +126,36 @@ def test_train_resume_rejects_a_changed_setting(dataset, tmp_path):
     assert train_fast(dataset, resumed, "--epochs", "2", "--lr0", "0.5",
                       "--resume", first / "checkpoint.ckpt") == 1
     assert not (resumed / "checkpoint.ckpt").exists()
+
+
+def test_train_resume_rejects_a_changed_plane(dataset, tmp_path):
+    first = tmp_path / "first"
+    assert train_fast(dataset, first, "--plane", "coronal") == 0
+    ckpt = first / "checkpoint.ckpt"
+    assert train_fast(dataset, tmp_path / "sagittal", "--epochs", "2",
+                      "--plane", "sagittal", "--resume", ckpt) == 1
+    assert not (tmp_path / "sagittal" / "checkpoint.ckpt").exists()
+    # without the flag the resumed run takes the recorded plane
+    assert train_fast(dataset, tmp_path / "same", "--epochs", "2", "--resume", ckpt) == 0
+    echoed = json.loads((tmp_path / "same" / "config.json").read_text())
+    assert echoed["plane"] == "coronal"
+    # a checkpoint that records no slice settings resumes unchecked
+    old = tmp_path / "old.ckpt"
+    _rewrite_header(ckpt, old, lambda h: h.pop("slice_settings"))
+    assert train_fast(dataset, tmp_path / "old", "--epochs", "2", "--resume", old) == 0
+
+
+def test_resume_settings_come_from_the_header_alone(dataset, tmp_path):
+    first = tmp_path / "first"
+    assert train_fast(dataset, first, "--holdout", "subject02") == 0
+    short = tmp_path / "short.ckpt"
+    short.write_bytes((first / "checkpoint.ckpt").read_bytes()[:-64])
+    settings, _ = cli._checkpoint_settings(short)
+    assert {k: settings[k] for k in cli.SLICE_KEYS} == {
+        "plane": "transverse", "augment": "none", "max_slices": 8,
+        "holdout": "subject02"}
+    with pytest.raises(DataError):
+        load_checkpoint(short)
 
 
 def test_default_keys_are_flag_dests():

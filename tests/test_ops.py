@@ -474,3 +474,32 @@ def test_softmax_rows_sum_to_one():
     p = ops.softmax(rng.normal(size=(4, 7)) * 10)
     np.testing.assert_allclose(p.sum(axis=-1), np.ones(4), rtol=1e-12)
     assert (p >= 0).all()
+
+
+def test_conv2d_builds_no_gradient_for_an_input_that_needs_none():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 6, 7, 3))
+    for shape in ((5, 5, 3, 4), (1, 1, 3, 4), (3, 3, 3, 2)):
+        w = rng.normal(size=shape)
+        g = rng.normal(size=(2, 6, 7, shape[3]))
+        gx, gw, gb = ops.conv2d(leaf(x), leaf(w, rq=True), leaf(np.zeros(shape[3])),
+                                dilation=2)._backward(g)
+        assert gx is None and gb is None
+        want = ops.conv2d(leaf(x, rq=True), leaf(w, rq=True), dilation=2)._backward(g)[1]
+        np.testing.assert_array_equal(gw, want)
+        # the kernel gradient is the correlation of x with g at each tap
+        np.testing.assert_allclose(gw, oracles.conv2d_kernel_grad_naive(x, g, shape, 2),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_region_mean_adjoint_matches_the_loop_bit_for_bit(dtype):
+    rng = np.random.default_rng(14)
+    for h, w, bins in ((7, 10, 3), (12, 12, 4), (13, 17, 6), (5, 5, 1), (9, 11, 9)):
+        g = rng.normal(size=(2, bins, bins, 3)).astype(dtype)
+        g[0, 0, 0, 0] = -0.0
+        g[1, -1, 0, 2] = 0.0
+        got = ops._region_mean_adjoint(g, h, w)
+        want = oracles.region_mean_adjoint_naive(g, h, w)
+        assert got.dtype == want.dtype
+        assert np.array_equal(_bits(got), _bits(want)), (h, w, bins)

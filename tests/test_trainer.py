@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from mixnet.arch import NetConfig, Network
+from mixnet import augment
+from mixnet.augment import expand_slices
 from mixnet.autodiff import Node
 from mixnet.errors import ConfigError, DataError, TrainingDiverged
 from mixnet.tensor import Tensor
@@ -280,3 +282,73 @@ def test_network_only_checkpoint_cannot_resume(tmp_path):
     x, y = tiny_task()
     with pytest.raises(DataError):
         tr.resume_trainer(path, x, y)
+
+
+def test_training_on_the_augmented_view_matches_the_materialised_stack(
+        tmp_path, monkeypatch):
+    x, y = tiny_task(seed=4, n=2)
+    img, lab = expand_slices(x, y, "light", seed=9)
+    cfg = tr.TrainConfig(epochs=2, batch_size=4, seed=6, val_every=0)
+    on_view = tr.Trainer(tiny_net(seed=2), img, lab, cfg)
+    on_stack = tr.Trainer(tiny_net(seed=2), np.asarray(img), np.asarray(lab), cfg)
+    assert on_view.images is img and on_view.labels is lab
+    calls = []
+    apply_op = augment.apply_op
+    monkeypatch.setattr(augment, "apply_op", lambda *a: calls.append(1) or apply_op(*a))
+    on_view.fit()
+    assert len(calls) == 2 * 6      # each slice built once per epoch
+    on_stack.fit()
+    assert on_view.step_count == on_stack.step_count == 4
+    for name, p in on_view.net.store.items():
+        np.testing.assert_array_equal(p.data, on_stack.net.store.get(name).data)
+        np.testing.assert_array_equal(on_view.optimizer.velocities[name],
+                                      on_stack.optimizer.velocities[name])
+    a, b = tmp_path / "view.bin", tmp_path / "stack.bin"
+    tr.save_checkpoint(a, on_view.net, on_view)
+    tr.save_checkpoint(b, on_stack.net, on_stack)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_checksum_names_the_flipped_buffer(tmp_path):
+    net = tiny_net()
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, net)
+    header, arrays = tr.load_checkpoint(path)
+    entries = header["buffers"]
+    assert all(isinstance(e["crc32"], int) for e in entries)
+    # flip one bit in the middle of the third buffer
+    raw = bytearray(path.read_bytes())
+    start = len(raw) - sum(arrays[(e["kind"], e["name"])].nbytes for e in entries)
+    start += sum(arrays[(e["kind"], e["name"])].nbytes for e in entries[:2])
+    target = entries[2]
+    raw[start + arrays[(target["kind"], target["name"])].nbytes // 2] ^= 0x10
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=repr(target["name"])):
+        tr.load_checkpoint(bad)
+    # checkpoints written before the checksums load unchecked, as before
+    old = tmp_path / "old.bin"
+    _rewrite_header(path, old, lambda h: [e.pop("crc32") for e in h["buffers"]])
+    probe = tiny_task()[0][:1]
+    np.testing.assert_array_equal(tr.load_network(old).forward(probe).data,
+                                  net.forward(probe).data)
+
+
+def test_checkpoint_header_reads_without_the_buffers(tmp_path):
+    x, y = tiny_task()
+    t = tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=1, batch_size=2))
+    t.slice_settings = {"plane": "coronal"}
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, t.net, t)
+    short = tmp_path / "short.bin"
+    short.write_bytes(path.read_bytes()[:-100])
+    header = tr.load_checkpoint_header(short)
+    assert header == tr.load_checkpoint(path)[0]
+    assert header["slice_settings"] == {"plane": "coronal"}
+    assert tr.resume_trainer(path, x, y).slice_settings == {"plane": "coronal"}
+    with pytest.raises(DataError):
+        tr.load_checkpoint(short)
+    stub = tmp_path / "stub.bin"
+    stub.write_bytes(path.read_bytes()[:12])
+    with pytest.raises(DataError):
+        tr.load_checkpoint_header(stub)
