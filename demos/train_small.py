@@ -47,8 +47,8 @@ resumed.config.epochs = 6
 resumed.fit()
 
 for name in net.store.names():
-    a = trainer.net.store.get(name).value.data
-    b = resumed.net.store.get(name).value.data
+    a = trainer.net.store.get(name).data
+    b = resumed.net.store.get(name).data
     np.testing.assert_array_equal(a, b)
 print("resumed run matches the uninterrupted one exactly, "
       f"loss {straight[-1]['loss']:.4f} both ways")

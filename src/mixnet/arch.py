@@ -53,7 +53,7 @@ import numpy as np
 from . import ops
 from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
-from .tensor import Tensor, derive_seed, he_init, zeros
+from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
 
 VARIANTS = ("v1", "v2", "v3")
 
@@ -125,40 +125,51 @@ class NetConfig:
 class ParamStore:
     """Owns the trainable parameter nodes of one network.
 
-    Parameters are created on first request with a seed derived from the
-    store seed and the parameter name, so construction order cannot
-    change initial values.  Names are stable; they are the checkpoint
-    manifest and the coordinate system of the v3 -> v1 embedding.
+    Parameters are created on first request: a float32 copy of
+    ``arrays[name]`` when given (a checkpoint's, say; copied so optimizer
+    updates stay out of the caller's arrays), else drawn with a seed
+    derived from the store seed and the name, so construction order
+    cannot change initial values.  Names are stable; they are the
+    checkpoint manifest and the coordinate system of the v3 -> v1
+    embedding.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, arrays: Optional[dict] = None):
         self.seed = int(seed)
+        self._arrays = arrays
         self._params: dict[str, Node] = {}
+
+    def _param(self, name: str, shape: tuple, draw) -> Node:
+        node = self._params.get(name)
+        if node is None:
+            if self._arrays is None:
+                value = draw()
+            elif name in self._arrays:
+                value = np.array(self._arrays[name], dtype=DEFAULT_DTYPE)
+            else:
+                raise BuildError(f"no array for parameter {name!r}")
+            node = Node.leaf(value, requires_grad=True, name=name)
+        if node.shape != shape:
+            raise BuildError(f"parameter {name!r} has shape {node.shape}, "
+                             f"requested {shape}")
+        self._params[name] = node
+        return node
 
     def kernel(self, name: str, shape) -> Node:
         shape = tuple(int(s) for s in shape)
-        node = self._params.get(name)
-        if node is not None:
-            if node.shape != shape:
-                raise BuildError(f"parameter {name!r} exists with shape "
-                                 f"{node.shape}, requested {shape}")
-            return node
         fan_in = int(np.prod(shape[:-1]))
-        value = he_init(shape, fan_in, derive_seed(self.seed, name))
-        node = Node.leaf(value, requires_grad=True, name=name)
-        self._params[name] = node
-        return node
+        return self._param(name, shape,
+                           lambda: he_init(shape, fan_in, derive_seed(self.seed, name)))
 
     def bias(self, name: str, width: int) -> Node:
-        node = self._params.get(name)
-        if node is not None:
-            if node.shape != (width,):
-                raise BuildError(f"parameter {name!r} exists with shape "
-                                 f"{node.shape}, requested {(width,)}")
-            return node
-        node = Node.leaf(zeros((width,)), requires_grad=True, name=name)
-        self._params[name] = node
-        return node
+        return self._param(name, (int(width),), lambda: zeros((width,)))
+
+    def close(self) -> None:
+        """End the build: reject arrays no parameter asked for, drop the dict."""
+        arrays, self._arrays = self._arrays, None
+        extra = set(arrays or ()) - set(self._params)
+        if extra:
+            raise BuildError(f"arrays for unknown parameters: {sorted(extra)[:4]}")
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -177,27 +188,7 @@ class ParamStore:
 
     @property
     def param_count(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
-    def state_arrays(self) -> dict:
-        """name -> float array, in creation order (shared, not copied)."""
-        return {k: v.value.data for k, v in self._params.items()}
-
-    def load_arrays(self, arrays: dict, strict: bool = True) -> None:
-        if strict:
-            missing = set(self._params) - set(arrays)
-            extra = set(arrays) - set(self._params)
-            if missing or extra:
-                raise BuildError(f"parameter set mismatch: missing={sorted(missing)[:4]} "
-                                 f"extra={sorted(extra)[:4]}")
-        for name, arr in arrays.items():
-            node = self._params.get(name)
-            if node is None:
-                continue
-            if node.shape != arr.shape:
-                raise BuildError(f"checkpoint shape {arr.shape} does not match "
-                                 f"{name!r} {node.shape}")
-            node.value = Tensor(np.asarray(arr), dtype=node.dtype)
+        return sum(p.size for p in self._params.values())
 
 
 @dataclass
@@ -213,11 +204,14 @@ class UnitRow:
 
 
 class Network:
-    """A built network: config + parameter store + forward pass."""
+    """A built network: config + parameter store + forward pass.  Its
+    parameters are copies of ``arrays`` (name -> array) if given, else
+    drawn from ``seed``."""
 
-    def __init__(self, config: NetConfig, seed: int = 0):
+    def __init__(self, config: NetConfig, seed: int = 0,
+                 arrays: Optional[dict] = None):
         self.config = config.validate()
-        self.store = ParamStore(seed)
+        self.store = ParamStore(seed, arrays)
         self.units: list[UnitRow] = []
         self._recording = True
         # materialize every parameter (and the manifest) with a dummy pass
@@ -225,6 +219,7 @@ class Network:
         with no_grad():
             self.forward(np.zeros((1, side, side, config.modalities), np.float32))
         self._recording = False
+        self.store.close()
 
     # -- building blocks ----------------------------------------------------
 
@@ -237,7 +232,7 @@ class Network:
     def _record(self, row: UnitRow, names: list) -> None:
         if not self._recording:
             return
-        row.params = sum(self.store.get(n).value.size
+        row.params = sum(self.store.get(n).size
                          for base in names for n in (base + ".w", base + ".b"))
         self.units.append(row)
 
@@ -297,13 +292,12 @@ class Network:
         return self._output_unit("out", agg, out_hw)
 
     def _stream_inputs(self, x: np.ndarray) -> list[Node]:
-        return [Node.leaf(Tensor(np.ascontiguousarray(x[..., s:s + 1])),
-                          name=f"input.s{s}")
+        return [Node.leaf(x[..., s:s + 1], name=f"input.s{s}")
                 for s in range(self.config.modalities)]
 
     def _forward_v1(self, x: np.ndarray) -> Node:
         cfg = self.config
-        y = self._init_unit("init", Node.leaf(Tensor(x), name="input"), cfg.trunk_filters)
+        y = self._init_unit("init", Node.leaf(x, name="input"), cfg.trunk_filters)
         levels = []
         for i, d in enumerate(cfg.dilations, 1):
             y = self._res_unit(f"level{i}", y, cfg.trunk_filters, cfg.trunk_filters, int(d))
@@ -418,8 +412,9 @@ def embed_v3_into_v1(src: Network, dst: Optional[Network] = None,
 
     m, fil = cfg.modalities, cfg.filters
     mid = fil // 2
-    arrays = {name: np.zeros(node.shape, dtype=node.dtype)
-              for name, node in dst.store.items()}
+    arrays = {name: node.data for name, node in dst.store.items()}
+    for arr in arrays.values():
+        arr.fill(0)
 
     for s in range(m):
         w = src.store.get(f"init.s{s}.conv.w").data
@@ -444,6 +439,4 @@ def embed_v3_into_v1(src: Network, dst: Optional[Network] = None,
 
     arrays["out.final.w"][...] = src.store.get("out.final.w").data
     arrays["out.final.b"][...] = src.store.get("out.final.b").data
-
-    dst.store.load_arrays(arrays)
     return dst

@@ -1,9 +1,10 @@
-"""Reverse-mode automatic differentiation over Tensor values.
+"""Reverse-mode automatic differentiation.
 
-A ``Node`` records one produced tensor together with the nodes it was
-computed from and a rule that maps the output gradient to the parent
-gradients.  Graphs are acyclic by construction; ``backward`` visits each
-node exactly once in reverse topological order.
+A ``Node`` is a :class:`~mixnet.tensor.Tensor` with graph links: it
+holds the array an op produced as its own ``data``, the nodes that
+array was computed from, and a rule that maps the output gradient to
+the parent gradients.  Graphs are acyclic by construction; ``backward``
+visits each node exactly once in reverse topological order.
 
 A backward rule computes a parent's gradient only if
 ``parent.requires_grad``; for any other parent it returns ``None``
@@ -46,25 +47,23 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-class Node:
-    """One entry of the computation graph.
+class Node(Tensor):
+    """One entry of the computation graph: a tensor plus graph links.
 
     ``_backward`` takes the gradient of the final scalar with respect to
-    this node's value and returns one gradient array per parent (``None``
+    this node's data and returns one gradient array per parent (``None``
     for parents that do not require gradients).
     """
 
-    __slots__ = ("value", "parents", "requires_grad", "grad", "_backward", "name")
+    __slots__ = ("parents", "requires_grad", "grad", "_backward", "name")
 
     def __init__(self, value, parents: tuple = (), backward=None,
                  requires_grad: Optional[bool] = None, name: str = ""):
-        if not isinstance(value, Tensor):
-            value = Tensor(value)
+        super().__init__(value)
         if not _GRAD_ENABLED.get():
             parents, backward = (), None
         if requires_grad is None:
             requires_grad = any(p.requires_grad for p in parents)
-        self.value = value
         self.parents = tuple(parents)
         self.requires_grad = requires_grad
         self.grad = None
@@ -74,18 +73,6 @@ class Node:
     @classmethod
     def leaf(cls, value, requires_grad: bool = False, name: str = "") -> "Node":
         return cls(value, (), None, requires_grad, name)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    @property
-    def dtype(self):
-        return self.value.dtype
 
     def __repr__(self):
         kind = "leaf" if not self.parents else f"op[{len(self.parents)} parents]"
@@ -120,7 +107,7 @@ def backward(root: Node) -> None:
     requires them.  Existing ``.grad`` buffers keep accumulating; call
     ``zero_grad`` on the model (or reset ``.grad`` yourself) between steps.
     """
-    if root.value.size != 1:
+    if root.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     order = topo_order(root)
     # gradients for the current pass live in a local table so that a second
@@ -182,18 +169,16 @@ def grad_check(build: Callable[[Sequence[Node]], Node],
     """
     arrays = [np.array(x, dtype=np.float64) for x in inputs]
 
-    leaves = [Node.leaf(Tensor(a, dtype=np.float64), requires_grad=True)
-              for a in arrays]
+    leaves = [Node.leaf(a, requires_grad=True) for a in arrays]
     out = build(leaves)
-    if out.value.size != 1:
+    if out.size != 1:
         raise ParameterError("grad_check requires a scalar-valued graph")
     backward(out)
     analytic = [np.zeros_like(a) if leaf.grad is None else np.array(leaf.grad)
                 for a, leaf in zip(arrays, leaves)]
 
     def evaluate() -> float:
-        nodes = [Node.leaf(Tensor(a, dtype=np.float64), requires_grad=False)
-                 for a in arrays]
+        nodes = [Node.leaf(a) for a in arrays]
         return float(build(nodes).data)
 
     report = GradCheckReport(0.0, tolerance, 0)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .autodiff import Node
 from .errors import DataError, ParameterError, ShapeError
-from .tensor import Tensor
 
 
 def _as_pair(v) -> tuple[int, int]:
@@ -57,7 +56,7 @@ def relu(x: Node, name: str = "relu") -> Node:
     branch-free (``np.fmax``, :func:`_masked`): ``np.where`` on the random
     sign mask of an activation costs about 9 ns an element."""
     mask = x.data > 0
-    out = Tensor(np.fmax(x.data, 0), dtype=x.dtype)
+    out = np.fmax(x.data, 0)
 
     def bwd(g):
         return (_masked(g, mask),)
@@ -68,7 +67,7 @@ def relu(x: Node, name: str = "relu") -> Node:
 def add(a: Node, b: Node, name: str = "add") -> Node:
     if a.shape != b.shape:
         raise ShapeError(f"add needs matching shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data)
+    out = a.data + b.data
 
     def bwd(g):
         return g, g
@@ -79,7 +78,7 @@ def add(a: Node, b: Node, name: str = "add") -> Node:
 def mul(a: Node, b: Node, name: str = "mul") -> Node:
     if a.shape != b.shape:
         raise ShapeError(f"mul needs matching shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data)
+    out = a.data * b.data
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -89,7 +88,7 @@ def mul(a: Node, b: Node, name: str = "mul") -> Node:
 
 
 def reduce_sum(x: Node, name: str = "sum") -> Node:
-    out = Tensor(np.asarray(x.data.sum(dtype=np.float64), dtype=x.dtype).reshape(()))
+    out = np.asarray(x.data.sum(dtype=np.float64), dtype=x.dtype).reshape(())
     shp, dt = x.shape, x.dtype
 
     def bwd(g):
@@ -106,7 +105,7 @@ def concat_channels(parts: Sequence[Node], name: str = "concat") -> Node:
         if p.shape[:-1] != base:
             raise ShapeError(f"concat_channels spatial mismatch: {p.shape} vs {base + ('C',)}")
     widths = [p.shape[-1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    out = np.concatenate([p.data for p in parts], axis=-1)
     splits = np.cumsum(widths)[:-1]
 
     def bwd(g):
@@ -158,9 +157,9 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     gradient, and the input gradient, when x needs one, as the same tap
     loop run backwards (one matmul for a 1x1 kernel).
     """
-    if x.value.ndim != 4:
+    if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
-    if w.value.ndim != 4:
+    if w.ndim != 4:
         raise ShapeError(f"conv2d kernel must be (kh,kw,cin,cout), got {w.shape}")
     n, h, wd, cin = x.shape
     kh, kw, wcin, cout = w.shape
@@ -200,7 +199,7 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
             grads[2] = g.sum(axis=(0, 1, 2))
         return tuple(grads)
 
-    return Node(Tensor(out), parents, bwd, name=name)
+    return Node(out, parents, bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,7 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     window holding NaN pools to NaN and routes to its first NaN.  Both
     passes work on the four strided window views: a window copy, argmax
     and gather made the forward ten times slower."""
-    if x.value.ndim != 4:
+    if x.ndim != 4:
         raise ShapeError(f"maxpool2x2 input must be (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
     hp, wp = -(-h // 2) * 2, -(-w // 2) * 2
@@ -238,7 +237,7 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
             gxp[s] = _masked(g, hit)
         return (np.ascontiguousarray(gxp[:, :h, :w, :]),)
 
-    return Node(Tensor(out), (x,), bwd, name=name)
+    return Node(out, (x,), bwd, name=name)
 
 
 def _region_edges(size: int, bins: int) -> list:
@@ -280,7 +279,7 @@ def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     so region sizes differ by at most one pixel.  Region means are
     accumulated in float64 and cast back to the input dtype.
     """
-    if x.value.ndim != 4:
+    if x.ndim != 4:
         raise ShapeError(f"avgpool_region input must be (N,H,W,C), got {x.shape}")
     out = _region_mean(x.data, int(bins))
     h, w = x.shape[1:3]
@@ -288,7 +287,7 @@ def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     def bwd(g):
         return (_region_mean_adjoint(g, h, w),)
 
-    return Node(Tensor(out), (x,), bwd, name=name)
+    return Node(out, (x,), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +350,7 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
     inputs exactly.  Backward applies the transposed interpolation
     matrices.
     """
-    if x.value.ndim != 4:
+    if x.ndim != 4:
         raise ShapeError(f"bilinear_resize input must be (N,H,W,C), got {x.shape}")
     out_h, out_w = int(out_h), int(out_w)
     if out_h < 1 or out_w < 1:
@@ -362,7 +361,7 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
     def bwd(g):
         return (_resize_adjoint(g, h, w),)
 
-    return Node(Tensor(out), (x,), bwd, name=name)
+    return Node(out, (x,), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +383,9 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     kh*kw tap slices added at the tap offsets of the zero-padded
     convolution.  The identity behind this is in the ``arch`` docstring.
     """
-    if x.value.ndim != 4:
+    if x.ndim != 4:
         raise ShapeError(f"pyramid_head input must be (N,H,W,C), got {x.shape}")
-    if w.value.ndim != 4:
+    if w.ndim != 4:
         raise ShapeError(f"pyramid_head kernel must be (kh,kw,cin,cout), got {w.shape}")
     bins = tuple(int(v) for v in bins)
     n, h, wd, c = x.shape
@@ -431,7 +430,7 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
         gw = np.concatenate(gms).reshape(wcin, kh, kw, cout).transpose(1, 2, 0, 3)
         return gx, np.ascontiguousarray(gw), g.sum(axis=(0, 1, 2))
 
-    return Node(Tensor(out), (x, w, b), bwd, name=name)
+    return Node(out, (x, w, b), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
     total = per_pixel.sum(dtype=np.float64)
     if reduction == "mean":
         total = total / count
-    out = Tensor(np.asarray(total, dtype=logits.dtype).reshape(()))
+    out = np.asarray(total, dtype=logits.dtype).reshape(())
 
     probs = e / e.sum(axis=1, keepdims=True)      # softmax(flat, axis=1)
     shp, dt = logits.shape, logits.dtype

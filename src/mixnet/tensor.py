@@ -9,9 +9,12 @@ Conventions used throughout the package:
 * reductions (sums, means, losses) accumulate in float64 before casting
   back, so the finite-difference checks are not drowned in rounding noise
 
-Tensors are treated as immutable values once constructed.  The optimizer
-is the single writer that updates parameter buffers in place; nothing
-else mutates a tensor after it leaves its constructor.
+Every value of the computation graph is a Tensor: ``autodiff.Node``
+subclasses it, so a node's constructor applies the validation,
+contiguity and dtype rule below to the array an op computed.  Values
+are treated as immutable once constructed, except parameter buffers:
+the optimizer updates them in place, and ``arch.embed_v3_into_v1``
+writes its blocks into a freshly built network's buffers.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"

@@ -81,7 +81,7 @@ class Optimizer:
                 g = 0.0
             elif not np.all(np.isfinite(g)):
                 raise TrainingDiverged(f"non-finite gradient in {name!r}")
-            buf = p.value.data
+            buf = p.data
             adjusted = g + wd * buf
             v = self.velocities[name]
             v *= mu
@@ -268,7 +268,7 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
         blobs.append(blob)
 
     for name, node in net.store.items():
-        push("param", name, node.value.data)
+        push("param", name, node.data)
     header = {
         "net_config": net.config.to_dict(),
         "store_seed": net.store.seed,
@@ -294,9 +294,20 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
             fh.write(b)
 
 
+def _entry_ok(entry) -> bool:
+    try:
+        return (all(isinstance(entry[k], str) for k in ("kind", "name", "dtype"))
+                and isinstance(entry["shape"], list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])
+                and np.dtype(entry["dtype"]).kind in "biuf")
+    except (KeyError, TypeError):
+        return False
+
+
 def _read_header(fh, path) -> dict:
     """The JSON header of the checkpoint open as ``fh``, after checking
-    its magic and version; leaves ``fh`` at the first buffer."""
+    its magic, its version and the header's layout; leaves ``fh`` at the
+    first buffer."""
     if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     fixed = fh.read(12)
@@ -306,9 +317,16 @@ def _read_header(fh, path) -> dict:
     if version != CKPT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     try:
-        return json.loads(fh.read(hlen).decode())
+        header = json.loads(fh.read(hlen).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
+    if not (isinstance(header, dict) and isinstance(header.get("net_config"), dict)
+            and isinstance(header.get("buffers"), list)
+            and all(_entry_ok(e) for e in header["buffers"])):
+        raise DataError(f"{path}: malformed checkpoint header: it needs a net_config "
+                        "object and a list of buffers, each with a string kind, "
+                        "name and numeric dtype and a list of dims >= 0")
+    return header
 
 
 def load_checkpoint_header(path) -> dict:
@@ -338,15 +356,14 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 
 
 def _network_from(header: dict, arrays: dict) -> Network:
-    net = Network(NetConfig.from_dict(header["net_config"]),
-                  seed=header.get("store_seed", 0))
-    net.store.load_arrays({name: arr for (kind, name), arr in arrays.items()
+    return Network(NetConfig.from_dict(header["net_config"]),
+                   seed=header.get("store_seed", 0),
+                   arrays={name: arr for (kind, name), arr in arrays.items()
                            if kind == "param"})
-    return net
 
 
 def load_network(path) -> Network:
-    """Rebuild just the network from a checkpoint."""
+    """Rebuild just the network from a checkpoint's arrays; nothing is drawn."""
     return _network_from(*load_checkpoint(path))
 
 

@@ -16,7 +16,6 @@ from mixnet.arch import NetConfig, Network, embed_v3_into_v1
 from mixnet.augment import (elastic_slice, expand_slices, policy_for_plane,
                             policy_ops)
 from mixnet.autodiff import Node, backward, topo_order
-from mixnet.tensor import Tensor
 from mixnet.trainer import Optimizer, lr_at
 from mixnet.volume import synthesize_subject
 
@@ -40,7 +39,7 @@ def _fd_worst(build, arrays, step=1e-3):
     average of the two slopes. That artifact shrinks with the step; a
     genuinely wrong gradient does not.
     """
-    leaves = [Node.leaf(Tensor(np.asarray(a, np.float64)), requires_grad=True)
+    leaves = [Node.leaf(np.asarray(a, np.float64), requires_grad=True)
               for a in arrays]
     backward(build(leaves))
     worst = 0.0
@@ -48,7 +47,7 @@ def _fd_worst(build, arrays, step=1e-3):
         def f(x, j=j):
             vals = [np.asarray(a, np.float64) for a in arrays]
             vals[j] = x
-            return float(build([Node.leaf(Tensor(v)) for v in vals]).data)
+            return float(build([Node.leaf(v) for v in vals]).data)
 
         num = oracles.num_grad(f, arr, step)
         ana = leaves[j].grad
@@ -373,12 +372,12 @@ def test_criterion_7_schedule_and_nesterov_trace():
     v = mu * v - lr * g2
     p = p + mu * v - lr * g2
 
-    node = Node.leaf(Tensor(np.array(1.0, np.float64)), requires_grad=True)
+    node = Node.leaf(np.array(1.0, np.float64), requires_grad=True)
     opt = Optimizer({"p": node}, lr0=lr, momentum=mu, weight_decay=wd)
     for g in (0.5, -0.3):
         node.grad = np.array(g, np.float64)
         opt.step()
-    err = abs(float(node.value.data) - p)
+    err = abs(float(node.data) - p)
     assert err <= 1e-12, f"two-step trace off by {err:.2e}"
     _pass(7, f"lr table exact over 100 epochs at 8 boundaries; "
              f"two-step Nesterov trace err {err:.2e} (tol 1e-12)")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from mixnet import ops
+from mixnet import arch, ops
 from mixnet.arch import NetConfig, Network, embed_v3_into_v1
 from mixnet.autodiff import backward, no_grad, topo_order
 from mixnet.errors import BuildError, ConfigError, ShapeError
+from mixnet.trainer import Optimizer
 
 
 def small(variant, **kw):
@@ -197,26 +198,58 @@ def test_inference_builds_no_graph():
         assert not logits.requires_grad
 
 
-def test_state_arrays_round_trip():
+def arrays_of(net):
+    return {name: p.data.copy() for name, p in net.store.items()}
+
+
+def test_network_built_from_arrays_computes_the_same_function():
     x = np.random.default_rng(5).normal(size=(1, 24, 24, 3)).astype(np.float32)
     a = small("v2")
     b = Network(NetConfig(variant="v2", classes=4, filters=8), seed=99)
     assert not np.array_equal(a.forward(x).data, b.forward(x).data)
-    b.store.load_arrays({k: v.copy() for k, v in a.store.state_arrays().items()})
+    b = Network(NetConfig(variant="v2", classes=4, filters=8), seed=99,
+                arrays=arrays_of(a))
     np.testing.assert_array_equal(a.forward(x).data, b.forward(x).data)
 
 
-def test_load_arrays_validates_names_and_shapes():
+def test_network_from_arrays_validates_names_and_shapes():
     net = small("v3")
-    state = {k: v.copy() for k, v in net.store.state_arrays().items()}
+    state = arrays_of(net)
     bad = dict(state)
     bad.pop("out.final.b")
-    with pytest.raises(BuildError):
-        net.store.load_arrays(bad)
+    with pytest.raises(BuildError, match="out.final.b"):
+        Network(net.config, arrays=bad)
     bad = dict(state)
     bad["out.final.b"] = np.zeros(7, np.float32)
-    with pytest.raises(BuildError):
-        net.store.load_arrays(bad)
+    with pytest.raises(BuildError, match="out.final.b"):
+        Network(net.config, arrays=bad)
+    bad = dict(state, **{"level9.reduce.w": np.zeros((1, 1, 8, 4), np.float32)})
+    with pytest.raises(BuildError, match="level9.reduce.w"):
+        Network(net.config, arrays=bad)
+
+
+def test_network_from_arrays_draws_nothing_and_owns_float32_copies(monkeypatch):
+    source = small("v3")
+    state = {name: arr.astype(np.float64) for name, arr in arrays_of(source).items()}
+    kept = {name: arr.copy() for name, arr in state.items()}
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a parameter was drawn")
+
+    monkeypatch.setattr(arch, "he_init", no_draw)
+    net = Network(source.config, arrays=state)
+    for name, p in net.store.items():
+        assert p.dtype == np.float32
+        np.testing.assert_array_equal(p.data, source.store.get(name).data)
+
+    x = np.random.default_rng(8).normal(size=(1, 24, 24, 3)).astype(np.float32)
+    labels = np.random.default_rng(9).integers(0, 4, size=(1, 24, 24))
+    backward(ops.softmax_cross_entropy(net.forward(x), labels, "mean"))
+    Optimizer(net.store, lr0=0.1, momentum=0.9, weight_decay=0.01).step()
+    assert not np.array_equal(net.store.get("out.final.w").data,
+                              source.store.get("out.final.w").data)
+    for name, arr in state.items():
+        np.testing.assert_array_equal(arr, kept[name])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from mixnet.autodiff import Node, backward, grad_check, no_grad, topo_order
 from mixnet.errors import ShapeError
 from mixnet import ops
+from mixnet.tensor import Tensor
 
 from oracles import num_grad
 
@@ -13,6 +14,20 @@ def test_leaf_defaults():
     assert not n.requires_grad
     assert n.grad is None
     assert n.parents == ()
+
+
+def test_a_node_is_a_tensor_holding_the_op_result():
+    a = Node.leaf(np.array([[-1.0, 2.0], [0.5, -3.0]]), requires_grad=True)
+    b = Node.leaf(np.full((2, 2), 0.25))
+    s = ops.add(a, b)
+    assert issubclass(Node, Tensor) and isinstance(s, Tensor)
+    assert not hasattr(s, "value") and "value" not in Node.__slots__
+    np.testing.assert_array_equal(s.data, a.data + b.data)
+    assert s.dtype == np.float64 and s.shape == (2, 2) and s.parents == (a, b)
+    # the validation and dtype rule of Tensor apply to every node
+    assert Node.leaf([1, 2]).dtype == np.float32
+    with pytest.raises(ShapeError):
+        Node.leaf(np.ones((2, 0)))
 
 
 def test_topo_order_parents_first():
@@ -102,12 +117,8 @@ def test_grad_check_passes_on_correct_graph():
 
 def test_grad_check_catches_a_wrong_gradient():
     # deliberately wrong backward rule: claims d(2x)/dx = 3
-    from mixnet.autodiff import Node as N
-    from mixnet.tensor import Tensor
-
     def broken_scale(x):
-        out = Tensor(x.data * 2.0)
-        return N(out, (x,), lambda g: (g * 3.0,), name="broken")
+        return Node(x.data * 2.0, (x,), lambda g: (g * 3.0,), name="broken")
 
     def build(leaves):
         return ops.reduce_sum(broken_scale(leaves[0]))

@@ -8,9 +8,9 @@ from mixnet import cli, volume
 from mixnet.arch import Network, NetConfig
 from mixnet.errors import DataError
 from mixnet.tensor import derive_seed
-from mixnet.trainer import load_checkpoint, load_network
+from mixnet.trainer import load_checkpoint, load_network, save_checkpoint
 
-from test_trainer import _rewrite_header
+from test_trainer import _replace_header, _rewrite_header
 
 
 DIMS = (24, 24, 24)
@@ -89,8 +89,8 @@ def test_train_zero_lr_leaves_parameters_at_init(dataset, tmp_path):
                               classes=man["classes"], filters=8),
                     seed=derive_seed(3, "params"))
     for name in fresh.store.names():
-        np.testing.assert_array_equal(net.store.get(name).value.data,
-                                      fresh.store.get(name).value.data)
+        np.testing.assert_array_equal(net.store.get(name).data,
+                                      fresh.store.get(name).data)
 
 
 def test_train_resume_matches_uninterrupted(dataset, tmp_path):
@@ -203,6 +203,29 @@ def test_train_rejects_unknown_config_keys(dataset, tmp_path):
 
 def test_train_unknown_holdout_is_a_data_error(dataset, tmp_path):
     assert train_fast(dataset, tmp_path / "x", "--holdout", "nope") == 2
+
+
+def _first_buffer(**fields):
+    def make(header):
+        header["buffers"][0].update(fields)
+        return header
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    lambda h: {k: v for k, v in h.items() if k != "buffers"},
+    lambda h: [h],
+    _first_buffer(dtype="zz"),
+    _first_buffer(shape=[-2]),
+], ids=["no-buffers", "json-list", "bad-dtype", "negative-dim"])
+def test_malformed_checkpoint_header_is_a_data_error(tmp_path, make):
+    good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+    save_checkpoint(good, Network(NetConfig(variant="v3", classes=3, filters=4)))
+    _replace_header(good, bad, make)
+    with pytest.raises(DataError):
+        load_network(bad)
+    assert run("predict", "--checkpoint", bad, "--data", tmp_path, "--subject",
+               "subject00", "--plane", "coronal", "--out", tmp_path / "p.vol") == 2
 
 
 # -- predict / fuse / evaluate -----------------------------------------------

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from mixnet.arch import NetConfig, Network
-from mixnet import augment
+from mixnet import arch, augment
 from mixnet.augment import expand_slices
 from mixnet.autodiff import Node
 from mixnet.errors import ConfigError, DataError, TrainingDiverged
-from mixnet.tensor import Tensor
 from mixnet import trainer as tr
 
 import oracles
@@ -60,7 +59,7 @@ def test_lr_schedule_rejects_bad_total():
 
 
 def scalar_param(value):
-    return Node.leaf(Tensor(np.array(value, dtype=np.float64)), requires_grad=True)
+    return Node.leaf(np.array(value, dtype=np.float64), requires_grad=True)
 
 
 def test_nesterov_step_matches_reference_trace():
@@ -72,7 +71,7 @@ def test_nesterov_step_matches_reference_trace():
     for g in grads:
         p.grad = np.array(g, dtype=np.float64)
         opt.step()
-        got.append(float(p.value.data))
+        got.append(float(p.data))
     want = oracles.nesterov_trace(1.5, grads, lr, mu, wd)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -84,10 +83,10 @@ def test_two_step_trace_by_hand():
     opt = tr.Optimizer({"p": p}, lr0=0.1, momentum=0.5, weight_decay=0.0)
     p.grad = np.array(2.0)
     opt.step()
-    assert abs(float(p.value.data) - 0.7) < 1e-12
+    assert abs(float(p.data) - 0.7) < 1e-12
     p.grad = np.array(1.0)
     opt.step()
-    assert abs(float(p.value.data) - 0.5) < 1e-12
+    assert abs(float(p.data) - 0.5) < 1e-12
 
 
 def test_weight_decay_pulls_toward_zero_without_gradient():
@@ -96,7 +95,7 @@ def test_weight_decay_pulls_toward_zero_without_gradient():
     p.grad = None
     opt.step()
     # g' = 0 + 0.5*2 = 1; with momentum 0 the update is just -lr*g'
-    assert abs(float(p.value.data) - 1.9) < 1e-12
+    assert abs(float(p.data) - 1.9) < 1e-12
 
 
 def test_optimizer_aborts_on_non_finite_gradient():
@@ -208,25 +207,31 @@ def test_resume_is_bit_exact(tmp_path):
     resumed.fit()
     assert resumed.epoch == 4
 
-    sa = straight.net.store.state_arrays()
-    sb = resumed.net.store.state_arrays()
-    for name in sa:
-        np.testing.assert_array_equal(sa[name], sb[name], err_msg=name)
+    for name, p in straight.net.store.items():
+        np.testing.assert_array_equal(p.data, resumed.net.store.get(name).data,
+                                      err_msg=name)
     for name, v in straight.optimizer.velocities.items():
         np.testing.assert_array_equal(v, resumed.optimizer.velocities[name])
     assert straight.rng.bit_generator.state == resumed.rng.bit_generator.state
 
 
-def _rewrite_header(src, dst, edit):
-    """Copy a checkpoint with its JSON header passed through ``edit``."""
+def _replace_header(src, dst, make):
+    """Copy a checkpoint with its JSON header replaced by ``make(header)``."""
     raw = src.read_bytes()
     at = len(tr.CKPT_MAGIC)
     version, hlen = struct.unpack("<IQ", raw[at:at + 12])
-    header = json.loads(raw[at + 12:at + 12 + hlen])
-    edit(header)
+    header = make(json.loads(raw[at + 12:at + 12 + hlen]))
     blob = json.dumps(header, sort_keys=True).encode()
     dst.write_bytes(raw[:at] + struct.pack("<IQ", version, len(blob)) + blob
                     + raw[at + 12 + hlen:])
+
+
+def _rewrite_header(src, dst, edit):
+    """Copy a checkpoint with its JSON header edited in place by ``edit``."""
+    def make(header):
+        edit(header)
+        return header
+    _replace_header(src, dst, make)
 
 
 def test_resume_restores_history(tmp_path):
@@ -256,6 +261,20 @@ def test_checkpoint_pool_kind_max_loads_and_avg_is_rejected(tmp_path):
                                   net.forward(probe).data)
     with pytest.raises(ConfigError):
         tr.load_network(avg)
+
+
+def test_load_network_draws_no_parameter(tmp_path, monkeypatch):
+    net = tiny_net()
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, net)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a parameter was drawn")
+
+    monkeypatch.setattr(arch, "he_init", no_draw)
+    probe = tiny_task()[0][:1]
+    np.testing.assert_array_equal(tr.load_network(path).forward(probe).data,
+                                  net.forward(probe).data)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
