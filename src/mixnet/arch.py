@@ -58,6 +58,12 @@ from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
 VARIANTS = ("v1", "v2", "v3")
 
 
+def _well_typed(value, default) -> bool:
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    return type(value) is type(default)
+
+
 @dataclass(frozen=True)
 class NetConfig:
     """Structural description of one network.
@@ -107,6 +113,14 @@ class NetConfig:
         return d
 
     @classmethod
+    def mistyped(cls, d: dict) -> list:
+        """Keys of ``d`` naming a field whose value has the wrong type:
+        each value must have exactly its default's type (so a bool is not
+        an int), except that a tuple of ints may come as a list."""
+        return sorted(f.name for f in fields(cls)
+                      if f.name in d and not _well_typed(d[f.name], f.default))
+
+    @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
         kw = dict(d)
         # older checkpoints record the init unit's pool, which is always max
@@ -116,6 +130,10 @@ class NetConfig:
         extra = set(kw) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown network config keys: {sorted(extra)}")
+        wrong = cls.mistyped(kw)
+        if wrong:
+            raise ConfigError("network config values of the wrong type: "
+                              + ", ".join(f"{k}={kw[k]!r}" for k in wrong))
         for key in ("dilations", "pyramid_bins"):
             if key in kw:
                 kw[key] = tuple(int(v) for v in kw[key])

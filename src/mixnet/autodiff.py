@@ -20,6 +20,17 @@ below the tolerance being enforced.
 Inside ``with no_grad():`` ops compute the same values but their nodes
 keep no parents and no backward rule, so inference holds no graph and
 each intermediate array is freed once the next op has consumed it.
+
+A training step holds each activation once:
+
+* ``backward`` stores ``.grad`` on leaves only (nodes with no backward
+  rule: parameters and inputs).  An intermediate node's gradient lives
+  in backward's local table until its rule has consumed it, then is
+  dropped, so an intermediate ``.grad`` stays ``None``.
+* A backward rule's closure keeps references to arrays the graph
+  already holds (an op's input or its own output), never copies of
+  them.  What a rule needs from a transformed input, such as a padded
+  copy, it rebuilds when it runs and frees when it returns.
 """
 
 from __future__ import annotations
@@ -103,22 +114,23 @@ def topo_order(root: Node) -> list[Node]:
 
 
 def backward(root: Node) -> None:
-    """Accumulate gradients of a scalar ``root`` into every ancestor that
-    requires them.  Existing ``.grad`` buffers keep accumulating; call
-    ``zero_grad`` on the model (or reset ``.grad`` yourself) between steps.
+    """Accumulate gradients of a scalar ``root`` into every leaf ancestor
+    that requires them.  Existing ``.grad`` buffers keep accumulating;
+    call ``zero_grad`` on the model (or reset ``.grad`` yourself) between
+    steps.  Intermediate nodes get no ``.grad``.
     """
     if root.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     order = topo_order(root)
-    # gradients for the current pass live in a local table so that a second
-    # backward over the same graph cannot re-propagate stale .grad buffers
+    # a node's gradient waits in this table until its rule consumes it;
+    # only a leaf's is kept, as its .grad
     local: dict[int, np.ndarray] = {id(root): np.ones(root.shape, dtype=root.dtype)}
     for node in reversed(order):
         g = local.pop(id(node), None)
         if g is None or not node.requires_grad:
             continue
-        node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
         grads = node._backward(g)
         if len(grads) != len(node.parents):

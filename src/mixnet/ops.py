@@ -54,12 +54,13 @@ def _masked(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def relu(x: Node, name: str = "relu") -> Node:
     """max(x, 0), with NaN -> 0 and -0.0 -> +0.0.  Both passes are
     branch-free (``np.fmax``, :func:`_masked`): ``np.where`` on the random
-    sign mask of an activation costs about 9 ns an element."""
-    mask = x.data > 0
+    sign mask of an activation costs about 9 ns an element.  Backward
+    takes the mask from the output, as ``out > 0``, which is ``x > 0``
+    for every x (NaN and -0.0 map to +0.0)."""
     out = np.fmax(x.data, 0)
 
     def bwd(g):
-        return (_masked(g, mask),)
+        return (_masked(g, out > 0),)
 
     return Node(out, (x,), bwd, name=name)
 
@@ -130,6 +131,14 @@ def _conv_taps(xp: np.ndarray, w: np.ndarray, h: int, wd: int,
     return out
 
 
+def _pad(a: np.ndarray, pads, value=0) -> np.ndarray:
+    """``np.pad(a, pads, constant_values=value)``, or ``a`` itself when
+    every pad is zero."""
+    if not any(lo or hi for lo, hi in pads):
+        return a
+    return np.pad(a, pads, constant_values=value)
+
+
 def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
                   dh: int, dw: int) -> np.ndarray:
     """(N*h*wd, kh*kw*Cin) matrix whose row holds the padded input ``xp``
@@ -152,10 +161,11 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     x: (N, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) or None.
     Forward runs as a loop over kernel taps: each tap is a shifted view of
     the padded input hit with a (Cin, Cout) matmul, so it holds one padded
-    copy of the input and no patch matrix.  Backward computes the kernel
-    gradient as one GEMM, the patch matrix transposed times the output
-    gradient, and the input gradient, when x needs one, as the same tap
-    loop run backwards (one matmul for a 1x1 kernel).
+    copy of the input (none for a 1x1 kernel) and no patch matrix.
+    Backward computes the kernel gradient as one GEMM, the patch matrix
+    transposed times the output gradient, and the input gradient, when x
+    needs one, as the same tap loop run backwards (one matmul for a 1x1
+    kernel).  The padded input is built again in backward, not kept.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
@@ -173,10 +183,10 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
 
     pt, pb = same_padding(kh, dh)
     pl, pr = same_padding(kw, dw)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    pads = ((0, 0), (pt, pb), (pl, pr), (0, 0))
     wd_ = w.data
 
-    out = _conv_taps(xp, wd_, h, wd, dh, dw)
+    out = _conv_taps(_pad(x.data, pads), wd_, h, wd, dh, dw)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -187,13 +197,13 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
             if kh == kw == 1:
                 grads[0] = g @ wd_[0, 0].T
             else:
-                gxp = np.zeros_like(xp)
+                gxp = np.zeros((n, h + pt + pb, wd + pl + pr, cin), dtype=x.dtype)
                 for i in range(kh):
                     for j in range(kw):
                         gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ wd_[i, j].T
                 grads[0] = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
         if w.requires_grad:
-            cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
+            cols = _patch_matrix(_pad(x.data, pads), kh, kw, h, wd, dh, dw)
             grads[1] = (cols.T @ g.reshape(-1, cout)).reshape(wd_.shape)
         if b is not None and b.requires_grad:
             grads[2] = g.sum(axis=(0, 1, 2))
@@ -215,11 +225,11 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     if x.ndim != 4:
         raise ShapeError(f"maxpool2x2 input must be (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
-    hp, wp = -(-h // 2) * 2, -(-w // 2) * 2
-    # -inf padding never beats an in-bounds cell, and every window's
-    # scan-first cell is in bounds, so no gradient lands in the padding
-    xp = np.pad(x.data, ((0, 0), (0, hp - h), (0, wp - w), (0, 0)),
-                constant_values=-np.inf)
+    # pad ragged edges only; -inf padding never beats an in-bounds cell,
+    # and every window's scan-first cell is in bounds, so no gradient
+    # lands in the padding
+    pads = ((0, 0), (0, h % 2), (0, w % 2), (0, 0))
+    xp = _pad(x.data, pads, -np.inf)
     scan = [(slice(None), slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
     v0, v1, v2, v3 = (xp[s] for s in scan)
     # np.maximum returns its second argument on a tie, so on +-0 ties
@@ -227,6 +237,7 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     out = np.maximum(np.maximum(v3, v2), np.maximum(v1, v0))
 
     def bwd(g):
+        xp = _pad(x.data, pads, -np.inf)
         gxp = np.empty_like(xp)
         free = np.ones(out.shape, dtype=bool)
         for s in scan:
@@ -400,9 +411,14 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     pt, pb = same_padding(kh, 1)
     pl, pr = same_padding(kw, 1)
     pad = ((0, 0), (pt, pb), (pl, pr), (0, 0), (0, 0))
-    # block k as a (C, taps*K) matrix, tap-major columns
-    wx, *wmats = np.split(w.data.transpose(2, 0, 1, 3).reshape(wcin, taps * cout),
-                          1 + len(bins))
+
+    def kernel_blocks():
+        """Block k of w as a (C, taps*K) matrix, tap-major columns (a
+        copy, so backward builds it again rather than keep it)."""
+        return np.split(w.data.transpose(2, 0, 1, 3).reshape(wcin, taps * cout),
+                        1 + len(bins))
+
+    wx, *wmats = kernel_blocks()
     pooled = [_region_mean(x.data, nb) for nb in bins]
 
     prior = x.data @ wx
@@ -416,6 +432,7 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     out += b.data
 
     def bwd(g):
+        wx, *wmats = kernel_blocks()
         gprior = np.zeros((n, h + pt + pb, wd + pl + pr, taps, cout), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):

@@ -204,6 +204,8 @@ class Trainer:
             self.optimizer.zero_grad()
             backward(loss)
             self.optimizer.step(lr)
+            # release this step's graph before the next forward builds one
+            del logits, loss
             self.step_count += 1
             total_loss += value * idx.size
             seen += idx.size
@@ -326,6 +328,12 @@ def _read_header(fh, path) -> dict:
         raise DataError(f"{path}: malformed checkpoint header: it needs a net_config "
                         "object and a list of buffers, each with a string kind, "
                         "name and numeric dtype and a list of dims >= 0")
+    wrong = [f"net_config.{k}" for k in NetConfig.mistyped(header["net_config"])]
+    if type(header.get("store_seed", 0)) is not int:
+        wrong.append("store_seed")
+    if wrong:
+        raise DataError(f"{path}: malformed checkpoint header: wrongly typed "
+                        + ", ".join(wrong))
     return header
 
 

@@ -109,10 +109,10 @@ def write_volume(path, data: np.ndarray, spacing, kind: str,
             raise DataError(f"label volume must be 3D, got {data.shape}")
         if data.size and (data.min() < 0 or (classes and data.max() >= classes)):
             raise DataError(f"labels out of range [0, {classes})")
-        body = data.astype("u1")
+        body = np.asarray(data, dtype="u1")
         dtype = "u8"
     elif kind in ("intensity", "probs"):
-        body = data.astype("<f4")
+        body = np.asarray(data, dtype="<f4")
         dtype = "f32"
     else:
         raise DataError(f"unsupported kind {kind!r}")
@@ -121,7 +121,7 @@ def write_volume(path, data: np.ndarray, spacing, kind: str,
                       classes=int(classes)).validate()
     # both temp files are complete before either replaces its target
     with atomic_open(path) as fh, atomic_open(_sidecar(path), "w") as sh:
-        fh.write(np.ascontiguousarray(body).tobytes())
+        fh.write(np.ascontiguousarray(body).data)
         json.dump(asdict(meta), sh, indent=1, sort_keys=True)
         sh.write("\n")
     return meta
@@ -192,10 +192,21 @@ def restack_slices(slices: np.ndarray, plane: str) -> np.ndarray:
 def predict_volume(net, images: np.ndarray, plane: str,
                    batch_size: int = 8) -> np.ndarray:
     """Class probabilities (X, Y, Z, K) from slicing a normalized
-    multi-modality volume (X, Y, Z, M) along one plane."""
-    from .trainer import predict_slices
-    probs = predict_slices(net, slice_stack(images, plane), batch_size)
-    return restack_slices(probs, plane)
+    multi-modality volume (X, Y, Z, M) along one plane.  Each batch's
+    probabilities are written straight into the volume through a view
+    with the plane axis first, so no stack of slices is held besides it."""
+    images = np.asarray(images)
+    if images.ndim != 4:
+        raise DataError(f"expected an (X, Y, Z, M) volume, got {images.shape}")
+    axis = plane_axis(plane)
+    slices = np.moveaxis(images, axis, 0)
+    probs = None
+    for lo in range(0, slices.shape[0], batch_size):
+        batch = net.predict_probs(slices[lo:lo + batch_size])
+        if probs is None:       # the network sets the dtype and class count
+            probs = np.empty(images.shape[:3] + batch.shape[3:], dtype=batch.dtype)
+        np.moveaxis(probs, axis, 0)[lo:lo + batch_size] = batch
+    return probs
 
 
 def fuse_predictions(prob_volumes, weights=None) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,9 @@ mixnet op modules.  Tests compare the fast paths against these.
 
 The exceptions build on separately tested parts: ``pyramid_head_unfused``
 is the output head composed of the ops it fuses, so that its gradients
-come from their backward rules, and ``expand_slices_naive`` is the
-materialising loop over the tested ``augment.apply_op``.
+come from their backward rules, ``expand_slices_naive`` is the
+materialising loop over the tested ``augment.apply_op``, and
+``predict_volume_restacked`` runs a network's ``predict_probs``.
 
 The metric references are the plain-loop ones that ship with the
 package in :mod:`mixnet.verify` for ``mixnet verify``; they share no
@@ -164,6 +165,17 @@ def expand_slices_naive(images, labels, policy, seed=0):
             out_img[pos], out_lab[pos] = apply_op(images[i], labels[i], op, rng)
             pos += 1
     return out_img, out_lab
+
+
+def predict_volume_restacked(net, images, axis, batch_size=8):
+    """Probabilities (X, Y, Z, K) the way ``volume.predict_volume`` once
+    made them: a contiguous stack of the slices along ``axis``, a list of
+    per-batch probabilities, their concatenation, and that moved back
+    into the volume grid."""
+    stack = np.ascontiguousarray(np.moveaxis(images, axis, 0))
+    probs = [net.predict_probs(stack[lo:lo + batch_size])
+             for lo in range(0, stack.shape[0], batch_size)]
+    return np.ascontiguousarray(np.moveaxis(np.concatenate(probs), 0, axis))
 
 
 def softmax_xent_naive(logits, labels, reduction="sum"):

@@ -40,6 +40,19 @@ def test_config_round_trip_and_unknown_keys():
         NetConfig.from_dict({"variant": "v1", "depth": 9})
 
 
+# one wrongly typed value per NetConfig field
+WRONG_TYPES = {"variant": 1, "modalities": "3", "classes": 2.0, "filters": "x",
+               "dilations": 3, "init_pool": 1, "pyramid_bins": ["a"]}
+
+
+@pytest.mark.parametrize("key", sorted(WRONG_TYPES))
+def test_config_from_dict_rejects_wrong_types(key):
+    d = {**NetConfig().to_dict(), key: WRONG_TYPES[key]}
+    assert NetConfig.mistyped(d) == [key]
+    with pytest.raises(ConfigError, match=key):
+        NetConfig.from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # structure conformance at the reference width (filters=24, 3 modalities)
 

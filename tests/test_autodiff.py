@@ -91,6 +91,20 @@ def test_grad_accumulates_across_backward_calls():
     np.testing.assert_allclose(x.grad, [2.0, 2.0])
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    x = Node.leaf(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+    w = Node.leaf(np.full(3, 2.0), requires_grad=True)
+    h = ops.relu(x)
+    m = ops.mul(h, w)
+    y = ops.reduce_sum(ops.add(m, h))
+    for calls in (1, 2):
+        backward(y)
+        np.testing.assert_array_equal(x.grad, calls * np.array([0.0, 3.0, 3.0]))
+        np.testing.assert_array_equal(w.grad, calls * np.array([0.0, 2.0, 3.0]))
+        assert all(node.grad is None for node in topo_order(y)
+                   if node._backward is not None)
+
+
 def test_deep_chain_does_not_recurse():
     # 5000 stacked relus would blow the default recursion limit if the
     # traversal were recursive

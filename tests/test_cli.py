@@ -10,6 +10,7 @@ from mixnet.errors import DataError
 from mixnet.tensor import derive_seed
 from mixnet.trainer import load_checkpoint, load_network, save_checkpoint
 
+from test_arch import WRONG_TYPES
 from test_trainer import _replace_header, _rewrite_header
 
 
@@ -212,12 +213,27 @@ def _first_buffer(**fields):
     return make
 
 
+def _header_value(field, value):
+    section, _, key = field.rpartition(".")
+
+    def make(header):
+        (header[section] if section else header)[key] = value
+        return header
+    return make
+
+
+# one wrongly typed value per header field a network is built from
+WRONGLY_TYPED = {**{f"net_config.{k}": v for k, v in sorted(WRONG_TYPES.items())},
+                 "store_seed": "a"}
+
+
 @pytest.mark.parametrize("make", [
     lambda h: {k: v for k, v in h.items() if k != "buffers"},
     lambda h: [h],
     _first_buffer(dtype="zz"),
     _first_buffer(shape=[-2]),
-], ids=["no-buffers", "json-list", "bad-dtype", "negative-dim"])
+    *(_header_value(f, v) for f, v in WRONGLY_TYPED.items()),
+], ids=["no-buffers", "json-list", "bad-dtype", "negative-dim", *WRONGLY_TYPED])
 def test_malformed_checkpoint_header_is_a_data_error(tmp_path, make):
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
     save_checkpoint(good, Network(NetConfig(variant="v3", classes=3, filters=4)))

@@ -1,13 +1,15 @@
+import gc
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mixnet.arch import NetConfig, Network
-from mixnet import arch, augment
+from mixnet import arch, augment, ops
 from mixnet.augment import expand_slices
-from mixnet.autodiff import Node
+from mixnet.autodiff import Node, backward
 from mixnet.errors import ConfigError, DataError, TrainingDiverged
 from mixnet import trainer as tr
 
@@ -371,3 +373,57 @@ def test_checkpoint_header_reads_without_the_buffers(tmp_path):
     stub.write_bytes(path.read_bytes()[:12])
     with pytest.raises(DataError):
         tr.load_checkpoint_header(stub)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates on top of what is live before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _v1_batch(n):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, 48, 48, 3)).astype(np.float32)
+    return x, rng.integers(0, 4, size=(n, 48, 48))
+
+
+def test_v1_step_holds_each_activation_once():
+    # the bound fails if every node keeps a .grad, or relu, conv2d and
+    # maxpool2x2 keep masks and padded copies of their inputs: that step
+    # peaks near 67 MB
+    net = Network(NetConfig(variant="v1"), seed=0)
+    x, y = _v1_batch(4)
+
+    def step():
+        loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
+        net.zero_grad()
+        backward(loss)
+
+    assert _traced_peak(step) < 48e6
+
+
+def test_epoch_peak_is_one_step():
+    # a step's graph is released before the next step builds its own
+    x, y = _v1_batch(16)
+    t = tr.Trainer(Network(NetConfig(variant="v1"), seed=0), x, y,
+                   tr.TrainConfig(epochs=1, batch_size=4, val_every=0))
+
+    def step():
+        loss = ops.softmax_cross_entropy(t.net.forward(x[:4]), y[:4],
+                                         t.config.loss_reduction)
+        t.optimizer.zero_grad()
+        backward(loss)
+        t.optimizer.step()
+
+    one_step = _traced_peak(step)
+    assert _traced_peak(t.train_one_epoch) <= 1.1 * one_step
+    assert t.step_count == 4

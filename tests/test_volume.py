@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from mixnet.arch import NetConfig, Network
 from mixnet.errors import DataError, ParameterError
 from mixnet import volume as vol
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +62,24 @@ def test_probs_round_trip(tmp_path):
     assert meta.kind == "probs"
     with pytest.raises(DataError):
         vol.write_volume(tmp_path / "bad.vol", probs, (1, 1, 1), "probs", classes=4)
+
+
+@pytest.mark.parametrize("kind,data", [
+    ("intensity", np.arange(60, dtype=np.float32).reshape(3, 4, 5) / 7),
+    ("intensity", np.arange(60, dtype=np.float64).reshape(5, 4, 3).T / 7),
+    ("intensity", np.arange(60, dtype=">f4").reshape(3, 4, 5)),
+    ("probs", np.asfortranarray(np.linspace(0, 1, 72, dtype=np.float32)
+                                .reshape(2, 3, 4, 3))),
+    ("labels", np.arange(60, dtype=np.int64).reshape(3, 4, 5) % 4),
+    ("labels", (np.arange(60, dtype=np.uint8).reshape(3, 4, 5) % 4)[:, ::-1]),
+], ids=["f32", "f64-transposed", "big-endian", "probs-fortran", "i64-labels",
+        "u8-reversed-labels"])
+def test_write_volume_body_is_the_cast_array_bytes(tmp_path, kind, data):
+    path = tmp_path / "v.vol"
+    classes = data.shape[-1] if kind == "probs" else 4
+    vol.write_volume(path, data, (1, 1, 1), kind, classes=classes)
+    body = data.astype("u1" if kind == "labels" else "<f4")
+    assert path.read_bytes() == body.tobytes()
 
 
 def test_read_errors(tmp_path):
@@ -152,6 +173,20 @@ def test_slice_restack_round_trip_3d_and_4d():
             vol.restack_slices(vol.slice_stack(v4, plane), plane), v4)
     with pytest.raises(DataError):
         vol.slice_stack(np.zeros((3, 3)), "sagittal")
+
+
+def test_predict_volume_matches_the_restacked_stack():
+    net = Network(NetConfig(variant="v2", classes=3, filters=4,
+                            pyramid_bins=(1, 2)), seed=2)
+    images = np.random.default_rng(5).normal(size=(10, 9, 8, 3)).astype(np.float32)
+    for plane, axis in vol.PLANES.items():
+        got = vol.predict_volume(net, images, plane, batch_size=4)
+        want = oracles.predict_volume_restacked(net, images, axis, batch_size=4)
+        assert got.dtype == want.dtype == np.float32
+        assert got.flags.c_contiguous and got.shape == (10, 9, 8, 3)
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(DataError):
+        vol.predict_volume(net, images[..., 0], "sagittal")
 
 
 # ---------------------------------------------------------------------------
