@@ -45,7 +45,7 @@ v1's; ``embed_v3_into_v1`` materializes that inclusion.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -53,15 +53,10 @@ import numpy as np
 from . import ops
 from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
+from .records import read_record
 from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
 
 VARIANTS = ("v1", "v2", "v3")
-
-
-def _well_typed(value, default) -> bool:
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
-    return type(value) is type(default)
 
 
 @dataclass(frozen=True)
@@ -76,9 +71,9 @@ class NetConfig:
     modalities: int = 3
     classes: int = 4
     filters: int = 24
-    dilations: tuple = (2, 1, 4, 1, 8)
+    dilations: tuple[int, ...] = (2, 1, 4, 1, 8)
     init_pool: bool = True
-    pyramid_bins: tuple = (2, 4, 6, 12)
+    pyramid_bins: tuple[int, ...] = (2, 4, 6, 12)
 
     def validate(self) -> "NetConfig":
         if self.variant not in VARIANTS:
@@ -89,11 +84,10 @@ class NetConfig:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.filters < 2 or self.filters % 2:
             raise ConfigError(f"filters must be a positive even number, got {self.filters}")
-        if not self.dilations:
-            raise ConfigError("dilations must name at least one level")
-        if any(int(d) < 1 for d in self.dilations):
-            raise ConfigError(f"dilations must be >= 1, got {self.dilations}")
-        if not self.pyramid_bins or any(int(b) < 1 for b in self.pyramid_bins):
+        if not self.dilations or any(d < 1 for d in self.dilations):
+            raise ConfigError(f"dilations must be one or more levels >= 1, "
+                              f"got {self.dilations}")
+        if not self.pyramid_bins or any(b < 1 for b in self.pyramid_bins):
             raise ConfigError(f"pyramid_bins must be positive, got {self.pyramid_bins}")
         return self
 
@@ -106,38 +100,16 @@ class NetConfig:
     def levels(self) -> int:
         return len(self.dilations)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("dilations", "pyramid_bins"):
-            d[key] = list(d[key])
-        return d
-
     @classmethod
-    def mistyped(cls, d: dict) -> list:
-        """Keys of ``d`` naming a field whose value has the wrong type:
-        each value must have exactly its default's type (so a bool is not
-        an int), except that a tuple of ints may come as a list."""
-        return sorted(f.name for f in fields(cls)
-                      if f.name in d and not _well_typed(d[f.name], f.default))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetConfig":
+    def from_dict(cls, d: dict, what: str = "network config",
+                  error=ConfigError) -> "NetConfig":
+        """Read a config record; see :mod:`mixnet.records`."""
         kw = dict(d)
         # older checkpoints record the init unit's pool, which is always max
         if kw.pop("pool_kind", "max") != "max":
             raise ConfigError(f"unsupported pool_kind {d['pool_kind']!r}: the init "
                               "unit pools with max only")
-        extra = set(kw) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown network config keys: {sorted(extra)}")
-        wrong = cls.mistyped(kw)
-        if wrong:
-            raise ConfigError("network config values of the wrong type: "
-                              + ", ".join(f"{k}={kw[k]!r}" for k in wrong))
-        for key in ("dilations", "pyramid_bins"):
-            if key in kw:
-                kw[key] = tuple(int(v) for v in kw[key])
-        return cls(**kw).validate()
+        return read_record(cls, kw, what, error).validate()
 
 
 class ParamStore:
@@ -388,19 +360,6 @@ class Network:
             rf += 2 * int(d) * jump
         rf += 2 * jump                       # output unit 3x3
         return rf
-
-    def summary(self) -> str:
-        cfg = self.config
-        head = (f"{cfg.variant}: modalities={cfg.modalities} classes={cfg.classes} "
-                f"filters={cfg.filters} pool={cfg.init_pool} "
-                f"receptive_field={self.receptive_field()}")
-        lines = [head, f"{'unit':28s} {'kind':7s} {'in':>5s} {'out':>5s} "
-                       f"{'f':>4s} {'d':>3s} {'params':>9s}"]
-        for u in self.units:
-            lines.append(f"{u.name:28s} {u.kind:7s} {u.c_in:5d} {u.c_out:5d} "
-                         f"{u.filters or '':>4} {u.dilation or '':>3} {u.params:9d}")
-        lines.append(f"total parameters: {self.param_count}")
-        return "\n".join(lines)
 
 
 def embed_v3_into_v1(src: Network, dst: Optional[Network] = None,

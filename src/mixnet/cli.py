@@ -1,12 +1,11 @@
 """Command line front end: synthesize data, train per plane, predict,
 fuse, evaluate, verify.
 
-Every subcommand resolves its settings from three layers, strongest
-last applied first: built-in defaults, then an optional JSON config
-file (--config), then explicit flags.  The fully resolved configuration
-is echoed (and for runs that produce a directory, written next to the
-outputs) before any work starts, so a run can be reproduced from its
-artifacts alone.
+``generate`` and ``train`` resolve their settings from three layers,
+strongest last applied first: built-in defaults, then an optional JSON
+config file (--config), then explicit flags.  The fully resolved
+configuration is echoed and written next to the outputs before any work
+starts, so a run can be reproduced from its artifacts alone.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
 """
@@ -26,6 +25,7 @@ from .augment import expand_slices, policy_for_plane
 from .errors import (ConfigError, DataError, MixNetError, ParameterError,
                      VerificationFailure)
 from .metrics import evaluate_segmentation
+from .records import check_record, kind_of
 from .tensor import derive_seed
 from .trainer import (TrainConfig, Trainer, load_checkpoint_header, load_network,
                       resume_trainer, save_checkpoint)
@@ -46,27 +46,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _ints(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-
-
-def _floats(text: str) -> tuple:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+def _numbers(kind):
+    """An argparse type for comma-separated ``kind`` values, e.g. 96,96,96."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated "
+                                             f"{kind.__name__}s, got {text!r}")
+    return parse
 
 
 # ---------------------------------------------------------------------------
 # config resolution
 
 
-def resolve_config(defaults: dict, config_path, flags: dict) -> dict:
-    """defaults <- config file <- explicit flags; unknown keys rejected."""
-    resolved = dict(defaults)
+def resolve_config(defaults: dict, config_path, flags: dict,
+                   recorded: dict | None = None) -> dict:
+    """defaults <- settings a checkpoint recorded <- config file <- flags;
+    each file value must be of its default's kind (``records.kind_of``)."""
+    resolved = {**defaults, **(recorded or {})}
     if config_path:
         try:
             with open(config_path) as fh:
@@ -75,24 +74,19 @@ def resolve_config(defaults: dict, config_path, flags: dict) -> dict:
             raise DataError(f"cannot read config file: {e}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"{config_path}: invalid JSON: {e}") from None
-        if not isinstance(from_file, dict):
-            raise ConfigError(f"{config_path}: top level must be an object")
-        unknown = set(from_file) - set(defaults)
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown config keys "
-                              f"{sorted(unknown)}; known: {sorted(defaults)}")
-        resolved.update(from_file)
+        kinds = {k: kind_of(v) for k, v in defaults.items()}
+        resolved.update(check_record(from_file, kinds, config_path, ConfigError))
     for key, value in flags.items():
         if value is not None:
             resolved[key] = value
     return resolved
 
 
-def _resolve(defaults: dict, args) -> dict:
+def _resolve(defaults: dict, args, recorded: dict | None = None) -> dict:
     """resolve_config with the flags of ``args``; each key of ``defaults``
     is its flag's argparse dest."""
     return resolve_config(defaults, args.config,
-                          {k: getattr(args, k) for k in defaults})
+                          {k: getattr(args, k) for k in defaults}, recorded)
 
 
 def _echo_config(command: str, resolved: dict, out_dir=None) -> None:
@@ -167,9 +161,11 @@ def _checkpoint_settings(path) -> tuple[dict, int]:
     header = load_checkpoint_header(path)
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
-    saved = TrainConfig.from_dict(header["train_config"])
-    settings = _owned_settings(saved, NetConfig.from_dict(header["net_config"]))
-    return {**settings, **header.get("slice_settings", {})}, saved.seed
+    saved = header["train_config"]
+    slices = check_record(header.get("slice_settings", {}),
+                          {k: kind_of(TRAIN_DEFAULTS[k]) for k in SLICE_KEYS},
+                          f"{path}: slice_settings", DataError)
+    return {**_owned_settings(saved, header["net_config"]), **slices}, saved.seed
 
 
 def _stack_subjects(data_dir, entries, plane):
@@ -188,7 +184,7 @@ def cmd_train(args) -> int:
     recorded = {}
     if args.resume:
         recorded, batch_seed = _checkpoint_settings(args.resume)
-    cfg = _resolve({**TRAIN_DEFAULTS, **recorded}, args)
+    cfg = _resolve(TRAIN_DEFAULTS, args, recorded)
     if cfg["plane"] not in PLANES:
         raise ConfigError(f"plane must be one of {PLANES}, got {cfg['plane']!r}")
     if args.resume:
@@ -341,20 +337,11 @@ def cmd_evaluate(args) -> int:
 # verify
 
 
-SUITES = {
-    "gradcheck": lambda trials, seed: (verify.check_op_gradients(seed)
-                                       + verify.check_network_gradients(seed)),
-    "shapes": lambda trials, seed: verify.check_structure(),
-    "embedding": lambda trials, seed: verify.check_embedding(seed),
-    "metrics": lambda trials, seed: verify.check_metrics(trials=trials, seed=seed),
-}
-
-
 def cmd_verify(args) -> int:
     if args.suite == "all":
         results = verify.run_all(trials=args.trials, seed=args.seed)
     else:
-        results = SUITES[args.suite](args.trials, args.seed)
+        results = verify.SUITES[args.suite](args.trials, args.seed)
     print(verify.format_results(results))
     if args.json:
         summary = {"suite": args.suite,
@@ -383,8 +370,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--subjects", type=int)
-    p.add_argument("--dims", type=_ints, help="X,Y,Z e.g. 96,96,96")
-    p.add_argument("--spacing", type=_floats, help="mm per voxel, e.g. 1,1,1")
+    p.add_argument("--dims", type=_numbers(int), help="X,Y,Z e.g. 96,96,96")
+    p.add_argument("--spacing", type=_numbers(float), help="mm per voxel, e.g. 1,1,1")
     p.add_argument("--classes", type=int)
     p.add_argument("--modalities", type=int)
     p.add_argument("--seed", type=int)
@@ -429,7 +416,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fuse", help="fuse probability volumes into labels")
     p.add_argument("--inputs", required=True, nargs="+",
                    help="probability volumes, e.g. sagittal coronal transverse")
-    p.add_argument("--weights", type=_floats,
+    p.add_argument("--weights", type=_numbers(float),
                    help="default 1,1,4 for three inputs, uniform otherwise")
     p.add_argument("--out", required=True, help="output label volume")
     p.set_defaults(func=cmd_fuse)
@@ -441,7 +428,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
+    p.add_argument("--suite", choices=("all",) + tuple(verify.SUITES), default="all")
     p.add_argument("--trials", type=int, default=100,
                    help="random trials for the metrics suite")
     p.add_argument("--seed", type=int, default=0)

@@ -188,14 +188,8 @@ class EvalReport:
     weights: tuple = DEFAULT_WEIGHTS
     overall: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {"classes": [asdict(c) for c in self.classes],
-                "spacing": list(self.spacing),
-                "weights": list(self.weights),
-                "overall": self.overall}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":

@@ -1,0 +1,66 @@
+"""One reader for the package's settings records: config files,
+checkpoint headers, volume sidecars and dataset manifests."""
+
+from __future__ import annotations
+
+from dataclasses import MISSING, fields
+from typing import get_type_hints
+
+
+def _element(kind):
+    """T for ``tuple[T, ...]``, else None."""
+    return kind.__args__[0] if getattr(kind, "__origin__", None) is tuple else None
+
+
+def conforms(value, kind) -> bool:
+    """Whether ``value`` is of ``kind`` under :func:`check_record`'s rule."""
+    if _element(kind) is not None:
+        return (isinstance(value, (list, tuple))
+                and all(conforms(v, _element(kind)) for v in value))
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def kind_of(default):
+    """The kind a default stands for: its type, or ``tuple[T, ...]``."""
+    return tuple[type(default[0]), ...] if isinstance(default, tuple) else type(default)
+
+
+def check_record(raw, kinds: dict, what: str, error, required=()) -> dict:
+    """``raw``, with the lists of tuple kinds made tuples, once it is an
+    object whose keys all name a kind in ``kinds``, that holds every key
+    in ``required`` and whose values conform to their kinds by one rule:
+
+    * ``int`` means an int and not a bool;
+    * ``float`` also takes an int, so ``"lr0": 1`` is a learning rate;
+    * ``tuple[int, ...]`` and ``tuple[float, ...]`` take a JSON list,
+      checked element by element, and come back as tuples;
+    * any other kind (``bool``, ``str``, ``dict``, ``list``) is exact.
+
+    Values are checked, never coerced: ``"epochs": 1.5`` is rejected, not
+    truncated.  A bad record raises ``error``, the caller's class, with
+    one line led by ``what`` that names every bad key: ``ConfigError``
+    (exit 1) for a config file, ``DataError`` (exit 2) for a checkpoint,
+    sidecar or manifest."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be an object, got {type(raw).__name__}")
+    problems = []
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        problems.append(f"unknown keys {unknown} (known: {sorted(kinds)})")
+    missing = [k for k in required if k not in raw]
+    if missing:
+        problems.append(f"missing keys {missing}")
+    wrong = [f"{k}={v!r} is not {kinds[k] if _element(kinds[k]) else kinds[k].__name__}"
+             for k, v in raw.items() if k in kinds and not conforms(v, kinds[k])]
+    if wrong:
+        problems.append("wrongly typed " + ", ".join(wrong))
+    if problems:
+        raise error(f"{what}: " + "; ".join(problems))
+    return {k: tuple(v) if _element(kinds[k]) else v for k, v in raw.items()}
+
+
+def read_record(cls, raw, what: str, error):
+    """The dataclass ``cls`` built from ``raw`` after :func:`check_record`
+    against its field annotations; fields without a default are required."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return cls(**check_record(raw, get_type_hints(cls), what, error, required))

@@ -54,15 +54,9 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        if dtype is None:
-            if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-                dtype = data.dtype
-            else:
-                dtype = DEFAULT_DTYPE
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        keep = isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64)
+        arr = np.asarray(data, dtype=data.dtype if keep else DEFAULT_DTYPE)
         if arr.ndim > 0:
             # keep 0-d scalars 0-d; ascontiguousarray would promote them
             arr = np.ascontiguousarray(arr)
@@ -89,20 +83,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
 
-def zeros(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    """All-zero tensor of the given shape."""
-    return Tensor(np.zeros(validate_shape(shape), dtype=dtype))
+def zeros(shape) -> np.ndarray:
+    """All-zero float32 array of the given shape."""
+    return np.zeros(validate_shape(shape), dtype=DEFAULT_DTYPE)
 
 
-def he_init(shape, fan_in: int, seed: int, dtype=DEFAULT_DTYPE) -> Tensor:
+def he_init(shape, fan_in: int, seed: int) -> np.ndarray:
     """Zero-mean Gaussian with variance 2/fan_in, the standard scaling for
-    deep ReLU stacks.  Bit-identical for identical seeds."""
+    deep ReLU stacks, in float32.  Bit-identical for identical seeds."""
     shape = validate_shape(shape)
     if fan_in < 1:
         raise ParameterError(f"fan_in must be >= 1, got {fan_in}")
     rng = np.random.Generator(np.random.PCG64(seed))
     std = np.sqrt(2.0 / fan_in)
-    return Tensor((rng.standard_normal(shape) * std).astype(dtype))
+    return (rng.standard_normal(shape) * std).astype(DEFAULT_DTYPE)
 
 
 def derive_seed(*parts) -> int:

@@ -25,7 +25,7 @@ import csv
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .augment import AugmentedSlices
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import dice_binary
+from .records import check_record, read_record
 from .volume import atomic_open
 
 # fractions of total training at which the learning rate halves again
@@ -121,16 +122,11 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0")
         return self
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown training config keys: {sorted(extra)}")
-        return cls(**d).validate()
+    def from_dict(cls, d: dict, what: str = "training config",
+                  error=ConfigError) -> "TrainConfig":
+        """Read a config record; see :mod:`mixnet.records`."""
+        return read_record(cls, d, what, error).validate()
 
 
 def predict_slices(net: Network, images: np.ndarray,
@@ -257,6 +253,14 @@ class Trainer:
 CKPT_MAGIC = b"MIXCKPT\x00"
 CKPT_VERSION = 1
 
+# the fields of a checkpoint header and of each buffer entry, and their
+# kinds (see mixnet.records); a trainer's fields come with a train_config
+HEADER_KINDS = {"net_config": dict, "store_seed": int, "epoch": int, "step_count": int,
+                "buffers": list, "train_config": dict, "rng_state": dict,
+                "history": list, "slice_settings": dict}
+BUFFER_KINDS = {"kind": str, "name": str, "shape": tuple[int, ...], "dtype": str,
+                "crc32": int}
+
 
 def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> None:
     manifest = []
@@ -272,7 +276,7 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
     for name, node in net.store.items():
         push("param", name, node.data)
     header = {
-        "net_config": net.config.to_dict(),
+        "net_config": asdict(net.config),
         "store_seed": net.store.seed,
         "epoch": 0,
         "step_count": 0,
@@ -283,7 +287,7 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
             push("velocity", name, trainer.optimizer.velocities[name])
         header["epoch"] = trainer.epoch
         header["step_count"] = trainer.step_count
-        header["train_config"] = trainer.config.to_dict()
+        header["train_config"] = asdict(trainer.config)
         header["rng_state"] = trainer.rng.bit_generator.state
         header["history"] = trainer.history
         header["slice_settings"] = trainer.slice_settings
@@ -296,19 +300,23 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
             fh.write(b)
 
 
-def _entry_ok(entry) -> bool:
+def _buffer_entry(entry, path) -> dict:
+    entry = check_record(entry, BUFFER_KINDS, f"{path}: checkpoint buffer", DataError,
+                         ("kind", "name", "shape", "dtype"))
     try:
-        return (all(isinstance(entry[k], str) for k in ("kind", "name", "dtype"))
-                and isinstance(entry["shape"], list)
-                and all(type(d) is int and d >= 0 for d in entry["shape"])
-                and np.dtype(entry["dtype"]).kind in "biuf")
-    except (KeyError, TypeError):
-        return False
+        numeric = np.dtype(entry["dtype"]).kind in "biuf"
+    except TypeError:
+        numeric = False
+    if not numeric or any(d < 0 for d in entry["shape"]):
+        raise DataError(f"{path}: checkpoint buffer {entry['name']!r} needs a "
+                        "numeric dtype and dims >= 0")
+    return entry
 
 
 def _read_header(fh, path) -> dict:
     """The JSON header of the checkpoint open as ``fh``, after checking
-    its magic, its version and the header's layout; leaves ``fh`` at the
+    its magic, its version and every field's kind, with ``net_config`` and
+    ``train_config`` read into their dataclasses; leaves ``fh`` at the
     first buffer."""
     if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -322,18 +330,14 @@ def _read_header(fh, path) -> dict:
         header = json.loads(fh.read(hlen).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
-    if not (isinstance(header, dict) and isinstance(header.get("net_config"), dict)
-            and isinstance(header.get("buffers"), list)
-            and all(_entry_ok(e) for e in header["buffers"])):
-        raise DataError(f"{path}: malformed checkpoint header: it needs a net_config "
-                        "object and a list of buffers, each with a string kind, "
-                        "name and numeric dtype and a list of dims >= 0")
-    wrong = [f"net_config.{k}" for k in NetConfig.mistyped(header["net_config"])]
-    if type(header.get("store_seed", 0)) is not int:
-        wrong.append("store_seed")
-    if wrong:
-        raise DataError(f"{path}: malformed checkpoint header: wrongly typed "
-                        + ", ".join(wrong))
+    header = check_record(header, HEADER_KINDS, f"{path}: checkpoint header",
+                          DataError, ("net_config", "epoch", "step_count", "buffers"))
+    header["buffers"] = [_buffer_entry(e, path) for e in header["buffers"]]
+    header["net_config"] = NetConfig.from_dict(header["net_config"],
+                                               f"{path}: net_config", DataError)
+    if "train_config" in header:
+        header["train_config"] = TrainConfig.from_dict(header["train_config"],
+                                                       f"{path}: train_config", DataError)
     return header
 
 
@@ -364,8 +368,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
 
 
 def _network_from(header: dict, arrays: dict) -> Network:
-    return Network(NetConfig.from_dict(header["net_config"]),
-                   seed=header.get("store_seed", 0),
+    return Network(header["net_config"], seed=header.get("store_seed", 0),
                    arrays={name: arr for (kind, name), arr in arrays.items()
                            if kind == "param"})
 
@@ -383,19 +386,20 @@ def resume_trainer(path, images, labels, val=None, log_path=None,
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
     net = _network_from(header, arrays)
-    config = TrainConfig.from_dict(header["train_config"])
-    trainer = Trainer(net, images, labels, config, val=val, log_path=log_path,
-                      checkpoint_path=checkpoint_path)
+    trainer = Trainer(net, images, labels, header["train_config"], val=val,
+                      log_path=log_path, checkpoint_path=checkpoint_path)
     for name in net.store.names():
         vel = arrays.get(("velocity", name))
         if vel is None:
             raise DataError(f"{path}: checkpoint is missing velocity for {name!r}")
         trainer.optimizer.velocities[name][...] = vel
-    trainer.epoch = int(header["epoch"])
-    trainer.step_count = int(header["step_count"])
-    state = header["rng_state"]
-    # JSON round-trips the PCG64 state dict with string keys intact
-    trainer.rng.bit_generator.state = state
+    trainer.epoch = header["epoch"]
+    trainer.step_count = header["step_count"]
+    try:
+        # JSON round-trips the PCG64 state dict with string keys intact
+        trainer.rng.bit_generator.state = header.get("rng_state")
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: unusable rng_state: {e!r}") from None
     trainer.history = header.get("history", [])
     trainer.slice_settings = header.get("slice_settings", {})
     return trainer

@@ -1,7 +1,7 @@
 """Self-verification suites: gradients, wiring, embedding, metrics,
 optimizer arithmetic and augmentation counts.
 
-Each check returns a CheckResult; ``run_all`` collects every suite.
+Each check returns a CheckResult; ``run_all`` collects every suite in ``SUITES``.
 The command line ``verify`` subcommand prints one line per check and
 fails the process if any check fails, so a build can be validated on a
 machine with nothing but the package installed.
@@ -475,16 +475,20 @@ def check_augmentation(seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 
 
+# every suite by name, each called as suite(trials, seed)
+SUITES = {
+    "gradcheck": lambda trials, seed: (check_op_gradients(seed)
+                                       + check_network_gradients(seed)),
+    "shapes": lambda trials, seed: check_structure(),
+    "embedding": lambda trials, seed: check_embedding(seed),
+    "metrics": lambda trials, seed: check_metrics(trials=trials, seed=seed),
+    "optimizer": lambda trials, seed: check_optimizer(),
+    "augmentation": lambda trials, seed: check_augmentation(seed),
+}
+
+
 def run_all(trials: int = 100, seed: int = 0) -> list:
-    results = []
-    results += check_op_gradients(seed)
-    results += check_network_gradients(seed)
-    results += check_structure()
-    results += check_embedding(seed)
-    results += check_metrics(trials=trials, seed=seed)
-    results += check_optimizer()
-    results += check_augmentation(seed)
-    return results
+    return [r for suite in SUITES.values() for r in suite(trials, seed)]
 
 
 def format_results(results) -> str:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DataError, ParameterError
+from .records import check_record, read_record
 from .tensor import derive_seed
 
 PLANES = {"sagittal": 0, "coronal": 1, "transverse": 2}
@@ -43,8 +44,8 @@ def plane_axis(plane: str) -> int:
 
 @dataclass
 class VolumeMeta:
-    dims: tuple
-    spacing: tuple
+    dims: tuple[int, ...]
+    spacing: tuple[float, ...]
     dtype: str
     kind: str
     modality: str = ""
@@ -52,7 +53,6 @@ class VolumeMeta:
     byte_order: str = "little"
 
     def validate(self) -> "VolumeMeta":
-        self.dims = tuple(int(d) for d in self.dims)
         self.spacing = tuple(float(s) for s in self.spacing)
         if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
             raise DataError(f"spacing must be three positive numbers, got {self.spacing}")
@@ -62,20 +62,13 @@ class VolumeMeta:
             raise DataError(f"unsupported kind {self.kind!r}")
         if self.byte_order != "little":
             raise DataError(f"unsupported byte order {self.byte_order!r}")
-        if self.kind == "intensity":
-            if len(self.dims) != 3:
-                raise DataError(f"intensity volumes are 3D, got dims {self.dims}")
-        elif self.kind == "labels":
-            if len(self.dims) != 3:
-                raise DataError(f"label volumes are 3D, got dims {self.dims}")
-            if self.classes < 2:
-                raise DataError("label volumes need a class count >= 2")
-        else:  # probs
-            if len(self.dims) != 4:
-                raise DataError(f"probability volumes are 4D, got dims {self.dims}")
-            if self.classes != self.dims[3]:
-                raise DataError(f"probs classes {self.classes} != last dim "
-                                f"{self.dims[3]}")
+        ndim = 4 if self.kind == "probs" else 3
+        if len(self.dims) != ndim:
+            raise DataError(f"{self.kind} volumes are {ndim}D, got dims {self.dims}")
+        if self.kind == "labels" and self.classes < 2:
+            raise DataError("label volumes need a class count >= 2")
+        if self.kind == "probs" and self.classes != self.dims[3]:
+            raise DataError(f"probs classes {self.classes} != last dim {self.dims[3]}")
         if any(d < 1 for d in self.dims):
             raise DataError(f"dims must be positive, got {self.dims}")
         return self
@@ -137,14 +130,7 @@ def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise DataError(f"{side}: invalid JSON: {e}") from None
-    known = {f for f in VolumeMeta.__dataclass_fields__}  # type: ignore[attr-defined]
-    extra = set(raw) - known
-    if extra:
-        raise DataError(f"{side}: unknown header fields {sorted(extra)}")
-    try:
-        meta = VolumeMeta(**raw).validate()
-    except TypeError as e:
-        raise DataError(f"{side}: incomplete header: {e}") from None
+    meta = read_record(VolumeMeta, raw, side, DataError).validate()
     dtype = _DTYPES[meta.dtype]
     expected = int(np.prod(meta.dims)) * dtype.itemsize
     actual = os.path.getsize(path)
@@ -353,6 +339,11 @@ def generate_dataset(out_dir, subjects: int = 3, dims=(64, 64, 64),
     return manifest
 
 
+# the fields of manifest.json and their kinds (see mixnet.records)
+MANIFEST_KINDS = {"classes": int, "spacing": tuple[float, ...], "dims": tuple[int, ...],
+                  "seed": int, "subjects": list}
+
+
 def load_manifest(data_dir) -> dict:
     path = os.path.join(data_dir, "manifest.json")
     if not os.path.exists(path):
@@ -362,10 +353,8 @@ def load_manifest(data_dir) -> dict:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid JSON: {e}") from None
-    for key in ("classes", "spacing", "subjects"):
-        if key not in manifest:
-            raise DataError(f"{path}: missing field {key!r}")
-    return manifest
+    return check_record(manifest, MANIFEST_KINDS, path, DataError,
+                        ("classes", "spacing", "subjects"))
 
 
 def load_subject(data_dir, entry: dict, normalize: bool = True) -> dict:

@@ -8,7 +8,8 @@ from mixnet import cli, volume
 from mixnet.arch import Network, NetConfig
 from mixnet.errors import DataError
 from mixnet.tensor import derive_seed
-from mixnet.trainer import load_checkpoint, load_network, save_checkpoint
+from mixnet.trainer import (TrainConfig, Trainer, load_checkpoint,
+                            load_checkpoint_header, load_network, save_checkpoint)
 
 from test_arch import WRONG_TYPES
 from test_trainer import _replace_header, _rewrite_header
@@ -222,26 +223,86 @@ def _header_value(field, value):
     return make
 
 
-# one wrongly typed value per header field a network is built from
+# one wrongly typed value per header field, and per field of its configs
 WRONGLY_TYPED = {**{f"net_config.{k}": v for k, v in sorted(WRONG_TYPES.items())},
-                 "store_seed": "a"}
+                 "store_seed": "a", "epoch": "x", "step_count": [1], "history": 3,
+                 "rng_state": 3, "slice_settings": [1], "train_config.epochs": "x"}
+
+# headers every checkpoint reader rejects
+MALFORMED_HEADERS = {
+    "no-buffers": lambda h: {k: v for k, v in h.items() if k != "buffers"},
+    "json-list": lambda h: [h],
+    "bad-dtype": _first_buffer(dtype="zz"),
+    "negative-dim": _first_buffer(shape=[-2]),
+    **{f: _header_value(f, v) for f, v in WRONGLY_TYPED.items()},
+}
+# headers only train --resume rejects: it reads the slice settings' keys
+UNRESUMABLE_HEADERS = {
+    "slice_settings.unknown": _header_value("slice_settings", {"banana": 1}),
+}
 
 
-@pytest.mark.parametrize("make", [
-    lambda h: {k: v for k, v in h.items() if k != "buffers"},
-    lambda h: [h],
-    _first_buffer(dtype="zz"),
-    _first_buffer(shape=[-2]),
-    *(_header_value(f, v) for f, v in WRONGLY_TYPED.items()),
-], ids=["no-buffers", "json-list", "bad-dtype", "negative-dim", *WRONGLY_TYPED])
-def test_malformed_checkpoint_header_is_a_data_error(tmp_path, make):
+def _fails_cleanly(capsys, code, *argv):
+    """Run the CLI and check it exits ``code`` with a one-line error."""
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_HEADERS, *UNRESUMABLE_HEADERS])
+def test_malformed_checkpoint_header_is_a_data_error(dataset, tmp_path, capsys, case):
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
-    save_checkpoint(good, Network(NetConfig(variant="v3", classes=3, filters=4)))
-    _replace_header(good, bad, make)
-    with pytest.raises(DataError):
-        load_network(bad)
-    assert run("predict", "--checkpoint", bad, "--data", tmp_path, "--subject",
-               "subject00", "--plane", "coronal", "--out", tmp_path / "p.vol") == 2
+    x = np.zeros((1, 8, 8, 3), np.float32)
+    trainer = Trainer(Network(NetConfig(variant="v3", classes=3, filters=4)),
+                      x, x[..., 0], TrainConfig())
+    save_checkpoint(good, trainer.net, trainer)
+    _replace_header(good, bad, MALFORMED_HEADERS.get(case) or UNRESUMABLE_HEADERS[case])
+    if case in MALFORMED_HEADERS:
+        with pytest.raises(DataError):
+            load_network(bad)
+        _fails_cleanly(capsys, 2, "predict", "--checkpoint", bad, "--data", dataset,
+                       "--subject", "subject00", "--plane", "coronal",
+                       "--out", tmp_path / "p.vol")
+    _fails_cleanly(capsys, 2, "train", "--data", dataset, "--out", tmp_path / "run",
+                   "--epochs", "2", "--resume", bad)
+    assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+
+# config-file values of the wrong kind, by command
+MISTYPED_CONFIG = {"filters": ("train", "x"), "epochs": ("train", 1.5),
+                   "max_slices": ("train", "x"), "subjects": ("generate", "2"),
+                   "dims": ("generate", [64.5, 64, 64])}
+
+
+@pytest.mark.parametrize("key", MISTYPED_CONFIG)
+def test_config_file_value_of_the_wrong_kind_is_a_usage_error(dataset, tmp_path,
+                                                              capsys, key):
+    command, value = MISTYPED_CONFIG[key]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    data = ["--data", dataset] if command == "train" else []
+    err = _fails_cleanly(capsys, 1, command, *data, "--out", tmp_path / "out",
+                         "--config", cfg_file)
+    assert f"{key}={value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_ints_stand_for_floats(dataset, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"lr0": 1, "max_slices": 4}))
+    out = tmp_path / "run"
+    assert run("train", "--data", dataset, "--out", out, "--config", cfg_file,
+               "--variant", "v3", "--filters", "8", "--epochs", "1",
+               "--augment", "none", "--seed", "3") == 0
+    assert load_checkpoint_header(out / "checkpoint.ckpt")["train_config"].lr0 == 1
+    cfg_file.write_text(json.dumps({"spacing": [1, 1, 3]}))
+    data = tmp_path / "data"
+    assert run("generate", "--out", data, "--config", cfg_file, "--subjects", "1",
+               "--dims", "8,8,8") == 0
+    _, meta = volume.read_volume(data / "subject00_labels.vol")
+    assert meta.spacing == (1.0, 1.0, 3.0)
 
 
 # -- predict / fuse / evaluate -----------------------------------------------

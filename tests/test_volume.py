@@ -6,7 +6,7 @@ import pytest
 
 from mixnet.arch import NetConfig, Network
 from mixnet.errors import DataError, ParameterError
-from mixnet import volume as vol
+from mixnet import cli, volume as vol
 
 import oracles
 
@@ -111,6 +111,33 @@ def test_read_errors(tmp_path):
     (tmp_path / "c.vol.json").write_text("{not json")
     with pytest.raises(DataError):
         vol.read_volume(path3)
+
+
+# sidecar edits the reader rejects: values of the wrong kind, a missing key
+MALFORMED_SIDECARS = {
+    "dims-str": lambda m: m.update(dims=["x", 4, 4]),
+    "dims-float": lambda m: m.update(dims=[4.5, 4, 4]),
+    "classes-str": lambda m: m.update(classes="3"),
+    "spacing-scalar": lambda m: m.update(spacing=5),
+    "no-kind": lambda m: m.pop("kind"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SIDECARS)
+def test_malformed_sidecar_is_a_data_error(tmp_path, capsys, case):
+    good, bad = tmp_path / "good.vol", tmp_path / "bad.vol"
+    for path in (good, bad):
+        vol.write_volume(path, np.zeros((4, 4, 4), np.uint8), (1, 1, 1), "labels",
+                         classes=3)
+    side = json.loads((tmp_path / "bad.vol.json").read_text())
+    MALFORMED_SIDECARS[case](side)
+    (tmp_path / "bad.vol.json").write_text(json.dumps(side))
+    with pytest.raises(DataError):
+        vol.read_volume(bad)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--pred", str(bad), "--truth", str(good)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_meta_validation():
@@ -296,6 +323,10 @@ def test_load_manifest_errors(tmp_path):
         vol.load_manifest(tmp_path)
     (tmp_path / "manifest.json").write_text("{}")
     with pytest.raises(DataError):
+        vol.load_manifest(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"classes": "4", "spacing": [1, 1, 1], "subjects": []}))
+    with pytest.raises(DataError, match="classes='4'"):
         vol.load_manifest(tmp_path)
 
 
