@@ -46,9 +46,7 @@ resumed = resume_trainer(ckpt, images, labels)
 resumed.config.epochs = 6
 resumed.fit()
 
-for name in net.store.names():
-    a = trainer.net.store.get(name).data
-    b = resumed.net.store.get(name).data
-    np.testing.assert_array_equal(a, b)
+for name, p in net.store.items():
+    np.testing.assert_array_equal(p.data, resumed.net.store[name].data)
 print("resumed run matches the uninterrupted one exactly, "
       f"loss {straight[-1]['loss']:.4f} both ways")

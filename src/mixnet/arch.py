@@ -112,80 +112,10 @@ class NetConfig:
         return read_record(cls, kw, what, error).validate()
 
 
-class ParamStore:
-    """Owns the trainable parameter nodes of one network.
-
-    Parameters are created on first request: a float32 copy of
-    ``arrays[name]`` when given (a checkpoint's, say; copied so optimizer
-    updates stay out of the caller's arrays), else drawn with a seed
-    derived from the store seed and the name, so construction order
-    cannot change initial values.  Names are stable; they are the
-    checkpoint manifest and the coordinate system of the v3 -> v1
-    embedding.
-    """
-
-    def __init__(self, seed: int = 0, arrays: Optional[dict] = None):
-        self.seed = int(seed)
-        self._arrays = arrays
-        self._params: dict[str, Node] = {}
-
-    def _param(self, name: str, shape: tuple, draw) -> Node:
-        node = self._params.get(name)
-        if node is None:
-            if self._arrays is None:
-                value = draw()
-            elif name in self._arrays:
-                value = np.array(self._arrays[name], dtype=DEFAULT_DTYPE)
-            else:
-                raise BuildError(f"no array for parameter {name!r}")
-            node = Node.leaf(value, requires_grad=True, name=name)
-        if node.shape != shape:
-            raise BuildError(f"parameter {name!r} has shape {node.shape}, "
-                             f"requested {shape}")
-        self._params[name] = node
-        return node
-
-    def kernel(self, name: str, shape) -> Node:
-        shape = tuple(int(s) for s in shape)
-        fan_in = int(np.prod(shape[:-1]))
-        return self._param(name, shape,
-                           lambda: he_init(shape, fan_in, derive_seed(self.seed, name)))
-
-    def bias(self, name: str, width: int) -> Node:
-        return self._param(name, (int(width),), lambda: zeros((width,)))
-
-    def close(self) -> None:
-        """End the build: reject arrays no parameter asked for, drop the dict."""
-        arrays, self._arrays = self._arrays, None
-        extra = set(arrays or ()) - set(self._params)
-        if extra:
-            raise BuildError(f"arrays for unknown parameters: {sorted(extra)[:4]}")
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def get(self, name: str) -> Node:
-        if name not in self._params:
-            raise BuildError(f"no parameter named {name!r}")
-        return self._params[name]
-
-    def items(self):
-        return self._params.items()
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self._params.values())
-
-
 @dataclass
 class UnitRow:
     """One line of the structure manifest."""
     name: str
-    kind: str
     c_in: int
     c_out: int
     filters: int = 0
@@ -194,44 +124,76 @@ class UnitRow:
 
 
 class Network:
-    """A built network: config + parameter store + forward pass.  Its
-    parameters are copies of ``arrays`` (name -> array) if given, else
-    drawn from ``seed``."""
+    """A built network: config, parameters and forward pass.
+
+    ``store`` maps each parameter name to its leaf node.  Names are
+    stable; they are the checkpoint manifest and the coordinate system of
+    the v3 -> v1 embedding.  A parameter is a float32 copy of
+    ``arrays[name]`` when ``arrays`` is given (a checkpoint's, say; copied
+    so optimizer updates stay out of the caller's arrays), else drawn with
+    a seed derived from ``seed`` and its name, so construction order
+    cannot change initial values.
+    """
 
     def __init__(self, config: NetConfig, seed: int = 0,
                  arrays: Optional[dict] = None):
         self.config = config.validate()
-        self.store = ParamStore(seed, arrays)
+        self.seed = int(seed)
+        self.store: dict[str, Node] = {}
         self.units: list[UnitRow] = []
+        self._arrays = arrays
         self._recording = True
         # materialize every parameter (and the manifest) with a dummy pass
         side = 2 * max(config.pyramid_bins) if config.init_pool else max(config.pyramid_bins)
         with no_grad():
             self.forward(np.zeros((1, side, side, config.modalities), np.float32))
         self._recording = False
-        self.store.close()
+        self._arrays = None
+        extra = set(arrays or ()) - set(self.store)
+        if extra:
+            raise BuildError(f"arrays for unknown parameters: {sorted(extra)[:4]}")
+
+    def _param(self, name: str, shape: tuple, draw) -> Node:
+        """The parameter ``name``, created on first request."""
+        node = self.store.get(name)
+        if node is None:
+            if self._arrays is None:
+                value = draw()
+            elif name in self._arrays:
+                value = np.array(self._arrays[name], dtype=DEFAULT_DTYPE)
+            else:
+                raise BuildError(f"no array for parameter {name!r}")
+            node = self.store[name] = Node.leaf(value, requires_grad=True, name=name)
+        if node.shape != shape:
+            raise BuildError(f"parameter {name!r} has shape {node.shape}, "
+                             f"requested {shape}")
+        return node
+
+    def _weights(self, name: str, kernel_shape: tuple) -> tuple[Node, Node]:
+        """Kernel ``name.w`` (He-initialized) and bias ``name.b`` (zeros)."""
+        w = self._param(name + ".w", kernel_shape, lambda: he_init(
+            kernel_shape, int(np.prod(kernel_shape[:-1])), derive_seed(self.seed, name + ".w")))
+        b = self._param(name + ".b", kernel_shape[-1:], lambda: zeros(kernel_shape[-1:]))
+        return w, b
 
     # -- building blocks ----------------------------------------------------
 
     def _conv(self, name: str, x: Node, k: int, c_out: int, dilation: int = 1) -> Node:
-        c_in = x.shape[-1]
-        w = self.store.kernel(name + ".w", (k, k, c_in, c_out))
-        b = self.store.bias(name + ".b", c_out)
+        w, b = self._weights(name, (k, k, x.shape[-1], c_out))
         return ops.conv2d(x, w, b, dilation=dilation, name=name)
 
     def _record(self, row: UnitRow, names: list) -> None:
         if not self._recording:
             return
-        row.params = sum(self.store.get(n).size
+        row.params = sum(self.store[n].size
                          for base in names for n in (base + ".w", base + ".b"))
         self.units.append(row)
 
     def _init_unit(self, name: str, x: Node, c_out: int) -> Node:
-        c_in = x.shape[-1]
         y = ops.relu(self._conv(name + ".conv", x, 5, c_out), name=name + ".relu")
         if self.config.init_pool:
             y = ops.maxpool2x2(y, name=name + ".pool")
-        self._record(UnitRow(name, "init", c_in, c_out), [name + ".conv"])
+        self._record(UnitRow(name, x.shape[-1], c_out), [name + ".conv"])
         return y
 
     def _res_unit(self, name: str, x: Node, c_out: int, f: int, d: int) -> Node:
@@ -248,20 +210,19 @@ class Network:
         else:
             shortcut = x
         out = ops.relu(ops.add(y, shortcut, name=name + ".add"), name=name + ".out")
-        self._record(UnitRow(name, "res", c_in, c_out, f, d), convs)
+        self._record(UnitRow(name, c_in, c_out, f, d), convs)
         return out
 
     def _output_unit(self, name: str, x: Node, out_hw) -> Node:
         c_in = x.shape[-1]
         bins = self.config.pyramid_bins
         classes = self.config.classes
-        w = self.store.kernel(name + ".final.w", (3, 3, (1 + len(bins)) * c_in, classes))
-        b = self.store.bias(name + ".final.b", classes)
+        w, b = self._weights(name + ".final", (3, 3, (1 + len(bins)) * c_in, classes))
         logits = ops.pyramid_head(x, w, b, bins, name=name + ".final")
         if self.config.init_pool:
             logits = ops.bilinear_resize(logits, out_hw[0], out_hw[1],
                                          name=name + ".upscale")
-        self._record(UnitRow(name, "output", c_in, self.config.classes), [name + ".final"])
+        self._record(UnitRow(name, c_in, classes), [name + ".final"])
         return logits
 
     # -- forward ------------------------------------------------------------
@@ -272,14 +233,8 @@ class Network:
         if x.ndim != 4 or x.shape[-1] != self.config.modalities:
             raise ShapeError(f"expected input (N,H,W,{self.config.modalities}), "
                              f"got {x.shape}")
-        out_hw = (x.shape[1], x.shape[2])
-        if self.config.variant == "v1":
-            agg = self._forward_v1(x)
-        elif self.config.variant == "v2":
-            agg = self._forward_v2(x)
-        else:
-            agg = self._forward_v3(x)
-        return self._output_unit("out", agg, out_hw)
+        trunk = {"v1": self._forward_v1, "v2": self._forward_v2, "v3": self._forward_v3}
+        return self._output_unit("out", trunk[self.config.variant](x), x.shape[1:3])
 
     def _stream_inputs(self, x: np.ndarray) -> list[Node]:
         return [Node.leaf(x[..., s:s + 1], name=f"input.s{s}")
@@ -336,10 +291,11 @@ class Network:
 
     @property
     def param_count(self) -> int:
-        return self.store.param_count
+        return sum(p.size for p in self.store.values())
 
     def zero_grad(self) -> None:
-        self.store.zero_grad()
+        for p in self.store.values():
+            p.grad = None
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities for a batch of slices."""
@@ -362,10 +318,9 @@ class Network:
         return rf
 
 
-def embed_v3_into_v1(src: Network, dst: Optional[Network] = None,
-                     seed: int = 0) -> Network:
-    """Write a v3 network's parameters into a v1 network so the two
-    compute the same function.
+def embed_v3_into_v1(src: Network) -> Network:
+    """A v1 network, of ``src``'s config apart from the variant, that
+    computes the same function as the v3 network ``src``.
 
     Stream s of the source occupies channel block ``[s*filters, (s+1)*filters)``
     of every trunk feature map: the init kernel places each stream's 5x5
@@ -379,41 +334,30 @@ def embed_v3_into_v1(src: Network, dst: Optional[Network] = None,
     cfg = src.config
     if cfg.variant != "v3":
         raise BuildError(f"embedding source must be a v3 network, got {cfg.variant}")
-    if dst is None:
-        dst = Network(replace(cfg, variant="v1"), seed=seed)
-    if dst.config.variant != "v1":
-        raise BuildError(f"embedding target must be a v1 network, got {dst.config.variant}")
-    if replace(dst.config, variant="v3") != cfg:
-        raise BuildError("embedding needs identical configs apart from the variant: "
-                         f"{cfg} vs {dst.config}")
-
+    dst = Network(replace(cfg, variant="v1"))
     m, fil = cfg.modalities, cfg.filters
     mid = fil // 2
-    arrays = {name: node.data for name, node in dst.store.items()}
-    for arr in arrays.values():
+    v1 = {name: node.data for name, node in dst.store.items()}
+    for arr in v1.values():
         arr.fill(0)
+    v3 = {name: node.data for name, node in src.store.items()}
 
     for s in range(m):
-        w = src.store.get(f"init.s{s}.conv.w").data
-        b = src.store.get(f"init.s{s}.conv.b").data
-        arrays["init.conv.w"][:, :, s, s * fil:(s + 1) * fil] = w[:, :, 0, :]
-        arrays["init.conv.b"][s * fil:(s + 1) * fil] = b
+        v1["init.conv.w"][:, :, s, s * fil:(s + 1) * fil] = v3[f"init.s{s}.conv.w"][:, :, 0, :]
+        v1["init.conv.b"][s * fil:(s + 1) * fil] = v3[f"init.s{s}.conv.b"]
 
     for i in range(1, cfg.levels + 1):
         for s in range(m):
             fs, fe = s * fil, (s + 1) * fil      # full-width block
             ms, me = s * mid, (s + 1) * mid      # mid-width block
-            pre = f"level{i}.s{s}"
-            arrays[f"level{i}.reduce.w"][0, 0, fs:fe, ms:me] = \
-                src.store.get(pre + ".reduce.w").data[0, 0]
-            arrays[f"level{i}.reduce.b"][ms:me] = src.store.get(pre + ".reduce.b").data
-            arrays[f"level{i}.dilated.w"][:, :, ms:me, ms:me] = \
-                src.store.get(pre + ".dilated.w").data
-            arrays[f"level{i}.dilated.b"][ms:me] = src.store.get(pre + ".dilated.b").data
-            arrays[f"level{i}.expand.w"][0, 0, ms:me, fs:fe] = \
-                src.store.get(pre + ".expand.w").data[0, 0]
-            arrays[f"level{i}.expand.b"][fs:fe] = src.store.get(pre + ".expand.b").data
+            dp, sp = f"level{i}", f"level{i}.s{s}"
+            v1[dp + ".reduce.w"][0, 0, fs:fe, ms:me] = v3[sp + ".reduce.w"][0, 0]
+            v1[dp + ".reduce.b"][ms:me] = v3[sp + ".reduce.b"]
+            v1[dp + ".dilated.w"][:, :, ms:me, ms:me] = v3[sp + ".dilated.w"]
+            v1[dp + ".dilated.b"][ms:me] = v3[sp + ".dilated.b"]
+            v1[dp + ".expand.w"][0, 0, ms:me, fs:fe] = v3[sp + ".expand.w"][0, 0]
+            v1[dp + ".expand.b"][fs:fe] = v3[sp + ".expand.b"]
 
-    arrays["out.final.w"][...] = src.store.get("out.final.w").data
-    arrays["out.final.b"][...] = src.store.get("out.final.b").data
+    v1["out.final.w"][...] = v3["out.final.w"]
+    v1["out.final.b"][...] = v3["out.final.b"]
     return dst

@@ -328,7 +328,7 @@ def cmd_evaluate(args) -> int:
     print(report.format_table())
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(report.to_json())
         print(f"report: {args.out}")
     return EXIT_OK
 

@@ -32,8 +32,8 @@ def check_record(raw, kinds: dict, what: str, error, required=()) -> dict:
 
     * ``int`` means an int and not a bool;
     * ``float`` also takes an int, so ``"lr0": 1`` is a learning rate;
-    * ``tuple[int, ...]`` and ``tuple[float, ...]`` take a JSON list,
-      checked element by element, and come back as tuples;
+    * ``tuple[T, ...]`` (``T`` an int, a float or a str) takes a JSON
+      list, checked element by element, and comes back as a tuple;
     * any other kind (``bool``, ``str``, ``dict``, ``list``) is exact.
 
     Values are checked, never coerced: ``"epochs": 1.5`` is rejected, not

@@ -60,12 +60,12 @@ def lr_at(lr0: float, epoch: int, total_epochs: int,
 class Optimizer:
     """Nesterov momentum SGD over a named parameter set.
 
-    Accepts a ParamStore or any mapping of name -> leaf Node.  Velocity
-    buffers live here, keyed by name, in the parameter's dtype.
+    Takes a mapping of name -> leaf Node.  Velocity buffers live here,
+    keyed by name, in the parameter's dtype.
     """
 
     def __init__(self, params, lr0: float, momentum: float, weight_decay: float):
-        self.params = dict(params.items())
+        self.params = dict(params)
         self.lr0 = float(lr0)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
@@ -253,13 +253,16 @@ class Trainer:
 CKPT_MAGIC = b"MIXCKPT\x00"
 CKPT_VERSION = 1
 
-# the fields of a checkpoint header and of each buffer entry, and their
-# kinds (see mixnet.records); a trainer's fields come with a train_config
+# the fields of a checkpoint header, of each buffer entry and of each
+# history row, and their kinds (see mixnet.records); a trainer's fields
+# come with a train_config
 HEADER_KINDS = {"net_config": dict, "store_seed": int, "epoch": int, "step_count": int,
                 "buffers": list, "train_config": dict, "rng_state": dict,
                 "history": list, "slice_settings": dict}
 BUFFER_KINDS = {"kind": str, "name": str, "shape": tuple[int, ...], "dtype": str,
                 "crc32": int}
+HISTORY_KINDS = {"epoch": int, "lr": float, "loss": float, "steps": int,
+                 "val_dice": list, "val_dice_mean": float}
 
 
 def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> None:
@@ -277,13 +280,13 @@ def save_checkpoint(path, net: Network, trainer: Optional[Trainer] = None) -> No
         push("param", name, node.data)
     header = {
         "net_config": asdict(net.config),
-        "store_seed": net.store.seed,
+        "store_seed": net.seed,
         "epoch": 0,
         "step_count": 0,
         "buffers": manifest,
     }
     if trainer is not None:
-        for name in net.store.names():
+        for name in net.store:
             push("velocity", name, trainer.optimizer.velocities[name])
         header["epoch"] = trainer.epoch
         header["step_count"] = trainer.step_count
@@ -333,6 +336,10 @@ def _read_header(fh, path) -> dict:
     header = check_record(header, HEADER_KINDS, f"{path}: checkpoint header",
                           DataError, ("net_config", "epoch", "step_count", "buffers"))
     header["buffers"] = [_buffer_entry(e, path) for e in header["buffers"]]
+    if "history" in header:
+        header["history"] = [check_record(row, HISTORY_KINDS, f"{path}: history row {i}",
+                                          DataError, ("epoch", "lr", "loss", "steps"))
+                             for i, row in enumerate(header["history"])]
     header["net_config"] = NetConfig.from_dict(header["net_config"],
                                                f"{path}: net_config", DataError)
     if "train_config" in header:
@@ -388,7 +395,7 @@ def resume_trainer(path, images, labels, val=None, log_path=None,
     net = _network_from(header, arrays)
     trainer = Trainer(net, images, labels, header["train_config"], val=val,
                       log_path=log_path, checkpoint_path=checkpoint_path)
-    for name in net.store.names():
+    for name in net.store:
         vel = arrays.get(("velocity", name))
         if vel is None:
             raise DataError(f"{path}: checkpoint is missing velocity for {name!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics, ops
 from .arch import NetConfig, Network, embed_v3_into_v1
 from .augment import expand_slices, policy_ops, rotate_slice
-from .autodiff import Node, backward, grad_check
+from .autodiff import Node, _rel_error, backward, grad_check
 from .errors import VerificationFailure
 from .trainer import LR_BOUNDARIES, Optimizer, lr_at
 
@@ -145,8 +145,7 @@ def check_network_gradients(seed: int = 0, coords_per_param: int = 4) -> list:
         flat[i] = orig - step
         f_minus = loss_value()
         flat[i] = orig
-        numeric = (f_plus - f_minus) / (2 * step)
-        return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-2)
+        return _rel_error(analytic, (f_plus - f_minus) / (2 * step))
 
     worst = 0.0
     checked = 0

@@ -339,9 +339,11 @@ def generate_dataset(out_dir, subjects: int = 3, dims=(64, 64, 64),
     return manifest
 
 
-# the fields of manifest.json and their kinds (see mixnet.records)
+# the fields of manifest.json and of each subject entry, and their kinds
+# (see mixnet.records)
 MANIFEST_KINDS = {"classes": int, "spacing": tuple[float, ...], "dims": tuple[int, ...],
                   "seed": int, "subjects": list}
+SUBJECT_KINDS = {"id": str, "modalities": tuple[str, ...], "labels": str}
 
 
 def load_manifest(data_dir) -> dict:
@@ -353,8 +355,12 @@ def load_manifest(data_dir) -> dict:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid JSON: {e}") from None
-    return check_record(manifest, MANIFEST_KINDS, path, DataError,
-                        ("classes", "spacing", "subjects"))
+    manifest = check_record(manifest, MANIFEST_KINDS, path, DataError,
+                            ("classes", "spacing", "subjects"))
+    manifest["subjects"] = [check_record(e, SUBJECT_KINDS, f"{path}: subject {i}",
+                                         DataError, tuple(SUBJECT_KINDS))
+                            for i, e in enumerate(manifest["subjects"])]
+    return manifest
 
 
 def load_subject(data_dir, entry: dict, normalize: bool = True) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_train_zero_lr_leaves_parameters_at_init(dataset, tmp_path):
     fresh = Network(NetConfig(variant="v3", modalities=3,
                               classes=man["classes"], filters=8),
                     seed=derive_seed(3, "params"))
-    for name in fresh.store.names():
+    for name in fresh.store:
         np.testing.assert_array_equal(net.store.get(name).data,
                                       fresh.store.get(name).data)
 
@@ -207,6 +208,17 @@ def test_train_unknown_holdout_is_a_data_error(dataset, tmp_path):
     assert train_fast(dataset, tmp_path / "x", "--holdout", "nope") == 2
 
 
+def test_train_on_a_subject_entry_without_labels_is_a_data_error(dataset, tmp_path,
+                                                                 capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    man = json.loads((data / "manifest.json").read_text())
+    del man["subjects"][1]["labels"]
+    (data / "manifest.json").write_text(json.dumps(man))
+    err = _fails_cleanly(capsys, 2, "train", "--data", data, "--out", tmp_path / "run")
+    assert "subject 1" in err and "labels" in err
+
+
 def _first_buffer(**fields):
     def make(header):
         header["buffers"][0].update(fields)
@@ -234,6 +246,9 @@ MALFORMED_HEADERS = {
     "json-list": lambda h: [h],
     "bad-dtype": _first_buffer(dtype="zz"),
     "negative-dim": _first_buffer(shape=[-2]),
+    "history-row": _header_value("history", [1]),
+    "history-row-lr": _header_value("history", [{"epoch": 1, "lr": "x", "loss": 1.0,
+                                                 "steps": 2}]),
     **{f: _header_value(f, v) for f, v in WRONGLY_TYPED.items()},
 }
 # headers only train --resume rejects: it reads the slice settings' keys
@@ -352,7 +367,9 @@ def test_evaluate_perfect_prediction(dataset, tmp_path):
     report_path = tmp_path / "report.json"
     assert run("evaluate", "--pred", truth, "--truth", truth,
                "--out", report_path) == 0
-    report = json.loads(report_path.read_text())
+    raw = report_path.read_bytes()
+    assert raw.endswith(b"}\n") and not raw.endswith(b"\n\n")
+    report = json.loads(raw)
     assert report["overall"] == pytest.approx(3.0)
     for row in report["classes"]:
         assert row["dice"] == 1.0 and row["vs"] == 1.0

@@ -1,5 +1,6 @@
 import errno
 import json
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,22 @@ def test_load_manifest_errors(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(
         {"classes": "4", "spacing": [1, 1, 1], "subjects": []}))
     with pytest.raises(DataError, match="classes='4'"):
+        vol.load_manifest(tmp_path)
+
+
+@pytest.mark.parametrize("entry, problem", [
+    ({"id": "s", "modalities": ["a.vol"]}, "missing keys ['labels']"),
+    ({"id": "s", "modalities": "a.vol", "labels": "l.vol"}, "modalities='a.vol'"),
+    ({"id": "s", "modalities": ["a.vol", 2], "labels": "l.vol"}, "modalities="),
+    ({"id": 3, "modalities": ["a.vol"], "labels": "l.vol"}, "id=3"),
+    ({"id": "s", "modalities": ["a.vol"], "labels": "l.vol", "x": 1}, "unknown keys"),
+    ("s", "must be an object"),
+])
+def test_load_manifest_checks_each_subject_entry(tmp_path, entry, problem):
+    good = {"id": "t", "modalities": ["b.vol"], "labels": "m.vol"}
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"classes": 4, "spacing": [1, 1, 1], "subjects": [good, entry]}))
+    with pytest.raises(DataError, match=re.escape("subject 1") + ".*" + re.escape(problem)):
         vol.load_manifest(tmp_path)
 
 
