@@ -4,8 +4,8 @@ All variants share the same building blocks:
 
 * init unit: one 5x5 convolution + ReLU, optionally followed by a 2x2
   stride-2 max pool (halves memory; the output unit then upscales by 2).
-* residual dilated unit: 1x1 conv to f/2 channels, ReLU, 3x3 dilated
-  conv at f/2, ReLU, 1x1 conv to the output width, plus a shortcut
+* residual dilated unit: 1x1 conv to half the output width, ReLU, 3x3
+  dilated conv at that width, ReLU, 1x1 conv to the output width, plus a shortcut
   (identity when input and output widths match, else a 1x1 projection),
   summed and passed through a final ReLU.  Dilation grows the receptive
   field without pooling away localization.
@@ -27,20 +27,22 @@ All variants share the same building blocks:
   as one (C, taps * K) matmul whose tap slices share one pad and
   shift-add, with the parameters of the plain 3x3 convolution.
 
-They differ in how the three modality streams are mixed:
+All three variants run one trunk: per stream an init unit, then one
+residual unit per dilation level.  A variant decides two facts:
 
-* v1 stacks the modalities as input channels of one serial trunk; each
-  level runs at ``modalities * filters`` channels.
-* v2 keeps one stream per modality and alternates: odd levels fuse all
-  streams into one summary unit, even levels update each stream from
-  (stream, summary) pairs with unshared weights.
-* v3 keeps the streams fully separate until the output unit.
+* streams: v1 has one stream that holds all modalities; v2 and v3 have
+  one per modality.  Units run at ``trunk_filters // streams`` channels.
+* fusion levels: in v2 each odd level concatenates all streams into one
+  summary unit, and at the next level the summary joins each stream's
+  input as ``concat([stream, summary])``.  v1 and v3 never fuse.
 
-Every level's output is retained and concatenated into the aggregate
-map that feeds the output unit, so the prediction sees every scale.
-v3's aggregate is ordered level-major with streams adjacent inside a
-level, which makes its parameter space a coordinate-aligned subspace of
-v1's; ``embed_v3_into_v1`` materializes that inclusion.
+A unit or input of stream s is named ``<base>.s<s>`` in a variant with a
+stream per modality (``init.s1``, ``level2.s0``), else ``<base>``
+(``init``, ``level3``, v2's summary ``level1``); a concatenated input is
+``<unit>.fuse``.  Every level's outputs are appended, level-major with
+streams adjacent, to the aggregate that feeds the output unit, so the
+prediction sees every scale and v3's parameter space is a
+coordinate-aligned subspace of v1's (see ``embed_v3_into_v1``).
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ VARIANTS = ("v1", "v2", "v3")
 class NetConfig:
     """Structural description of one network.
 
-    ``filters`` is the per-stream width: v2/v3 units run at ``filters``
-    channels and v1 runs its trunk at ``modalities * filters`` so that a
-    v3 network embeds into a v1 of the same config.
+    ``filters`` is the per-modality width: a variant with a stream per
+    modality (v2, v3) runs its units at ``filters`` channels, and v1's one
+    stream runs at ``trunk_filters`` so that a v3 network embeds into a v1
+    of the same config.
     """
     variant: str = "v2"
     modalities: int = 3
@@ -93,7 +96,8 @@ class NetConfig:
 
     @property
     def trunk_filters(self) -> int:
-        """Channel width of the v1 trunk (and of v2 summary inputs)."""
+        """Channels of all streams together; each of a variant's streams
+        runs at ``trunk_filters // streams``."""
         return self.filters * self.modalities
 
     @property
@@ -118,7 +122,6 @@ class UnitRow:
     name: str
     c_in: int
     c_out: int
-    filters: int = 0
     dilation: int = 0
     params: int = 0
 
@@ -196,9 +199,9 @@ class Network:
         self._record(UnitRow(name, x.shape[-1], c_out), [name + ".conv"])
         return y
 
-    def _res_unit(self, name: str, x: Node, c_out: int, f: int, d: int) -> Node:
+    def _res_unit(self, name: str, x: Node, c_out: int, d: int) -> Node:
         c_in = x.shape[-1]
-        mid = f // 2
+        mid = c_out // 2
         y = ops.relu(self._conv(name + ".reduce", x, 1, mid), name=name + ".relu1")
         y = ops.relu(self._conv(name + ".dilated", y, 3, mid, dilation=d),
                      name=name + ".relu2")
@@ -210,7 +213,7 @@ class Network:
         else:
             shortcut = x
         out = ops.relu(ops.add(y, shortcut, name=name + ".add"), name=name + ".out")
-        self._record(UnitRow(name, c_in, c_out, f, d), convs)
+        self._record(UnitRow(name, c_in, c_out, d), convs)
         return out
 
     def _output_unit(self, name: str, x: Node, out_hw) -> Node:
@@ -229,63 +232,33 @@ class Network:
 
     def forward(self, x: np.ndarray) -> Node:
         """Logits (N, H, W, classes) for a batch of slices (N, H, W, M)."""
+        cfg = self.config
         x = np.asarray(x)
-        if x.ndim != 4 or x.shape[-1] != self.config.modalities:
-            raise ShapeError(f"expected input (N,H,W,{self.config.modalities}), "
-                             f"got {x.shape}")
-        trunk = {"v1": self._forward_v1, "v2": self._forward_v2, "v3": self._forward_v3}
-        return self._output_unit("out", trunk[self.config.variant](x), x.shape[1:3])
-
-    def _stream_inputs(self, x: np.ndarray) -> list[Node]:
-        return [Node.leaf(x[..., s:s + 1], name=f"input.s{s}")
-                for s in range(self.config.modalities)]
-
-    def _forward_v1(self, x: np.ndarray) -> Node:
-        cfg = self.config
-        y = self._init_unit("init", Node.leaf(x, name="input"), cfg.trunk_filters)
-        levels = []
-        for i, d in enumerate(cfg.dilations, 1):
-            y = self._res_unit(f"level{i}", y, cfg.trunk_filters, cfg.trunk_filters, int(d))
-            levels.append(y)
-        return ops.concat_channels(levels, name="aggregate")
-
-    def _forward_v2(self, x: np.ndarray) -> Node:
-        cfg = self.config
-        streams = [self._init_unit(f"init.s{s}", inp, cfg.filters)
-                   for s, inp in enumerate(self._stream_inputs(x))]
+        if x.ndim != 4 or x.shape[-1] != cfg.modalities:
+            raise ShapeError(f"expected input (N,H,W,{cfg.modalities}), got {x.shape}")
+        split = cfg.variant != "v1"  # a stream per modality, else one for all
+        fuse = cfg.variant == "v2"   # odd levels fuse the streams into a summary
+        n = cfg.modalities if split else 1
+        width = cfg.trunk_filters // n
+        tags = [f".s{s}" if split else "" for s in range(n)]  # name suffix per stream
+        streams = [self._init_unit("init" + tag, Node.leaf(xs, name="input" + tag), width)
+                   for tag, xs in zip(tags, np.split(x, n, axis=-1))]
         collected = []
-        summary = None
-        for i, d in enumerate(cfg.dilations, 1):
-            if i % 2:  # fuse all streams into one summary map
+        for i, d in enumerate(map(int, cfg.dilations), 1):
+            if fuse and i % 2:  # all streams -> one summary unit
                 fused = ops.concat_channels(streams, name=f"level{i}.fuse")
-                summary = self._res_unit(f"level{i}", fused, cfg.filters,
-                                         cfg.filters, int(d))
+                summary = self._res_unit(f"level{i}", fused, width, d)
                 collected.append(summary)
-            else:      # refresh each stream from (stream, summary)
-                nxt = []
-                for s, stream in enumerate(streams):
-                    pair = ops.concat_channels([stream, summary],
-                                               name=f"level{i}.s{s}.fuse")
-                    nxt.append(self._res_unit(f"level{i}.s{s}", pair,
-                                              cfg.filters, cfg.filters, int(d)))
-                streams = nxt
-                collected.extend(nxt)
-        return ops.concat_channels(collected, name="aggregate")
-
-    def _forward_v3(self, x: np.ndarray) -> Node:
-        cfg = self.config
-        streams = [self._init_unit(f"init.s{s}", inp, cfg.filters)
-                   for s, inp in enumerate(self._stream_inputs(x))]
-        per_level: list[list[Node]] = [[] for _ in cfg.dilations]
-        for s, stream in enumerate(streams):
-            cur = stream
-            for i, d in enumerate(cfg.dilations, 1):
-                cur = self._res_unit(f"level{i}.s{s}", cur, cfg.filters,
-                                     cfg.filters, int(d))
-                per_level[i - 1].append(cur)
-        # level-major, streams adjacent: lines up with the v1 trunk layout
-        flat = [node for level in per_level for node in level]
-        return ops.concat_channels(flat, name="aggregate")
+                continue
+            names = [f"level{i}{tag}" for tag in tags]
+            if fuse:            # the last summary joins each stream
+                streams = [ops.concat_channels([stream, summary], name=name + ".fuse")
+                           for name, stream in zip(names, streams)]
+            streams = [self._res_unit(name, stream, width, d)
+                       for name, stream in zip(names, streams)]
+            collected.extend(streams)
+        aggregate = ops.concat_channels(collected, name="aggregate")
+        return self._output_unit("out", aggregate, x.shape[1:3])
 
     # -- introspection -------------------------------------------------------
 
@@ -302,20 +275,6 @@ class Network:
         with no_grad():
             logits = self.forward(x)
         return ops.softmax(logits.data, axis=-1)
-
-    def receptive_field(self) -> int:
-        """Receptive field (in input pixels) of one aggregate feature
-        through the full serial path, including the final 3x3 conv and
-        ignoring the global pyramid prior."""
-        rf, jump = 1, 1
-        rf += 4 * jump                       # 5x5 init conv
-        if self.config.init_pool:
-            rf += jump
-            jump *= 2
-        for d in self.config.dilations:      # 3x3 dilated: effective 2d+1
-            rf += 2 * int(d) * jump
-        rf += 2 * jump                       # output unit 3x3
-        return rf
 
 
 def embed_v3_into_v1(src: Network) -> Network:

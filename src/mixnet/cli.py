@@ -187,6 +187,11 @@ def cmd_train(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args, recorded)
     if cfg["plane"] not in PLANES:
         raise ConfigError(f"plane must be one of {PLANES}, got {cfg['plane']!r}")
+    if cfg["max_slices"] < 0:
+        raise ConfigError(f"max_slices must be >= 0, got {cfg['max_slices']}")
+    train_config = TrainConfig(
+        **{k: cfg[k] for k in TRAIN_CONFIG_KEYS}, use_lr_schedule=cfg["lr_schedule"],
+        seed=derive_seed(cfg["seed"], "batches")).validate()
     if args.resume:
         changed = [f"{k} {cfg[k]!r} (checkpoint {v!r})" for k, v in recorded.items()
                    if k != "epochs" and cfg[k] != v]
@@ -229,9 +234,6 @@ def cmd_train(args) -> int:
     print(f"training on {images.shape[0]} slices of {images.shape[1]}x"
           f"{images.shape[2]} ({cfg['plane']}, policy {policy})")
 
-    train_config = TrainConfig(
-        **{k: cfg[k] for k in TRAIN_CONFIG_KEYS}, use_lr_schedule=cfg["lr_schedule"],
-        seed=derive_seed(cfg["seed"], "batches")).validate()
     log_path = os.path.join(args.out, "train_log.csv")
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
     if args.resume:
@@ -266,6 +268,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     if args.plane not in PLANES:
         raise ConfigError(f"plane must be one of {PLANES}, got {args.plane!r}")
+    if args.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     net = load_network(args.checkpoint)
     manifest = volume.load_manifest(args.data)
     matches = [e for e in manifest["subjects"] if e["id"] == args.subject]

@@ -117,9 +117,9 @@ class TrainConfig:
                               f"got {self.loss_reduction!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("lr0", "weight_decay"):
+        for name in ("lr0", "weight_decay", "val_every", "checkpoint_every"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
 
     @classmethod

@@ -236,23 +236,17 @@ def check_structure() -> list:
                      f"wrong={sorted(wrong)[:3]}"
         results.append(_result(f"structure/{variant}/parameters", ok, detail))
 
-        rows = {u.name: u for u in net.units}
+        rows = {u.name: (u.c_in, u.dilation, u.c_out) for u in net.units}
         if variant == "v1":
-            level_ok = all(
-                (rows[f"level{i}"].c_in, rows[f"level{i}"].filters,
-                 rows[f"level{i}"].dilation, rows[f"level{i}"].c_out)
-                == (72, 72, d, 72) for i, d in enumerate(dilations, 1))
+            want = {f"level{i}": (72, d, 72) for i, d in enumerate(dilations, 1)}
         elif variant == "v2":
-            level_ok = all(
-                (rows[f"level{i}"].c_in, rows[f"level{i}"].dilation) == (72, d)
-                for i, d in ((1, 2), (3, 4), (5, 8)))
-            level_ok &= all(rows[f"level{i}.s{s}"].c_in == 48
-                            for i in (2, 4) for s in range(3))
+            want = {f"level{i}": (72, d, 24) for i, d in ((1, 2), (3, 4), (5, 8))}
+            want.update({f"level{i}.s{s}": (48, d, 24)
+                         for i, d in ((2, 1), (4, 1)) for s in range(3)})
         else:
-            level_ok = all(
-                (rows[f"level{i}.s{s}"].c_in, rows[f"level{i}.s{s}"].dilation)
-                == (24, d)
-                for i, d in enumerate(dilations, 1) for s in range(3))
+            want = {f"level{i}.s{s}": (24, d, 24)
+                    for i, d in enumerate(dilations, 1) for s in range(3)}
+        level_ok = all(rows.get(name) == row for name, row in want.items())
         results.append(_result(f"structure/{variant}/levels", level_ok,
                                "per-level widths and dilations"))
 

@@ -360,6 +360,11 @@ def load_manifest(data_dir) -> dict:
     manifest["subjects"] = [check_record(e, SUBJECT_KINDS, f"{path}: subject {i}",
                                          DataError, tuple(SUBJECT_KINDS))
                             for i, e in enumerate(manifest["subjects"])]
+    counts = [len(e["modalities"]) for e in manifest["subjects"]]
+    for i, n in enumerate(counts):
+        if n == 0 or n != counts[0]:
+            raise DataError(f"{path}: subject {i} lists {n} modalities; every subject "
+                            f"needs the same number, at least 1 (subject 0: {counts[0]})")
     return manifest
 
 

@@ -219,6 +219,18 @@ def test_train_on_a_subject_entry_without_labels_is_a_data_error(dataset, tmp_pa
     assert "subject 1" in err and "labels" in err
 
 
+@pytest.mark.parametrize("keep", [2, 0])
+def test_train_on_subject_entries_with_unequal_modalities_is_a_data_error(
+        dataset, tmp_path, capsys, keep):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    man = json.loads((data / "manifest.json").read_text())
+    del man["subjects"][1]["modalities"][keep:]
+    (data / "manifest.json").write_text(json.dumps(man))
+    err = _fails_cleanly(capsys, 2, "train", "--data", data, "--out", tmp_path / "run")
+    assert f"subject 1 lists {keep} modalities" in err
+
+
 def _first_buffer(**fields):
     def make(header):
         header["buffers"][0].update(fields)
@@ -301,6 +313,33 @@ def test_config_file_value_of_the_wrong_kind_is_a_usage_error(dataset, tmp_path,
     err = _fails_cleanly(capsys, 1, command, *data, "--out", tmp_path / "out",
                          "--config", cfg_file)
     assert f"{key}={value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+# counts out of range, by command: (config-file values, flags); the file
+# also keeps a train run short should the check be missing
+QUICK_TRAIN = {"epochs": 1, "augment": "none", "variant": "v3", "filters": 4,
+               "max_slices": 2}
+OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"]),
+                "max-slices-file": ("train", {"max_slices": -1}, []),
+                "val-every": ("train", {}, ["--val-every", "-1"]),
+                "checkpoint-every": ("train", {}, ["--checkpoint-every", "-1"]),
+                "batch-size-0": ("predict", {}, ["--batch-size", "0"]),
+                "batch-size-negative": ("predict", {}, ["--batch-size", "-1"])}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_count_out_of_range_is_a_usage_error(dataset, trained, tmp_path, capsys, case):
+    command, values, flags = OUT_OF_RANGE[case]
+    if command == "train":
+        (tmp_path / "cfg.json").write_text(json.dumps({**QUICK_TRAIN, **values}))
+        argv = ["--data", dataset, "--out", tmp_path / "out", "--config",
+                tmp_path / "cfg.json"]
+    else:
+        argv = ["--checkpoint", trained, "--data", dataset, "--subject", "subject00",
+                "--plane", "coronal", "--out", tmp_path / "out" / "p.vol"]
+    err = _fails_cleanly(capsys, 1, command, *argv, *flags)
+    assert "must be >= " in err
     assert not (tmp_path / "out").exists()
 
 

@@ -236,6 +236,37 @@ def _rewrite_header(src, dst, edit):
     _replace_header(src, dst, make)
 
 
+def test_checkpoint_buffers_load_by_name_not_by_order(tmp_path):
+    x, y = tiny_task(seed=4, n=4)
+    t = tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=2, batch_size=2, seed=3))
+    t.fit(1)
+    path, flipped = tmp_path / "ck.bin", tmp_path / "flipped.bin"
+    tr.save_checkpoint(path, t.net, t)
+    # the same buffers, bytes and CRCs, listed and stored in reverse order
+    raw = path.read_bytes()
+    at = len(tr.CKPT_MAGIC)
+    version, hlen = struct.unpack("<IQ", raw[at:at + 12])
+    header = json.loads(raw[at + 12:at + 12 + hlen])
+    blobs, pos = [], at + 12 + hlen
+    for entry in header["buffers"]:
+        size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+        blobs.append(raw[pos:pos + size])
+        pos += size
+    assert pos == len(raw)
+    header["buffers"].reverse()
+    blob = json.dumps(header, sort_keys=True).encode()
+    flipped.write_bytes(raw[:at] + struct.pack("<IQ", version, len(blob)) + blob
+                        + b"".join(reversed(blobs)))
+
+    np.testing.assert_array_equal(tr.load_network(flipped).forward(x).data,
+                                  t.net.forward(x).data)
+    resumed = tr.resume_trainer(flipped, x, y)
+    for name, p in t.net.store.items():
+        np.testing.assert_array_equal(resumed.net.store[name].data, p.data, err_msg=name)
+        np.testing.assert_array_equal(resumed.optimizer.velocities[name],
+                                      t.optimizer.velocities[name], err_msg=name)
+
+
 def test_resume_restores_history(tmp_path):
     x, y = tiny_task(seed=3, n=4)
     t = tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=2, batch_size=2),

@@ -337,6 +337,9 @@ def test_load_manifest_errors(tmp_path):
     ({"id": "s", "modalities": ["a.vol", 2], "labels": "l.vol"}, "modalities="),
     ({"id": 3, "modalities": ["a.vol"], "labels": "l.vol"}, "id=3"),
     ({"id": "s", "modalities": ["a.vol"], "labels": "l.vol", "x": 1}, "unknown keys"),
+    ({"id": "s", "modalities": [], "labels": "l.vol"}, "lists 0 modalities"),
+    ({"id": "s", "modalities": ["a.vol", "c.vol"], "labels": "l.vol"},
+     "lists 2 modalities"),
     ("s", "must be an object"),
 ])
 def test_load_manifest_checks_each_subject_entry(tmp_path, entry, problem):
