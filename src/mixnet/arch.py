@@ -47,6 +47,7 @@ coordinate-aligned subspace of v1's (see ``embed_v3_into_v1``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -281,42 +282,30 @@ def embed_v3_into_v1(src: Network) -> Network:
     """A v1 network, of ``src``'s config apart from the variant, that
     computes the same function as the v3 network ``src``.
 
-    Stream s of the source occupies channel block ``[s*filters, (s+1)*filters)``
-    of every trunk feature map: the init kernel places each stream's 5x5
-    filter on its own input modality, the three convolutions of every
-    residual unit become block-diagonal, and the aggregate channel order
-    coincides (v3 aggregates level-major with streams adjacent), so the
-    output unit's final convolution transfers verbatim.  All v1 weights
-    outside those blocks are zero: cross-modality connections exist in
-    the v1 parameter space but are switched off.
+    Stream s of the source occupies channel block s of every trunk
+    feature map, so one rule places every parameter: ``<unit>.s<s>.<rest>``
+    goes to ``<unit>.<rest>`` at block s of each channel axis (a kernel's
+    last two, a bias's only one), each block as wide as the source's axis.
+    The init kernel puts each stream's filter on its own modality, every
+    residual unit becomes block-diagonal, and the output unit, which has
+    no stream, transfers verbatim (v3 aggregates level-major with streams
+    adjacent).  All other v1 weights are zero: cross-modality connections
+    exist in the v1 parameter space but are switched off.
     """
     cfg = src.config
     if cfg.variant != "v3":
         raise BuildError(f"embedding source must be a v3 network, got {cfg.variant}")
     dst = Network(replace(cfg, variant="v1"))
-    m, fil = cfg.modalities, cfg.filters
-    mid = fil // 2
     v1 = {name: node.data for name, node in dst.store.items()}
     for arr in v1.values():
         arr.fill(0)
-    v3 = {name: node.data for name, node in src.store.items()}
-
-    for s in range(m):
-        v1["init.conv.w"][:, :, s, s * fil:(s + 1) * fil] = v3[f"init.s{s}.conv.w"][:, :, 0, :]
-        v1["init.conv.b"][s * fil:(s + 1) * fil] = v3[f"init.s{s}.conv.b"]
-
-    for i in range(1, cfg.levels + 1):
-        for s in range(m):
-            fs, fe = s * fil, (s + 1) * fil      # full-width block
-            ms, me = s * mid, (s + 1) * mid      # mid-width block
-            dp, sp = f"level{i}", f"level{i}.s{s}"
-            v1[dp + ".reduce.w"][0, 0, fs:fe, ms:me] = v3[sp + ".reduce.w"][0, 0]
-            v1[dp + ".reduce.b"][ms:me] = v3[sp + ".reduce.b"]
-            v1[dp + ".dilated.w"][:, :, ms:me, ms:me] = v3[sp + ".dilated.w"]
-            v1[dp + ".dilated.b"][ms:me] = v3[sp + ".dilated.b"]
-            v1[dp + ".expand.w"][0, 0, ms:me, fs:fe] = v3[sp + ".expand.w"][0, 0]
-            v1[dp + ".expand.b"][fs:fe] = v3[sp + ".expand.b"]
-
-    v1["out.final.w"][...] = v3["out.final.w"]
-    v1["out.final.b"][...] = v3["out.final.b"]
+    for name, node in src.store.items():
+        stream = re.fullmatch(r"(\w+)\.s(\d+)\.(.+)", name)
+        if stream is None:
+            v1[name][...] = node.data
+            continue
+        unit, s, rest = stream.groups()
+        w, s = node.data, int(s)
+        channels = w.shape[-2:] if w.ndim == 4 else w.shape
+        v1[f"{unit}.{rest}"][(..., *(slice(s * c, (s + 1) * c) for c in channels))] = w
     return dst

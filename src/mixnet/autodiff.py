@@ -12,8 +12,9 @@ rather than an array ``backward`` would drop.  The network's input
 slices are such parents: they are data leaves, so the first conv of
 each stream builds no input gradient.
 
-The finite-difference checker in this module is the independent oracle
-used to validate every backward rule.  It evaluates the graph in float64
+The finite-difference checker in this module, ``grad_check``, is the one
+independent oracle used to validate every backward rule and the
+network's parameter gradients.  It evaluates the graph in float64
 (callers pass float64 inputs) so the central-difference error is far
 below the tolerance being enforced.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -153,7 +154,6 @@ class GradCheckReport:
     tolerance: float
     coords_checked: int
     worst: tuple = ()          # (input index, coordinate, analytic, numeric)
-    per_input: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -168,7 +168,7 @@ def _rel_error(a: float, n: float) -> float:
 
 def grad_check(build: Callable[[Sequence[Node]], Node],
                inputs: Sequence[np.ndarray],
-               step: float = 1e-3,
+               steps: Sequence[float] = (1e-3,),
                tolerance: float = 1e-4,
                max_coords_per_input: Optional[int] = None,
                rng: Optional[np.random.Generator] = None) -> GradCheckReport:
@@ -178,6 +178,12 @@ def grad_check(build: Callable[[Sequence[Node]], Node],
     nodes.  ``inputs`` are evaluated as float64 regardless of their dtype.
     By default every coordinate of every input is checked; large instances
     can cap the per-input coordinate count, sampled with ``rng``.
+
+    Each coordinate is measured at ``steps[0]``.  Only if its error
+    exceeds ``tolerance`` is it measured again at each later step, and it
+    keeps its smallest error.  A relu kink within one step of the point
+    bends a central difference, and that error shrinks with the step; a
+    wrong backward rule's error does not.
     """
     arrays = [np.array(x, dtype=np.float64) for x in inputs]
 
@@ -193,6 +199,16 @@ def grad_check(build: Callable[[Sequence[Node]], Node],
         nodes = [Node.leaf(a) for a in arrays]
         return float(build(nodes).data)
 
+    def measure(flat, c, a, step) -> tuple[float, float]:  # (rel error, numeric)
+        orig = flat[c]
+        flat[c] = orig + step
+        f_plus = evaluate()
+        flat[c] = orig - step
+        f_minus = evaluate()
+        flat[c] = orig
+        numeric = (f_plus - f_minus) / (2.0 * step)
+        return _rel_error(a, numeric), numeric
+
     report = GradCheckReport(0.0, tolerance, 0)
     for idx, arr in enumerate(arrays):
         flat = arr.reshape(-1)
@@ -200,21 +216,14 @@ def grad_check(build: Callable[[Sequence[Node]], Node],
         if max_coords_per_input is not None and flat.size > max_coords_per_input:
             gen = rng if rng is not None else np.random.default_rng(0)
             coords = gen.choice(flat.size, size=max_coords_per_input, replace=False)
-        worst_here = 0.0
         for c in coords:
-            orig = flat[c]
-            flat[c] = orig + step
-            f_plus = evaluate()
-            flat[c] = orig - step
-            f_minus = evaluate()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
             a = float(analytic[idx].reshape(-1)[c])
-            err = _rel_error(a, numeric)
+            err, numeric = measure(flat, c, a, steps[0])
+            if err > tolerance:
+                err, numeric = min([(err, numeric)]
+                                   + [measure(flat, c, a, s) for s in steps[1:]])
             report.coords_checked += 1
-            worst_here = max(worst_here, err)
             if err > report.max_rel_error:
                 report.max_rel_error = err
                 report.worst = (idx, int(c), a, numeric)
-        report.per_input.append(worst_here)
     return report

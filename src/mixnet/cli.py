@@ -16,11 +16,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import verify, volume
-from .arch import NetConfig, Network
+from .arch import VARIANTS, NetConfig, Network
 from .augment import expand_slices, policy_for_plane
 from .errors import (ConfigError, DataError, MixNetError, ParameterError,
                      VerificationFailure)
@@ -115,6 +116,8 @@ GENERATE_DEFAULTS = {
 
 def cmd_generate(args) -> int:
     cfg = _resolve(GENERATE_DEFAULTS, args)
+    volume.check_synthesis(cfg["dims"], cfg["classes"], cfg["modalities"],
+                           cfg["spacing"], cfg["subjects"], ConfigError)
     _echo_config("generate", cfg, args.out)
     manifest = volume.generate_dataset(
         args.out, subjects=cfg["subjects"], dims=tuple(cfg["dims"]),
@@ -154,6 +157,9 @@ TRAIN_DEFAULTS = {
 # train settings that choose the training slices; Trainer.slice_settings
 SLICE_KEYS = ("plane", "augment", "max_slices", "holdout")
 
+# the --augment policies; plane = full for transverse, light otherwise
+AUGMENT = ("plane", "full", "light", "none")
+
 
 def _checkpoint_settings(path) -> tuple[dict, int]:
     """(settings, batch-order seed) recorded in a resumable checkpoint's
@@ -187,8 +193,12 @@ def cmd_train(args) -> int:
     cfg = _resolve(TRAIN_DEFAULTS, args, recorded)
     if cfg["plane"] not in PLANES:
         raise ConfigError(f"plane must be one of {PLANES}, got {cfg['plane']!r}")
+    if cfg["augment"] not in AUGMENT:
+        raise ConfigError(f"augment must be one of {AUGMENT}, got {cfg['augment']!r}")
     if cfg["max_slices"] < 0:
         raise ConfigError(f"max_slices must be >= 0, got {cfg['max_slices']}")
+    # modalities and classes come from the manifest, once the data is read
+    net_config = NetConfig(variant=cfg["variant"], filters=cfg["filters"]).validate()
     train_config = TrainConfig(
         **{k: cfg[k] for k in TRAIN_CONFIG_KEYS}, use_lr_schedule=cfg["lr_schedule"],
         seed=derive_seed(cfg["seed"], "batches")).validate()
@@ -241,9 +251,8 @@ def cmd_train(args) -> int:
                                  log_path=log_path, checkpoint_path=ckpt_path)
         trainer.config.epochs = cfg["epochs"]
     else:
-        net_config = NetConfig(
-            variant=cfg["variant"], modalities=len(entries[0]["modalities"]),
-            classes=manifest["classes"], filters=cfg["filters"])
+        net_config = replace(net_config, modalities=len(entries[0]["modalities"]),
+                             classes=manifest["classes"])
         net = Network(net_config, seed=derive_seed(cfg["seed"], "params"))
         trainer = Trainer(net, images, labels, train_config, val=val,
                           log_path=log_path, checkpoint_path=ckpt_path)
@@ -342,6 +351,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     if args.suite == "all":
         results = verify.run_all(trials=args.trials, seed=args.seed)
     else:
@@ -385,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--variant", choices=("v1", "v2", "v3"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--plane", choices=PLANES)
     p.add_argument("--filters", type=int, help="per-stream channel width")
     p.add_argument("--epochs", type=int)
@@ -397,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr-schedule", action=argparse.BooleanOptionalAction,
                    default=None, help="halve the rate on the standard "
                                       "epoch-fraction boundaries")
-    p.add_argument("--augment", choices=("plane", "full", "light", "none"),
+    p.add_argument("--augment", choices=AUGMENT,
                    help="plane = full for transverse, light otherwise")
     p.add_argument("--max-slices", type=int,
                    help="subsample the training slices before augmentation")

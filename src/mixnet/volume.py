@@ -32,6 +32,7 @@ from .tensor import derive_seed
 PLANES = {"sagittal": 0, "coronal": 1, "transverse": 2}
 
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
+MAX_CLASSES = 256  # a label volume stores one byte per voxel
 KINDS = ("intensity", "labels", "probs")
 
 
@@ -249,6 +250,25 @@ def _smooth_field(dims, rng, waves: int = 3) -> np.ndarray:
     return out / waves
 
 
+def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int = 1,
+                    error=ParameterError) -> None:
+    """The ranges of a synthetic dataset's settings: at least one subject
+    and one modality, 2 to ``MAX_CLASSES`` classes, three extents of at
+    least 8 and three positive spacings.  A value out of range raises
+    ``error``, the caller's class: ``ParameterError`` in the library,
+    ``ConfigError`` (a usage error) on the command line."""
+    if subjects < 1:
+        raise error(f"subjects must be >= 1, got {subjects}")
+    if len(dims) != 3 or any(d < 8 for d in dims):
+        raise error(f"dims must be three extents >= 8, got {tuple(dims)}")
+    if len(spacing) != 3 or any(s <= 0 for s in spacing):
+        raise error(f"spacing must be three positive numbers, got {tuple(spacing)}")
+    if not 2 <= classes <= MAX_CLASSES:
+        raise error(f"classes must be in [2, {MAX_CLASSES}], got {classes}")
+    if modalities < 1:
+        raise error(f"modalities must be >= 1, got {modalities}")
+
+
 def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
                        spacing=(1.0, 1.0, 1.0), seed: int = 0,
                        deform: float = 0.12, bias: float = 0.25,
@@ -261,12 +281,7 @@ def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
     bias field plus Gaussian noise, so no single threshold solves it.
     """
     dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 8 for d in dims):
-        raise ParameterError(f"dims must be three extents >= 8, got {dims}")
-    if classes < 2:
-        raise ParameterError(f"classes must be >= 2, got {classes}")
-    if modalities < 1:
-        raise ParameterError(f"modalities must be >= 1, got {modalities}")
+    check_synthesis(dims, classes, modalities, spacing)
 
     shape_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "shape")))
     center = [0.5 + shape_rng.uniform(-0.05, 0.05) for _ in range(3)]
@@ -315,6 +330,7 @@ def generate_dataset(out_dir, subjects: int = 3, dims=(64, 64, 64),
                      classes: int = 4, modalities: int = 3,
                      spacing=(1.0, 1.0, 1.0), seed: int = 0) -> dict:
     """Write a directory of synthetic subjects plus a manifest.json."""
+    check_synthesis(dims, classes, modalities, spacing, subjects)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i in range(subjects):

@@ -267,12 +267,14 @@ def test_network_from_arrays_draws_nothing_and_owns_float32_copies(monkeypatch):
 # v3 -> v1 embedding
 
 
-def test_embedding_matches_v3_outputs():
+@pytest.mark.parametrize("modalities,init_pool", [(1, True), (2, True), (3, True),
+                                                  (3, False)])
+def test_embedding_matches_v3_outputs(modalities, init_pool):
     rng = np.random.default_rng(6)
-    v3 = small("v3")
+    v3 = small("v3", modalities=modalities, init_pool=init_pool)
     v1 = embed_v3_into_v1(v3)
     for _ in range(3):
-        x = rng.normal(size=(1, 24, 24, 3)).astype(np.float32)
+        x = rng.normal(size=(1, 24, 24, modalities)).astype(np.float32)
         got = v1.forward(x).data
         want = v3.forward(x).data
         assert np.abs(got - want).max() <= 1e-4

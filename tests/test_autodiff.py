@@ -140,6 +140,29 @@ def test_grad_check_catches_a_wrong_gradient():
     report = grad_check(build, [np.ones(3)])
     assert not report.passed
     assert report.max_rel_error > 0.1
+    # a wrong rule's error does not shrink with the step, so retrying
+    # at smaller steps cannot pass it
+    report = grad_check(build, [np.ones(3)], steps=(1e-3, 1e-5, 1e-7))
+    assert not report.passed
+    assert report.max_rel_error > 0.1
+
+
+def test_grad_check_retries_a_kink_within_one_step():
+    # 5e-4 lies within 1e-3 of relu's kink: the central difference there
+    # reads 0.75 against the analytic 1, and a smaller step reads 1
+    x = np.array([5e-4, -0.3, 0.7])
+
+    def build(leaves):
+        return ops.reduce_sum(ops.relu(leaves[0]))
+
+    report = grad_check(build, [x])
+    assert not report.passed
+    assert report.max_rel_error == pytest.approx(0.25)
+    assert report.worst[:2] == (0, 0)
+    report = grad_check(build, [x], steps=(1e-3, 1e-5))
+    assert report.passed
+    assert report.coords_checked == 3
+    assert report.max_rel_error < 1e-9
 
 
 def test_grad_check_agrees_with_independent_numeric_gradient():

@@ -316,30 +316,69 @@ def test_config_file_value_of_the_wrong_kind_is_a_usage_error(dataset, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-# counts out of range, by command: (config-file values, flags); the file
-# also keeps a train run short should the check be missing
+# counts out of range, by command: (config-file values, flags, a fragment of
+# the error); the file also keeps a run short should the check be missing
 QUICK_TRAIN = {"epochs": 1, "augment": "none", "variant": "v3", "filters": 4,
                "max_slices": 2}
-OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"]),
-                "max-slices-file": ("train", {"max_slices": -1}, []),
-                "val-every": ("train", {}, ["--val-every", "-1"]),
-                "checkpoint-every": ("train", {}, ["--checkpoint-every", "-1"]),
-                "batch-size-0": ("predict", {}, ["--batch-size", "0"]),
-                "batch-size-negative": ("predict", {}, ["--batch-size", "-1"])}
+QUICK_GENERATE = {"subjects": 1, "dims": [8, 8, 8]}
+OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"], "must be >= "),
+                "max-slices-file": ("train", {"max_slices": -1}, [], "must be >= "),
+                "val-every": ("train", {}, ["--val-every", "-1"], "must be >= "),
+                "checkpoint-every": ("train", {}, ["--checkpoint-every", "-1"],
+                                     "must be >= "),
+                "batch-size-0": ("predict", {}, ["--batch-size", "0"], "must be >= "),
+                "batch-size-negative": ("predict", {}, ["--batch-size", "-1"],
+                                        "must be >= "),
+                "subjects": ("generate", {}, ["--subjects", "0"], "subjects must be >= 1"),
+                "modalities": ("generate", {}, ["--modalities", "0"],
+                               "modalities must be >= 1"),
+                "classes": ("generate", {}, ["--classes", "1"],
+                            "classes must be in [2, 256], got 1"),
+                "classes-257": ("generate", {}, ["--classes", "257"],
+                                "classes must be in [2, 256], got 257"),
+                "dims": ("generate", {}, ["--dims", "8,7,8"], "extents >= 8"),
+                "dims-file": ("generate", {"dims": [8, 8]}, [], "extents >= 8"),
+                "spacing": ("generate", {}, ["--spacing", "1,0,1"], "positive numbers"),
+                "spacing-file": ("generate", {"spacing": [1, -0.5, 1]}, [],
+                                 "positive numbers"),
+                "trials-0": ("verify", {}, ["--trials", "0"], "trials must be >= 1"),
+                "trials-negative": ("verify", {}, ["--trials", "-5"],
+                                    "trials must be >= 1")}
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)
 def test_count_out_of_range_is_a_usage_error(dataset, trained, tmp_path, capsys, case):
-    command, values, flags = OUT_OF_RANGE[case]
+    command, values, flags, message = OUT_OF_RANGE[case]
+    cfg = ["--config", tmp_path / "cfg.json"]
     if command == "train":
         (tmp_path / "cfg.json").write_text(json.dumps({**QUICK_TRAIN, **values}))
-        argv = ["--data", dataset, "--out", tmp_path / "out", "--config",
-                tmp_path / "cfg.json"]
+        argv = ["--data", dataset, "--out", tmp_path / "out", *cfg]
+    elif command == "generate":
+        (tmp_path / "cfg.json").write_text(json.dumps({**QUICK_GENERATE, **values}))
+        argv = ["--out", tmp_path / "out", *cfg]
+    elif command == "verify":
+        argv = ["--suite", "metrics"]
     else:
         argv = ["--checkpoint", trained, "--data", dataset, "--subject", "subject00",
                 "--plane", "coronal", "--out", tmp_path / "out" / "p.vol"]
     err = _fails_cleanly(capsys, 1, command, *argv, *flags)
-    assert "must be >= " in err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+# network and augmentation settings a train run checks before it echoes its
+# config or reads any data: the data directory here does not exist
+BAD_TRAIN_SETTINGS = {"filters": ({}, ["--filters", "7"]),
+                      "variant-file": ({"variant": "v4"}, []),
+                      "augment-file": ({"augment": "bogus"}, [])}
+
+
+@pytest.mark.parametrize("case", BAD_TRAIN_SETTINGS)
+def test_bad_train_setting_is_a_usage_error_before_any_data(tmp_path, capsys, case):
+    values, flags = BAD_TRAIN_SETTINGS[case]
+    (tmp_path / "cfg.json").write_text(json.dumps({**QUICK_TRAIN, **values}))
+    _fails_cleanly(capsys, 1, "train", "--data", tmp_path / "missing", "--out",
+                   tmp_path / "out", "--config", tmp_path / "cfg.json", *flags)
     assert not (tmp_path / "out").exists()
 
 

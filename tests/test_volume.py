@@ -286,6 +286,16 @@ def test_synthesize_validation():
         vol.synthesize_subject(classes=1)
     with pytest.raises(ParameterError):
         vol.synthesize_subject(modalities=0)
+    with pytest.raises(ParameterError):
+        vol.synthesize_subject(spacing=(1.0, 0.0, 1.0))
+    with pytest.raises(ParameterError):
+        vol.synthesize_subject(classes=vol.MAX_CLASSES + 1)
+
+
+def test_generate_dataset_checks_its_counts_before_writing(tmp_path):
+    with pytest.raises(ParameterError, match="subjects must be >= 1"):
+        vol.generate_dataset(tmp_path / "data", subjects=0, dims=(8, 8, 8))
+    assert not (tmp_path / "data").exists()
 
 
 def test_modalities_have_distinct_profiles():
