@@ -58,6 +58,7 @@ from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
 from .records import read_record
 from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
+from .volume import MAX_CLASSES
 
 VARIANTS = ("v1", "v2", "v3")
 
@@ -84,8 +85,9 @@ class NetConfig:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.modalities < 1:
             raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
-        if self.classes < 2:
-            raise ConfigError(f"classes must be >= 2, got {self.classes}")
+        if not 2 <= self.classes <= MAX_CLASSES:
+            raise ConfigError(f"classes must be in [2, {MAX_CLASSES}] (a label volume "
+                              f"stores one byte per voxel), got {self.classes}")
         if self.filters < 2 or self.filters % 2:
             raise ConfigError(f"filters must be a positive even number, got {self.filters}")
         if not self.dilations or any(d < 1 for d in self.dilations):

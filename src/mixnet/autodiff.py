@@ -1,16 +1,32 @@
 """Reverse-mode automatic differentiation.
 
 A ``Node`` is a :class:`~mixnet.tensor.Tensor` with graph links: it
-holds the array an op produced as its own ``data``, the nodes that
-array was computed from, and a rule that maps the output gradient to
-the parent gradients.  Graphs are acyclic by construction; ``backward``
-visits each node exactly once in reverse topological order.
+holds the array an op produced as its own ``data``, and a ``Vertex``
+that holds the graph side of that value: the vertices it was computed
+from, ``requires_grad``, ``grad``, a rule that maps the output gradient
+to the parent gradients, and the value's name and shape.  Graphs are
+acyclic by construction; ``backward`` visits each vertex exactly once
+in reverse topological order.
 
-A backward rule computes a parent's gradient only if
-``parent.requires_grad``; for any other parent it returns ``None``
-rather than an array ``backward`` would drop.  The network's input
-slices are such parents: they are data leaves, so the first conv of
-each stream builds no input gradient.
+A graph edge carries no array: a vertex's ``parents`` are vertices, and
+a backward rule's closure captures the arrays it reads (an op's input
+or its own output, never copies of them), and no node.  So an
+activation lives as long as forward code or some rule holds it, and is
+freed once both are done with it: a conv output that only feeds
+``relu``, which takes its mask from its own output, is gone as soon as
+``relu`` has run.  What a rule needs from a transformed input, such as
+a padded copy, it rebuilds when it runs and frees when it returns.
+
+A backward rule computes a parent's gradient only if that parent
+requires one; for any other parent it returns ``None`` rather than an
+array ``backward`` would drop.  The network's input slices are such
+parents: they are data leaves, so the first conv of each stream builds
+no input gradient.
+
+``backward`` stores ``.grad`` on leaves only (vertices with no backward
+rule: parameters and inputs).  An intermediate vertex's gradient lives
+in backward's local table until its rule has consumed it, then is
+dropped, so an intermediate ``.grad`` stays ``None``.
 
 The finite-difference checker in this module, ``grad_check``, is the one
 independent oracle used to validate every backward rule and the
@@ -21,17 +37,6 @@ below the tolerance being enforced.
 Inside ``with no_grad():`` ops compute the same values but their nodes
 keep no parents and no backward rule, so inference holds no graph and
 each intermediate array is freed once the next op has consumed it.
-
-A training step holds each activation once:
-
-* ``backward`` stores ``.grad`` on leaves only (nodes with no backward
-  rule: parameters and inputs).  An intermediate node's gradient lives
-  in backward's local table until its rule has consumed it, then is
-  dropped, so an intermediate ``.grad`` stays ``None``.
-* A backward rule's closure keeps references to arrays the graph
-  already holds (an op's input or its own output), never copies of
-  them.  What a rule needs from a transformed input, such as a padded
-  copy, it rebuilds when it runs and frees when it returns.
 """
 
 from __future__ import annotations
@@ -59,57 +64,88 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-class Node(Tensor):
-    """One entry of the computation graph: a tensor plus graph links.
+class Vertex:
+    """The graph side of one value, holding no array.
 
-    ``_backward`` takes the gradient of the final scalar with respect to
-    this node's data and returns one gradient array per parent (``None``
-    for parents that do not require gradients).
+    ``rule`` takes the gradient of the final scalar with respect to the
+    value and returns one gradient array per parent (``None`` for parents
+    that do not require gradients); a leaf has none.
     """
 
-    __slots__ = ("parents", "requires_grad", "grad", "_backward", "name")
+    __slots__ = ("parents", "requires_grad", "grad", "rule", "name", "shape")
+
+    def __init__(self, parents: tuple, requires_grad: bool, rule, name: str,
+                 shape: tuple):
+        self.parents = parents
+        self.requires_grad = requires_grad
+        self.grad = None
+        self.rule = rule
+        self.name = name
+        self.shape = shape
+
+    def __repr__(self):
+        kind = "leaf" if not self.parents else f"op[{len(self.parents)} parents]"
+        return f"Vertex({kind}, shape={self.shape}, name={self.name!r})"
+
+
+def _on_vertex(attr: str) -> property:
+    return property(lambda node: getattr(node.vertex, attr),
+                    lambda node, value: setattr(node.vertex, attr, value))
+
+
+class Node(Tensor):
+    """One value of the computation graph: a tensor plus its ``vertex``.
+
+    ``parents``, ``requires_grad``, ``grad``, ``_backward`` (the vertex's
+    ``rule``) and ``name`` read and write the vertex.
+    """
+
+    __slots__ = ("vertex",)
 
     def __init__(self, value, parents: tuple = (), backward=None,
                  requires_grad: Optional[bool] = None, name: str = ""):
         super().__init__(value)
         if not _GRAD_ENABLED.get():
             parents, backward = (), None
+        links = tuple(p.vertex for p in parents)
         if requires_grad is None:
-            requires_grad = any(p.requires_grad for p in parents)
-        self.parents = tuple(parents)
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._backward = backward
-        self.name = name
+            requires_grad = any(v.requires_grad for v in links)
+        self.vertex = Vertex(links, requires_grad, backward, name, self.shape)
+
+    parents = _on_vertex("parents")
+    requires_grad = _on_vertex("requires_grad")
+    grad = _on_vertex("grad")
+    _backward = _on_vertex("rule")
+    name = _on_vertex("name")
 
     @classmethod
     def leaf(cls, value, requires_grad: bool = False, name: str = "") -> "Node":
         return cls(value, (), None, requires_grad, name)
 
     def __repr__(self):
-        kind = "leaf" if not self.parents else f"op[{len(self.parents)} parents]"
-        return f"Node({kind}, shape={self.shape}, name={self.name!r})"
+        return f"Node({self.vertex!r}, dtype={self.dtype.name})"
 
 
-def topo_order(root: Node) -> list[Node]:
-    """Ancestors of ``root`` in topological order (parents before children).
+def topo_order(root: Node) -> list[Vertex]:
+    """Vertices ``root`` was computed from, ``root``'s own last, in
+    topological order (parents before children).
 
     Iterative so that deep unit chains cannot hit the recursion limit.
     """
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    order: list[Vertex] = []
+    seen: set[Vertex] = set()
+    stack: list[tuple[Vertex, bool]] = [(root.vertex, False)]
     while stack:
-        node, expanded = stack.pop()
+        vertex, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(vertex)
             continue
-        if id(node) in seen:
+        if vertex in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
+        seen.add(vertex)
+        stack.append((vertex, True))
+        for p in vertex.parents:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -118,33 +154,32 @@ def backward(root: Node) -> None:
     """Accumulate gradients of a scalar ``root`` into every leaf ancestor
     that requires them.  Existing ``.grad`` buffers keep accumulating;
     call ``zero_grad`` on the model (or reset ``.grad`` yourself) between
-    steps.  Intermediate nodes get no ``.grad``.
+    steps.  Intermediate vertices get no ``.grad``.
     """
     if root.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")
     order = topo_order(root)
-    # a node's gradient waits in this table until its rule consumes it;
+    # a vertex's gradient waits in this table until its rule consumes it;
     # only a leaf's is kept, as its .grad
-    local: dict[int, np.ndarray] = {id(root): np.ones(root.shape, dtype=root.dtype)}
-    for node in reversed(order):
-        g = local.pop(id(node), None)
-        if g is None or not node.requires_grad:
+    local: dict[Vertex, np.ndarray] = {root.vertex: np.ones(root.shape, dtype=root.dtype)}
+    for vertex in reversed(order):
+        g = local.pop(vertex, None)
+        if g is None or not vertex.requires_grad:
             continue
-        if node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
+        if vertex.rule is None:
+            vertex.grad = g if vertex.grad is None else vertex.grad + g
             continue
-        grads = node._backward(g)
-        if len(grads) != len(node.parents):
-            raise ShapeError(f"backward rule of {node.name!r} returned "
-                             f"{len(grads)} gradients for {len(node.parents)} parents")
-        for parent, pg in zip(node.parents, grads):
+        grads = vertex.rule(g)
+        if len(grads) != len(vertex.parents):
+            raise ShapeError(f"backward rule of {vertex.name!r} returned "
+                             f"{len(grads)} gradients for {len(vertex.parents)} parents")
+        for parent, pg in zip(vertex.parents, grads):
             if pg is None or not parent.requires_grad:
                 continue
             if pg.shape != parent.shape:
                 raise ShapeError(f"gradient shape {pg.shape} does not match "
-                                 f"parent shape {parent.shape} ({node.name!r})")
-            key = id(parent)
-            local[key] = pg if key not in local else local[key] + pg
+                                 f"parent shape {parent.shape} ({vertex.name!r})")
+            local[parent] = pg if parent not in local else local[parent] + pg
 
 
 @dataclass

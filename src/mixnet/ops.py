@@ -12,6 +12,10 @@ in-bounds values only.
 
 Everything is dtype-generic: float64 inputs stay float64 end to end,
 which is what the finite-difference checker relies on.
+
+A backward rule's closure captures the arrays and ``requires_grad``
+flags it reads, never a node, so an input array no rule reads is freed
+once forward code drops it (see :mod:`mixnet.autodiff`).
 """
 
 from __future__ import annotations
@@ -190,22 +194,27 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
+    # of x's data only the kernel gradient reads
+    nparents, dt = len(parents), x.dtype
+    x_grad, w_grad = x.requires_grad, w.requires_grad
+    b_grad = b is not None and b.requires_grad
+    xd = x.data if w_grad else None
 
     def bwd(g):
-        grads = [None] * len(parents)
-        if x.requires_grad:
+        grads = [None] * nparents
+        if x_grad:
             if kh == kw == 1:
                 grads[0] = g @ wd_[0, 0].T
             else:
-                gxp = np.zeros((n, h + pt + pb, wd + pl + pr, cin), dtype=x.dtype)
+                gxp = np.zeros((n, h + pt + pb, wd + pl + pr, cin), dtype=dt)
                 for i in range(kh):
                     for j in range(kw):
                         gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ wd_[i, j].T
                 grads[0] = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
-        if w.requires_grad:
-            cols = _patch_matrix(_pad(x.data, pads), kh, kw, h, wd, dh, dw)
+        if w_grad:
+            cols = _patch_matrix(_pad(xd, pads), kh, kw, h, wd, dh, dw)
             grads[1] = (cols.T @ g.reshape(-1, cout)).reshape(wd_.shape)
-        if b is not None and b.requires_grad:
+        if b_grad:
             grads[2] = g.sum(axis=(0, 1, 2))
         return tuple(grads)
 
@@ -229,7 +238,8 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     # and every window's scan-first cell is in bounds, so no gradient
     # lands in the padding
     pads = ((0, 0), (0, h % 2), (0, w % 2), (0, 0))
-    xp = _pad(x.data, pads, -np.inf)
+    xd = x.data
+    xp = _pad(xd, pads, -np.inf)
     scan = [(slice(None), slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
     v0, v1, v2, v3 = (xp[s] for s in scan)
     # np.maximum returns its second argument on a tie, so on +-0 ties
@@ -237,7 +247,7 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     out = np.maximum(np.maximum(v3, v2), np.maximum(v1, v0))
 
     def bwd(g):
-        xp = _pad(x.data, pads, -np.inf)
+        xp = _pad(xd, pads, -np.inf)
         gxp = np.empty_like(xp)
         free = np.ones(out.shape, dtype=bool)
         for s in scan:
@@ -408,6 +418,7 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
 
     taps = kh * kw
+    xd, wdata = x.data, w.data
     pt, pb = same_padding(kh, 1)
     pl, pr = same_padding(kw, 1)
     pad = ((0, 0), (pt, pb), (pl, pr), (0, 0), (0, 0))
@@ -415,7 +426,7 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     def kernel_blocks():
         """Block k of w as a (C, taps*K) matrix, tap-major columns (a
         copy, so backward builds it again rather than keep it)."""
-        return np.split(w.data.transpose(2, 0, 1, 3).reshape(wcin, taps * cout),
+        return np.split(wdata.transpose(2, 0, 1, 3).reshape(wcin, taps * cout),
                         1 + len(bins))
 
     wx, *wmats = kernel_blocks()
@@ -439,7 +450,7 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
                 gprior[:, i:i + h, j:j + wd, i * kw + j, :] = g
         gprior = gprior[:, pt:pt + h, pl:pl + wd].reshape(n, h, wd, taps * cout)
         gx = gprior @ wx.T
-        gms = [np.tensordot(x.data, gprior, axes=([0, 1, 2], [0, 1, 2]))]
+        gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2]))]
         for nb, p, m in zip(bins, pooled, wmats):
             gq = _resize_adjoint(gprior, nb, nb)
             gms.append(np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2])))

@@ -66,8 +66,9 @@ class VolumeMeta:
         ndim = 4 if self.kind == "probs" else 3
         if len(self.dims) != ndim:
             raise DataError(f"{self.kind} volumes are {ndim}D, got dims {self.dims}")
-        if self.kind == "labels" and self.classes < 2:
-            raise DataError("label volumes need a class count >= 2")
+        if self.kind == "labels" and not 2 <= self.classes <= MAX_CLASSES:
+            raise DataError(f"label volumes need a class count in [2, {MAX_CLASSES}], "
+                            f"got {self.classes}")
         if self.kind == "probs" and self.classes != self.dims[3]:
             raise DataError(f"probs classes {self.classes} != last dim {self.dims[3]}")
         if any(d < 1 for d in self.dims):
@@ -101,8 +102,9 @@ def write_volume(path, data: np.ndarray, spacing, kind: str,
     if kind == "labels":
         if data.ndim != 3:
             raise DataError(f"label volume must be 3D, got {data.shape}")
-        if data.size and (data.min() < 0 or (classes and data.max() >= classes)):
-            raise DataError(f"labels out of range [0, {classes})")
+        top = min(classes, MAX_CLASSES)
+        if data.size and (data.min() < 0 or data.max() >= top):
+            raise DataError(f"labels out of range [0, {top})")
         body = np.asarray(data, dtype="u1")
         dtype = "u8"
     elif kind in ("intensity", "probs"):

@@ -27,6 +27,9 @@ def test_config_validation():
         NetConfig(filters=7).validate()          # must be even
     with pytest.raises(ConfigError):
         NetConfig(classes=1).validate()
+    NetConfig(classes=256).validate()       # label volumes store one byte a voxel
+    with pytest.raises(ConfigError, match=r"^classes must be in \[2, 256\][^\n]*257$"):
+        NetConfig(classes=257).validate()
     with pytest.raises(ConfigError):
         NetConfig(dilations=()).validate()
     with pytest.raises(ConfigError):
@@ -205,7 +208,7 @@ def test_inference_builds_no_graph():
                                       ops.softmax(net.forward(x).data))
         with no_grad():
             logits = net.forward(x)
-        assert topo_order(logits) == [logits]
+        assert topo_order(logits) == [logits.vertex]
         assert not logits.requires_grad
 
 

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from mixnet.autodiff import Node, backward, grad_check, no_grad, topo_order
+from mixnet import arch, ops
+from mixnet.autodiff import Node, Vertex, backward, grad_check, no_grad, topo_order
 from mixnet.errors import ShapeError
-from mixnet import ops
 from mixnet.tensor import Tensor
 
 from oracles import num_grad
@@ -23,7 +25,10 @@ def test_a_node_is_a_tensor_holding_the_op_result():
     assert issubclass(Node, Tensor) and isinstance(s, Tensor)
     assert not hasattr(s, "value") and "value" not in Node.__slots__
     np.testing.assert_array_equal(s.data, a.data + b.data)
-    assert s.dtype == np.float64 and s.shape == (2, 2) and s.parents == (a, b)
+    assert s.dtype == np.float64 and s.shape == (2, 2)
+    # graph links run between vertices, which hold no array
+    assert s.parents == (a.vertex, b.vertex)
+    assert not isinstance(s.vertex, Tensor) and not hasattr(s.vertex, "data")
     # the validation and dtype rule of Tensor apply to every node
     assert Node.leaf([1, 2]).dtype == np.float32
     with pytest.raises(ShapeError):
@@ -36,8 +41,8 @@ def test_topo_order_parents_first():
     c = ops.add(b, b)
     d = ops.reduce_sum(c)
     order = topo_order(d)
-    pos = {id(n): i for i, n in enumerate(order)}
-    assert pos[id(a)] < pos[id(b)] < pos[id(c)] < pos[id(d)]
+    pos = {id(v): i for i, v in enumerate(order)}
+    assert pos[id(a.vertex)] < pos[id(b.vertex)] < pos[id(c.vertex)] < pos[id(d.vertex)]
     # every node appears exactly once even with the diamond on b
     assert len(order) == 4
 
@@ -80,7 +85,7 @@ def test_no_grad_keeps_values_and_drops_the_graph():
     assert float(y.data) == 13.0
     assert y.parents == () and y._backward is None and not y.requires_grad
     z = ops.relu(x)   # the graph is back after the block
-    assert z.parents == (x,) and z.requires_grad
+    assert z.parents == (x.vertex,) and z.requires_grad
 
 
 def test_grad_accumulates_across_backward_calls():
@@ -101,8 +106,80 @@ def test_backward_keeps_gradients_on_leaves_only():
         backward(y)
         np.testing.assert_array_equal(x.grad, calls * np.array([0.0, 3.0, 3.0]))
         np.testing.assert_array_equal(w.grad, calls * np.array([0.0, 2.0, 3.0]))
-        assert all(node.grad is None for node in topo_order(y)
-                   if node._backward is not None)
+        assert all(vertex.grad is None for vertex in topo_order(y)
+                   if vertex.rule is not None)
+
+
+def test_an_array_no_rule_reads_is_freed_while_the_graph_lives():
+    # relu takes its mask from its own output, so once forward code drops
+    # the conv output nothing holds its array
+    rng = np.random.default_rng(2)
+    x = Node.leaf(rng.normal(size=(2, 6, 6, 3)))
+    w = Node.leaf(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
+    b = Node.leaf(rng.normal(size=4), requires_grad=True)
+
+    def step(keep_conv_output):
+        w.grad = b.grad = None
+        c = ops.conv2d(x, w, b)
+        freed = weakref.ref(c.data)
+        kept = c if keep_conv_output else None
+        r = ops.relu(c)
+        del c
+        assert (freed() is None) != keep_conv_output
+        backward(ops.reduce_sum(ops.mul(r, r)))
+        del kept
+        return w.grad, b.grad
+
+    for got, want in zip(step(False), step(True)):
+        np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# what the per-layer tracer (perfbench/tracer.py) relies on
+
+
+def _v1_loss(net):
+    x = np.random.default_rng(7).normal(size=(1, 24, 24, 3)).astype(np.float32)
+    return ops.softmax_cross_entropy(net.forward(x), np.zeros((1, 24, 24), int), "mean")
+
+
+def test_a_replaced_backward_rule_is_the_one_backward_calls():
+    x = Node.leaf(np.array([-1.0, 2.0, 3.0]), requires_grad=True)
+    h = ops.relu(x, name="unit.relu")
+    inner, names = h._backward, []
+
+    def wrapped(g):
+        names.append(h.name)
+        return inner(g)
+
+    h._backward = wrapped
+    assert h.vertex.rule is wrapped
+    backward(ops.reduce_sum(h))
+    assert names == ["unit.relu"]
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
+
+
+def test_topo_order_has_one_vertex_per_graph_value():
+    order = topo_order(_v1_loss(arch.Network(arch.NetConfig(variant="v1"), seed=0)))
+    assert all(isinstance(v, Vertex) for v in order)
+    assert len({id(v) for v in order}) == len(order) == 77
+
+
+def test_tensor_init_runs_once_per_node_and_never_for_a_vertex(monkeypatch):
+    net = arch.Network(arch.NetConfig(variant="v1"), seed=0)
+    calls = []
+    init = Tensor.__init__
+
+    def counting(obj, *args, **kwargs):
+        calls.append(type(obj))
+        init(obj, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    loss = _v1_loss(net)
+    # one per op result and one for the input leaf; the parameters exist
+    assert calls == [Node] * 43
+    assert len(topo_order(loss)) - len(net.store) == 43
+    assert not issubclass(Vertex, Tensor)
 
 
 def test_deep_chain_does_not_recurse():

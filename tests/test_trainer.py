@@ -442,6 +442,21 @@ def test_v1_step_holds_each_activation_once():
     assert _traced_peak(step) < 48e6
 
 
+def test_v1_step_frees_what_no_backward_rule_reads():
+    # a conv output that only feeds relu, a residual add before its relu
+    # and the head's output before upscale are freed in forward; if the
+    # graph's edges held them, the step would peak near 38 MB
+    net = Network(NetConfig(variant="v1"), seed=0)
+    x, y = _v1_batch(4)
+
+    def step():
+        loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
+        net.zero_grad()
+        backward(loss)
+
+    assert _traced_peak(step) < 30e6
+
+
 def test_epoch_peak_is_one_step():
     # a step's graph is released before the next step builds its own
     x, y = _v1_batch(16)

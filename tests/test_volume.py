@@ -43,6 +43,35 @@ def test_labels_round_trip_and_range_checks(tmp_path):
         vol.write_volume(tmp_path / "bad.vol", labels, (1, 1, 1), "labels", classes=3)
 
 
+def test_labels_past_one_byte_are_rejected_whatever_the_class_count(tmp_path):
+    # a label body stores one byte per voxel: 300 would read back as 44
+    path = tmp_path / "seg.vol"
+    for classes in (301, vol.MAX_CLASSES):
+        with pytest.raises(DataError, match=r"labels out of range \[0, 256\)"):
+            vol.write_volume(path, np.full((2, 2, 2), vol.MAX_CLASSES + 44), (1, 1, 1),
+                             "labels", classes=classes)
+        assert not path.exists()
+    top = np.full((2, 2, 2), vol.MAX_CLASSES - 1)
+    vol.write_volume(path, top, (1, 1, 1), "labels", classes=vol.MAX_CLASSES)
+    np.testing.assert_array_equal(vol.read_volume(path)[0], top)
+
+
+def test_label_meta_rejects_a_class_count_past_one_byte(tmp_path):
+    meta = vol.VolumeMeta(dims=(2, 2, 2), spacing=(1, 1, 1), dtype="u8", kind="labels",
+                          classes=vol.MAX_CLASSES)
+    assert meta.validate().classes == vol.MAX_CLASSES
+    meta.classes = vol.MAX_CLASSES + 1
+    with pytest.raises(DataError, match="class count"):
+        meta.validate()
+    path = tmp_path / "seg.vol"
+    vol.write_volume(path, np.zeros((2, 2, 2), np.uint8), (1, 1, 1), "labels", classes=3)
+    side = json.loads((tmp_path / "seg.vol.json").read_text())
+    side["classes"] = 300
+    (tmp_path / "seg.vol.json").write_text(json.dumps(side))
+    with pytest.raises(DataError):
+        vol.read_volume(path)
+
+
 def test_read_rejects_labels_beyond_declared_classes(tmp_path):
     labels = np.full((3, 3, 3), 3, dtype=np.uint8)
     path = tmp_path / "seg.vol"
