@@ -2,8 +2,10 @@
 
 All variants share the same building blocks:
 
-* init unit: one 5x5 convolution + ReLU, optionally followed by a 2x2
-  stride-2 max pool (halves memory; the output unit then upscales by 2).
+* init unit: one 5x5 convolution, optionally a 2x2 stride-2 max pool
+  (halves memory; the output unit then upscales by 2), then ReLU.  ReLU
+  is monotone, so maxpool(relu(x)) = relu(maxpool(x)), values and
+  gradients alike: pooling first runs ReLU on a quarter of the elements.
 * residual dilated unit: 1x1 conv to half the output width, ReLU, 3x3
   dilated conv at that width, ReLU, 1x1 conv to the output width, plus a shortcut
   (identity when input and output widths match, else a 1x1 projection),
@@ -196,9 +198,10 @@ class Network:
         self.units.append(row)
 
     def _init_unit(self, name: str, x: Node, c_out: int) -> Node:
-        y = ops.relu(self._conv(name + ".conv", x, 5, c_out), name=name + ".relu")
+        y = self._conv(name + ".conv", x, 5, c_out)
         if self.config.init_pool:
             y = ops.maxpool2x2(y, name=name + ".pool")
+        y = ops.relu(y, name=name + ".relu")
         self._record(UnitRow(name, x.shape[-1], c_out), [name + ".conv"])
         return y
 

@@ -23,8 +23,7 @@ import numpy as np
 from . import verify, volume
 from .arch import VARIANTS, NetConfig, Network
 from .augment import expand_slices, policy_for_plane
-from .errors import (ConfigError, DataError, MixNetError, ParameterError,
-                     VerificationFailure)
+from .errors import ConfigError, DataError, MixNetError, VerificationFailure
 from .metrics import evaluate_segmentation
 from .records import check_record, kind_of
 from .tensor import derive_seed
@@ -299,6 +298,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    weights = args.weights
+    if weights is None:
+        # sagittal : coronal : transverse convention for the usual 3 planes
+        weights = (1.0, 1.0, 4.0) if len(args.inputs) == 3 else (1.0,) * len(args.inputs)
+    weights = volume.check_weights(weights, len(args.inputs), ConfigError)
     vols, metas = [], []
     for path in args.inputs:
         data, meta = volume.read_volume(path)
@@ -312,12 +316,6 @@ def cmd_fuse(args) -> int:
             raise DataError("probability volumes disagree on dims/classes")
         if meta.spacing != metas[0].spacing:
             raise DataError("probability volumes disagree on spacing")
-    weights = args.weights
-    if weights is None:
-        # sagittal : coronal : transverse convention for the usual 3 planes
-        weights = (1.0, 1.0, 4.0) if len(vols) == 3 else (1.0,) * len(vols)
-    if len(weights) != len(vols):
-        raise ParameterError(f"{len(vols)} inputs but {len(weights)} weights")
     labels, _ = volume.fuse_predictions(vols, weights)
     volume.write_volume(args.out, labels, metas[0].spacing, "labels",
                         classes=metas[0].classes)

@@ -55,6 +55,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError, ParameterError
+from .volume import check_spacing
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)  # dice, distance term, volumetric similarity
 
@@ -153,9 +154,7 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> Optional[floa
     b = np.asarray(b, bool)
     if a.shape != b.shape:
         raise DataError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    sp = np.asarray(spacing, dtype=np.float64)
-    if sp.shape != (3,) or (sp <= 0).any():
-        raise ParameterError(f"spacing must be three positive numbers, got {spacing}")
+    sp = np.asarray(check_spacing(spacing, ParameterError))
     sa = surface_voxels(a)
     sb = surface_voxels(b)
     if sa.shape[0] == 0 or sb.shape[0] == 0:

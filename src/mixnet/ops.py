@@ -163,12 +163,17 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     """Stride-1 dilated cross-correlation with size-preserving zero padding.
 
     x: (N, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) or None.
-    Forward runs as a loop over kernel taps: each tap is a shifted view of
-    the padded input hit with a (Cin, Cout) matmul, so it holds one padded
-    copy of the input (none for a 1x1 kernel) and no patch matrix.
+    Forward picks its lowering by one rule.  When the patch matrix is at
+    most twice the output's size (``taps * Cin <= 2 * Cout``, the 5x5 init
+    convs' 25*3/72 and 25*1/24), it stacks the input side: one GEMM of
+    the (N*H*W, taps*Cin) patch matrix against the kernel reshaped to
+    (taps*Cin, Cout) (im2col; Chetlur et al. 2014).  Any other conv runs
+    a loop over kernel taps, each a shifted view of the padded input hit
+    with a (Cin, Cout) matmul, holding one padded copy of the input and
+    no patch matrix; a 1x1 kernel is that loop's single matmul.
     Backward computes the kernel gradient as one GEMM, the patch matrix
     transposed times the output gradient, and the input gradient, when x
-    needs one, as the same tap loop run backwards (one matmul for a 1x1
+    needs one, as the tap loop run backwards (one matmul for a 1x1
     kernel).  The padded input is built again in backward, not kept.
     """
     if x.ndim != 4:
@@ -190,7 +195,12 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     pads = ((0, 0), (pt, pb), (pl, pr), (0, 0))
     wd_ = w.data
 
-    out = _conv_taps(_pad(x.data, pads), wd_, h, wd, dh, dw)
+    xp, taps = _pad(x.data, pads), kh * kw
+    if taps > 1 and taps * cin <= 2 * cout:
+        cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
+        out = (cols @ wd_.reshape(taps * cin, cout)).reshape(n, h, wd, cout)
+    else:
+        out = _conv_taps(xp, wd_, h, wd, dh, dw)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)

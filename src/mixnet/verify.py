@@ -63,6 +63,10 @@ def _op_builders(rng):
     w1 = rng.normal(size=(1, 1, 2, 3))
     x_cin1 = rng.normal(size=(2, 6, 5, 1))
     w5_cin1 = rng.normal(size=(5, 5, 1, 3))
+    # 25 taps * 1 <= 2 * 13 outputs: forward stacks the input side
+    w5_stacked = rng.normal(size=(5, 5, 1, 13))
+    b_stacked = rng.normal(size=(13,))
+    g_stacked = Node.leaf(rng.normal(size=(2, 6, 5, 13)))
 
     return [
         ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
@@ -73,6 +77,9 @@ def _op_builders(rng):
          [x, w5]),
         ("conv2d_5x5_cin1", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
          [x_cin1, w5_cin1, b]),
+        ("conv2d_5x5_stacked", lambda lv: ops.reduce_sum(ops.mul(
+            ops.conv2d(lv[0], lv[1], lv[2], dilation=2), g_stacked)),
+         [x_cin1, w5_stacked, b_stacked]),
         ("conv2d_1x1", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
          [x, w1, b]),
         ("maxpool2x2", lambda lv: ops.reduce_sum(ops.maxpool2x2(lv[0])), [x]),

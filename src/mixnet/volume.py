@@ -43,6 +43,30 @@ def plane_axis(plane: str) -> int:
     return PLANES[plane]
 
 
+def check_spacing(spacing, error=DataError) -> tuple[float, ...]:
+    """``spacing`` as a tuple of floats, if it is three finite positive
+    numbers (mm per voxel); else raise ``error``, the caller's class."""
+    try:
+        sp = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError):
+        sp = ()
+    if len(sp) != 3 or not all(0 < s < np.inf for s in sp):
+        raise error(f"spacing must be three finite positive numbers, got {spacing!r}")
+    return sp
+
+
+def check_weights(weights, count: int, error=ParameterError) -> np.ndarray:
+    """Fusion weights as float64, if there are ``count`` of them, each
+    finite and non-negative, and not all zero; else raise ``error``."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (count,):
+        raise error(f"need one weight per volume, shape ({count},), got {w.shape}")
+    if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+        raise error(f"weights must be finite, non-negative and not all zero, "
+                    f"got {tuple(float(v) for v in w)}")
+    return w
+
+
 @dataclass
 class VolumeMeta:
     dims: tuple[int, ...]
@@ -54,9 +78,7 @@ class VolumeMeta:
     byte_order: str = "little"
 
     def validate(self) -> "VolumeMeta":
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise DataError(f"spacing must be three positive numbers, got {self.spacing}")
+        self.spacing = check_spacing(self.spacing)
         if self.dtype not in _DTYPES:
             raise DataError(f"unsupported dtype {self.dtype!r}")
         if self.kind not in KINDS:
@@ -213,13 +235,7 @@ def fuse_predictions(prob_volumes, weights=None) -> tuple[np.ndarray, np.ndarray
     for v in vols:
         if v.shape != shape:
             raise DataError(f"mismatched prediction shapes: {v.shape} vs {shape}")
-    if weights is None:
-        weights = np.ones(len(vols))
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(vols),):
-        raise ParameterError(f"need one weight per volume, got {weights.shape}")
-    if (weights < 0).any() or weights.sum() <= 0:
-        raise ParameterError("weights must be non-negative and not all zero")
+    weights = check_weights(np.ones(len(vols)) if weights is None else weights, len(vols))
     weights = weights / weights.sum()
     fused = np.zeros(shape, dtype=np.float64)
     for w, v in zip(weights, vols):
@@ -256,15 +272,14 @@ def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int 
                     error=ParameterError) -> None:
     """The ranges of a synthetic dataset's settings: at least one subject
     and one modality, 2 to ``MAX_CLASSES`` classes, three extents of at
-    least 8 and three positive spacings.  A value out of range raises
+    least 8 and three finite positive spacings.  A value out of range raises
     ``error``, the caller's class: ``ParameterError`` in the library,
     ``ConfigError`` (a usage error) on the command line."""
     if subjects < 1:
         raise error(f"subjects must be >= 1, got {subjects}")
     if len(dims) != 3 or any(d < 8 for d in dims):
         raise error(f"dims must be three extents >= 8, got {tuple(dims)}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise error(f"spacing must be three positive numbers, got {tuple(spacing)}")
+    check_spacing(spacing, error)
     if not 2 <= classes <= MAX_CLASSES:
         raise error(f"classes must be in [2, {MAX_CLASSES}], got {classes}")
     if modalities < 1:

@@ -200,6 +200,45 @@ def test_graph_nodes_carry_unit_names():
         assert bare == [], f"{variant}: nodes named {bare}"
 
 
+class ReluFirst(Network):
+    """A network whose init unit runs relu before the pool."""
+
+    def _init_unit(self, name, x, c_out):
+        y = ops.relu(self._conv(name + ".conv", x, 5, c_out), name=name + ".relu")
+        if self.config.init_pool:
+            y = ops.maxpool2x2(y, name=name + ".pool")
+        self._record(arch.UnitRow(name, x.shape[-1], c_out), [name + ".conv"])
+        return y
+
+
+@pytest.mark.parametrize("variant,init_pool", [("v1", True), ("v2", True),
+                                               ("v3", True), ("v1", False)])
+def test_init_unit_pools_before_relu_with_the_same_logits_and_gradients(variant,
+                                                                        init_pool):
+    x = np.random.default_rng(3).normal(size=(2, 26, 24, 3)).astype(np.float32)
+    labels = np.random.default_rng(4).integers(0, 4, size=(2, 26, 24))
+    cfg = NetConfig(variant=variant, classes=4, filters=8, init_pool=init_pool)
+    runs = []
+    for cls in (Network, ReluFirst):
+        net = cls(cfg, seed=5)
+        logits = net.forward(x)
+        loss = ops.softmax_cross_entropy(logits, labels, "mean")
+        backward(loss)
+        runs.append((net, logits.data, {v.name: v for v in topo_order(loss)}))
+    (net, logits, vertices), (ref, ref_logits, _) = runs
+    np.testing.assert_array_equal(logits, ref_logits)
+    for name, p in net.store.items():
+        np.testing.assert_array_equal(p.grad, ref.store[name].grad, err_msg=name)
+    # the unit keeps its node names: init.conv -> init.pool -> init.relu
+    unit = "init" if variant == "v1" else "init.s0"
+    before_relu = unit + (".pool" if init_pool else ".conv")
+    assert [v.name for v in vertices[unit + ".relu"].parents] == [before_relu]
+    if init_pool:
+        assert [v.name for v in vertices[unit + ".pool"].parents] == [unit + ".conv"]
+    else:
+        assert unit + ".pool" not in vertices
+
+
 def test_inference_builds_no_graph():
     x = np.random.default_rng(6).normal(size=(2, 24, 24, 3)).astype(np.float32)
     for variant in ("v1", "v2", "v3"):

@@ -341,6 +341,10 @@ OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"], "must be >= 
                 "spacing": ("generate", {}, ["--spacing", "1,0,1"], "positive numbers"),
                 "spacing-file": ("generate", {"spacing": [1, -0.5, 1]}, [],
                                  "positive numbers"),
+                "spacing-nan": ("generate", {}, ["--spacing", "nan,1,1"],
+                                "three finite positive numbers"),
+                "spacing-inf-file": ("generate", {"spacing": [1, float("inf"), 1]}, [],
+                                     "three finite positive numbers"),
                 "trials-0": ("verify", {}, ["--trials", "0"], "trials must be >= 1"),
                 "trials-negative": ("verify", {}, ["--trials", "-5"],
                                     "trials must be >= 1")}
@@ -437,6 +441,21 @@ def test_fuse_rejects_label_volumes(dataset, tmp_path):
     man = volume.load_manifest(dataset)
     lab = os.path.join(dataset, man["subjects"][0]["labels"])
     assert run("fuse", "--inputs", lab, "--out", tmp_path / "f.vol") == 2
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("nan,1,1", "finite, non-negative"), ("1,inf,1", "finite, non-negative"),
+    ("1,-1,1", "finite, non-negative"), ("0,0,0", "not all zero"),
+    ("1,1", "one weight per volume")])
+def test_fuse_bad_weights_are_a_usage_error(tmp_path, capsys, weights, message):
+    probs = np.full((4, 4, 4, 3), 1 / 3, np.float32)
+    paths = [tmp_path / f"{plane}.vol" for plane in ("sagittal", "coronal", "transverse")]
+    for p in paths:
+        volume.write_volume(p, probs, (1, 1, 1), "probs", classes=3)
+    err = _fails_cleanly(capsys, 1, "fuse", "--inputs", *paths, "--weights", weights,
+                         "--out", tmp_path / "fused.vol")
+    assert message in err
+    assert not (tmp_path / "fused.vol").exists()
 
 
 def test_evaluate_perfect_prediction(dataset, tmp_path):

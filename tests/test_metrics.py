@@ -118,6 +118,9 @@ def test_hd95_rejects_bad_spacing():
         M.hd95(mask, mask, spacing=(1.0, 0.0, 1.0))
     with pytest.raises(ParameterError):
         M.hd95(mask, mask, spacing=(1.0, 1.0))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ParameterError, match="finite positive"):
+            M.hd95(mask, mask, spacing=(1.0, bad, 1.0))
 
 
 def test_hd95_bitwise_equals_naive_oracle():

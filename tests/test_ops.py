@@ -100,6 +100,47 @@ def test_conv2d_float32_stays_float32():
     assert ops.conv2d(x, w).dtype == np.float32
 
 
+# kernel shape -> whether forward stacks the input side (taps * Cin <= 2 * Cout)
+LOWERINGS = {(5, 5, 1, 24): True,    # v2's init conv
+             (5, 5, 3, 72): True,    # v1's init conv
+             (5, 5, 1, 13): True, (5, 5, 1, 12): False,
+             (3, 3, 2, 9): True, (3, 3, 2, 8): False,
+             (3, 3, 3, 4): False, (1, 1, 3, 8): False}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("shape", LOWERINGS, ids=lambda s: "x".join(map(str, s)))
+def test_conv2d_lowerings_match_naive_oracle(monkeypatch, shape, dilation, dtype):
+    ran = []
+
+    def spy(helper):
+        real = getattr(ops, helper)
+
+        def call(*args):
+            ran.append(helper)
+            return real(*args)
+        monkeypatch.setattr(ops, helper, call)
+
+    spy("_patch_matrix")
+    spy("_conv_taps")
+    rng = np.random.default_rng(sum(shape) + dilation)
+    x = rng.normal(size=(2, 7, 9, shape[2])).astype(dtype)
+    w = rng.normal(size=shape).astype(dtype)
+    b = rng.normal(size=shape[3]).astype(dtype)
+    out = ops.conv2d(Node.leaf(x), Node.leaf(w), Node.leaf(b), dilation=dilation)
+    assert ran == ["_patch_matrix" if LOWERINGS[shape] else "_conv_taps"]
+    assert out.dtype == dtype
+    want = oracles.conv2d_naive(x, w, b, dilation=dilation)
+    # a GEMM sums a pixel's taps in another order than the oracle, so an
+    # output that cancels to near zero also gets a floor scaled to the output
+    scale = np.abs(want).max()
+    if dtype == np.float64:
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-13 * scale)
+    else:
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-6 * scale)
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -181,6 +222,24 @@ def test_maxpool_gradient():
         return ops.reduce_sum(ops.maxpool2x2(lv[0]))
 
     assert grad_check(build, [x]).passed
+
+
+@pytest.mark.parametrize("shape", [(4, 96, 96, 72), (4, 96, 96, 24), (3, 7, 9, 5)])
+def test_pool_then_relu_is_relu_then_pool_bit_for_bit(shape):
+    """relu is monotone, so the init unit may pool first: same values, same
+    input gradient, ties and zeros included."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape).astype(np.float32)
+    plant = rng.random(shape)
+    x[plant < 0.3] = 0.0
+    x[plant > 0.9] = -0.0
+    x[(0.5 < plant) & (plant < 0.6)] = 0.75          # ties between positive cells
+    n, h, w, c = shape
+    g = rng.normal(size=(n, (h + 1) // 2, (w + 1) // 2, c)).astype(np.float32)
+    pool_first = _value_and_grad(lambda n: ops.relu(ops.maxpool2x2(n)), x, g)
+    relu_first = _value_and_grad(lambda n: ops.maxpool2x2(ops.relu(n)), x, g)
+    for got, want in zip(pool_first, relu_first):
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_avgpool_region_hand_value():

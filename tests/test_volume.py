@@ -149,6 +149,8 @@ MALFORMED_SIDECARS = {
     "dims-float": lambda m: m.update(dims=[4.5, 4, 4]),
     "classes-str": lambda m: m.update(classes="3"),
     "spacing-scalar": lambda m: m.update(spacing=5),
+    "spacing-nan": lambda m: m.update(spacing=[float("nan"), 1, 1]),
+    "spacing-inf": lambda m: m.update(spacing=[1, 1, float("inf")]),
     "no-kind": lambda m: m.pop("kind"),
 }
 
@@ -285,6 +287,9 @@ def test_fuse_validation():
         vol.fuse_predictions([base, base], [1.0])
     with pytest.raises(ParameterError):
         vol.fuse_predictions([base, base], [0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            vol.fuse_predictions([base, base], [bad, 1.0])
     with pytest.raises(DataError):
         vol.fuse_predictions([np.zeros((2, 2, 2))])
 
@@ -317,6 +322,9 @@ def test_synthesize_validation():
         vol.synthesize_subject(modalities=0)
     with pytest.raises(ParameterError):
         vol.synthesize_subject(spacing=(1.0, 0.0, 1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite positive"):
+            vol.synthesize_subject(spacing=(1.0, bad, 1.0))
     with pytest.raises(ParameterError):
         vol.synthesize_subject(classes=vol.MAX_CLASSES + 1)
 
