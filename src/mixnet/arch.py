@@ -27,7 +27,9 @@ All variants share the same building blocks:
   So ``ops.pyramid_head`` runs the prior's share of the head (4/5 of
   its input channels with four bins) at bin resolution, and every block
   as one (C, taps * K) matmul whose tap slices share one pad and
-  shift-add, with the parameters of the plain 3x3 convolution.
+  shift-add, with the parameters of the plain 3x3 convolution.  The
+  shift-add's gradient is the patch matrix of the output gradient,
+  padded the mirrored way, by the adjoint stated in ``ops.conv2d``.
 
 All three variants run one trunk: per stream an init unit, then one
 residual unit per dilation level.  A variant decides two facts:
@@ -109,6 +111,14 @@ class NetConfig:
     def levels(self) -> int:
         return len(self.dilations)
 
+    @property
+    def min_side(self) -> int:
+        """Least slice height and width: the output unit's finest grid
+        needs max(pyramid_bins) pixels a side after the init unit, whose
+        ceil-mode pool turns 2m - 1 pixels into m."""
+        m = max(self.pyramid_bins)
+        return 2 * m - 1 if self.init_pool else m
+
     @classmethod
     def from_dict(cls, d: dict, what: str = "network config",
                   error=ConfigError) -> "NetConfig":
@@ -152,7 +162,7 @@ class Network:
         self._arrays = arrays
         self._recording = True
         # materialize every parameter (and the manifest) with a dummy pass
-        side = 2 * max(config.pyramid_bins) if config.init_pool else max(config.pyramid_bins)
+        side = config.min_side
         with no_grad():
             self.forward(np.zeros((1, side, side, config.modalities), np.float32))
         self._recording = False
@@ -242,6 +252,9 @@ class Network:
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[-1] != cfg.modalities:
             raise ShapeError(f"expected input (N,H,W,{cfg.modalities}), got {x.shape}")
+        if min(x.shape[1:3]) < cfg.min_side:
+            raise ShapeError(f"a {x.shape[1]}x{x.shape[2]} slice is too small: this network "
+                             f"needs height and width >= {cfg.min_side}")
         split = cfg.variant != "v1"  # a stream per modality, else one for all
         fuse = cfg.variant == "v2"   # odd levels fuse the streams into a summary
         n = cfg.modalities if split else 1

@@ -334,8 +334,7 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"pred dims {pmeta.dims} != truth dims {tmeta.dims}")
     if pmeta.spacing != tmeta.spacing:
         raise DataError(f"pred spacing {pmeta.spacing} != truth {tmeta.spacing}")
-    classes = tmeta.classes or int(max(pred.max(), truth.max())) + 1
-    report = evaluate_segmentation(pred, truth, classes, tmeta.spacing)
+    report = evaluate_segmentation(pred, truth, tmeta.classes, tmeta.spacing)
     print(report.format_table())
     if args.out:
         with open(args.out, "w") as fh:

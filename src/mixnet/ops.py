@@ -4,7 +4,8 @@ All image-like values use channels-last layout ``(N, H, W, C)`` and
 convolution kernels use ``(kh, kw, c_in, c_out)``.  Convolutions are
 cross-correlations (no kernel flip), stride 1, with zero padding chosen
 so the spatial size is preserved for any kernel size and dilation
-(total pad ``(k - 1) * d``, split floor-left / ceil-right).
+(total pad ``(k - 1) * d``, split floor-left / ceil-right); the input
+gradient is the same correlation, lowered by the same rule (:func:`conv2d`).
 
 The max pool uses 2x2 windows with stride 2 and ceil-mode output sizes:
 a ragged bottom/right edge still produces an output cell, fed by the
@@ -123,18 +124,6 @@ def concat_channels(parts: Sequence[Node], name: str = "concat") -> Node:
 # convolution
 
 
-def _conv_taps(xp: np.ndarray, w: np.ndarray, h: int, wd: int,
-               dh: int, dw: int) -> np.ndarray:
-    """Sum over kernel taps of a shifted (h, wd) view of the padded input
-    ``xp`` times that tap's (Cin, Cout) matrix."""
-    kh, kw = w.shape[:2]
-    out = np.zeros((xp.shape[0], h, wd, w.shape[3]), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] @ w[i, j]
-    return out
-
-
 def _pad(a: np.ndarray, pads, value=0) -> np.ndarray:
     """``np.pad(a, pads, constant_values=value)``, or ``a`` itself when
     every pad is zero."""
@@ -143,19 +132,48 @@ def _pad(a: np.ndarray, pads, value=0) -> np.ndarray:
     return np.pad(a, pads, constant_values=value)
 
 
-def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
-                  dh: int, dw: int) -> np.ndarray:
-    """(N*h*wd, kh*kw*Cin) matrix whose row holds the padded input ``xp``
-    under one output pixel's kernel window, tap-major like a (kh, kw, Cin,
-    Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped."""
-    n, cin = xp.shape[0], xp.shape[3]
-    if kh == kw == 1:
-        return xp.reshape(n * h * wd, cin)
-    cols = np.empty((n, h, wd, kh * kw, cin), dtype=xp.dtype)
+def _same_pads(kh: int, kw: int, dh: int, dw: int) -> tuple:
+    """Same-size zero padding of an (N, H, W, C) array, and its mirror."""
+    (pt, pb), (pl, pr) = same_padding(kh, dh), same_padding(kw, dw)
+    return ((0, 0), (pt, pb), (pl, pr), (0, 0)), ((0, 0), (pb, pt), (pr, pl), (0, 0))
+
+
+def _windows(xp: np.ndarray, kh: int, kw: int, h: int, wd: int, dh: int, dw: int):
+    """Each kernel tap's shifted (h, wd) view of the padded ``xp``, in
+    tap-major order like a (kh, kw, ...) kernel's taps."""
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, :, i * kw + j] = xp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :]
-    return cols.reshape(n * h * wd, kh * kw * cin)
+            yield xp[:, i * dh:i * dh + h, j * dw:j * dw + wd]
+
+
+def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
+                  dh: int, dw: int) -> np.ndarray:
+    """(N*h*wd, kh*kw*C) matrix whose row holds the padded (N, ., ., C)
+    ``xp`` under one output pixel's kernel window, tap-major like a (kh,
+    kw, C, Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped."""
+    n, c = xp.shape[0], xp.shape[-1]
+    if kh == kw == 1:
+        return xp.reshape(n * h * wd, c)
+    cols = np.empty((n, h, wd, kh * kw, c), dtype=xp.dtype)
+    for t, v in enumerate(_windows(xp, kh, kw, h, wd, dh, dw)):
+        cols[:, :, :, t] = v
+    return cols.reshape(n * h * wd, kh * kw * c)
+
+
+def _correlate(xp: np.ndarray, w: np.ndarray, h: int, wd: int, dh: int, dw: int) -> np.ndarray:
+    """(N, h, wd, Cout) dilated correlation of the padded input ``xp``
+    with the (kh, kw, Cin, Cout) kernel ``w``, lowered by conv2d's rule."""
+    kh, kw, cin, cout = w.shape
+    taps = kh * kw
+    if taps > 1 and taps * cin <= 2 * cout:
+        cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
+        return (cols @ w.reshape(taps * cin, cout)).reshape(-1, h, wd, cout)
+    mats = w.reshape(taps, cin, cout)
+    views = _windows(xp, kh, kw, h, wd, dh, dw)
+    out = next(views) @ mats[0]
+    for v, m in zip(views, mats[1:]):
+        out += v @ m
+    return out
 
 
 def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
@@ -163,18 +181,19 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     """Stride-1 dilated cross-correlation with size-preserving zero padding.
 
     x: (N, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) or None.
-    Forward picks its lowering by one rule.  When the patch matrix is at
-    most twice the output's size (``taps * Cin <= 2 * Cout``, the 5x5 init
-    convs' 25*3/72 and 25*1/24), it stacks the input side: one GEMM of
-    the (N*H*W, taps*Cin) patch matrix against the kernel reshaped to
-    (taps*Cin, Cout) (im2col; Chetlur et al. 2014).  Any other conv runs
-    a loop over kernel taps, each a shifted view of the padded input hit
-    with a (Cin, Cout) matmul, holding one padded copy of the input and
-    no patch matrix; a 1x1 kernel is that loop's single matmul.
-    Backward computes the kernel gradient as one GEMM, the patch matrix
-    transposed times the output gradient, and the input gradient, when x
-    needs one, as the tap loop run backwards (one matmul for a 1x1
-    kernel).  The padded input is built again in backward, not kept.
+    Forward and input gradient are one correlation, lowered by one rule
+    in :func:`_correlate`: a patch matrix at most twice the output's size
+    (``taps * Cin <= 2 * Cout``, the 5x5 init convs' 25*3/72 and 25*1/24)
+    takes one GEMM against the kernel reshaped to (taps*Cin, Cout)
+    (im2col; Chetlur et al. 2014); any other runs a loop over the taps'
+    shifted views, each hit with its (Cin, Cout) matrix and added to the
+    first tap's product (a 1x1 kernel's single matmul).  The adjoint of a
+    stride-1 dilated correlation padded (pt, pb), (pl, pr) is the same
+    correlation of the output gradient padded (pb, pt), (pr, pl), with
+    the kernel flipped along both spatial axes and its channel axes
+    swapped; so the input gradient's rule reads ``taps * Cout <= 2 * Cin``.
+    The kernel gradient is one GEMM, the patch matrix transposed times
+    the output gradient, over the padded input built again, not kept.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
@@ -190,22 +209,15 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
 
-    pt, pb = same_padding(kh, dh)
-    pl, pr = same_padding(kw, dw)
-    pads = ((0, 0), (pt, pb), (pl, pr), (0, 0))
+    pads, mirrored = _same_pads(kh, kw, dh, dw)
     wd_ = w.data
 
-    xp, taps = _pad(x.data, pads), kh * kw
-    if taps > 1 and taps * cin <= 2 * cout:
-        cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
-        out = (cols @ wd_.reshape(taps * cin, cout)).reshape(n, h, wd, cout)
-    else:
-        out = _conv_taps(xp, wd_, h, wd, dh, dw)
+    out = _correlate(_pad(x.data, pads), wd_, h, wd, dh, dw)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
     # of x's data only the kernel gradient reads
-    nparents, dt = len(parents), x.dtype
+    nparents = len(parents)
     x_grad, w_grad = x.requires_grad, w.requires_grad
     b_grad = b is not None and b.requires_grad
     xd = x.data if w_grad else None
@@ -213,14 +225,8 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     def bwd(g):
         grads = [None] * nparents
         if x_grad:
-            if kh == kw == 1:
-                grads[0] = g @ wd_[0, 0].T
-            else:
-                gxp = np.zeros((n, h + pt + pb, wd + pl + pr, cin), dtype=dt)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, i * dh:i * dh + h, j * dw:j * dw + wd, :] += g @ wd_[i, j].T
-                grads[0] = np.ascontiguousarray(gxp[:, pt:pt + h, pl:pl + wd, :])
+            grads[0] = _correlate(_pad(g, mirrored), wd_[::-1, ::-1].transpose(0, 1, 3, 2),
+                                  h, wd, dh, dw)
         if w_grad:
             cols = _patch_matrix(_pad(xd, pads), kh, kw, h, wd, dh, dw)
             grads[1] = (cols.T @ g.reshape(-1, cout)).reshape(wd_.shape)
@@ -240,7 +246,8 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     first maximum in window scan order, so backward is deterministic; a
     window holding NaN pools to NaN and routes to its first NaN.  Both
     passes work on the four strided window views: a window copy, argmax
-    and gather made the forward ten times slower."""
+    and gather made the forward ten times slower.  Backward pools again
+    rather than keep the output, which the ``relu`` after it keeps."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2x2 input must be (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
@@ -249,15 +256,18 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     # lands in the padding
     pads = ((0, 0), (0, h % 2), (0, w % 2), (0, 0))
     xd = x.data
-    xp = _pad(xd, pads, -np.inf)
     scan = [(slice(None), slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
-    v0, v1, v2, v3 = (xp[s] for s in scan)
-    # np.maximum returns its second argument on a tie, so on +-0 ties
-    # this keeps the scan-first value, as argmax did
-    out = np.maximum(np.maximum(v3, v2), np.maximum(v1, v0))
+
+    def pool():
+        xp = _pad(xd, pads, -np.inf)
+        v0, v1, v2, v3 = (xp[s] for s in scan)
+        # np.maximum returns its second argument on a tie: +-0 ties keep the scan-first value
+        return xp, np.maximum(np.maximum(v3, v2), np.maximum(v1, v0))
+
+    out = pool()[1]
 
     def bwd(g):
-        xp = _pad(xd, pads, -np.inf)
+        xp, out = pool()
         gxp = np.empty_like(xp)
         free = np.ones(out.shape, dtype=bool)
         for s in scan:
@@ -429,9 +439,7 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
 
     taps = kh * kw
     xd, wdata = x.data, w.data
-    pt, pb = same_padding(kh, 1)
-    pl, pr = same_padding(kw, 1)
-    pad = ((0, 0), (pt, pb), (pl, pr), (0, 0), (0, 0))
+    pads, mirrored = _same_pads(kh, kw, 1, 1)
 
     def kernel_blocks():
         """Block k of w as a (C, taps*K) matrix, tap-major columns (a
@@ -445,20 +453,16 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     prior = x.data @ wx
     for p, m in zip(pooled, wmats):
         prior += _resize(p @ m, h, wd)
-    prior = np.pad(prior.reshape(n, h, wd, taps, cout), pad)
-    out = np.zeros((n, h, wd, cout), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += prior[:, i:i + h, j:j + wd, i * kw + j, :]
+    prior = _pad(prior.reshape(n, h, wd, taps, cout), pads + ((0, 0),))
+    out = sum(v[:, :, :, t] for t, v in enumerate(_windows(prior, kh, kw, h, wd, 1, 1)))
     out += b.data
 
     def bwd(g):
+        # the shift-add's adjoint: tap t of the prior gradient is tap
+        # taps-1-t of the mirror-padded g's patch matrix (as in conv2d)
         wx, *wmats = kernel_blocks()
-        gprior = np.zeros((n, h + pt + pb, wd + pl + pr, taps, cout), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gprior[:, i:i + h, j:j + wd, i * kw + j, :] = g
-        gprior = gprior[:, pt:pt + h, pl:pl + wd].reshape(n, h, wd, taps * cout)
+        gprior = _patch_matrix(_pad(g, mirrored), kh, kw, h, wd, 1, 1).reshape(
+            n, h, wd, taps, cout)[:, :, :, ::-1].reshape(n, h, wd, -1)
         gx = gprior @ wx.T
         gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2]))]
         for nb, p, m in zip(bins, pooled, wmats):

@@ -226,6 +226,33 @@ def nesterov_trace(p0, grads, lr, momentum, weight_decay):
     return hist
 
 
+def conv2d_input_grad_naive(g, w, dilation=1):
+    """Gradient of sum(g * conv2d(x, w)) for the input, one output pixel
+    and one tap at a time (padding as in conv2d_naive)."""
+    g = np.asarray(g, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if isinstance(dilation, (tuple, list)):
+        dh, dw = dilation
+    else:
+        dh = dw = dilation
+    n, h, wid, _ = g.shape
+    kh, kw, ci, _ = w.shape
+    pt = (kh - 1) * dh // 2
+    pl = (kw - 1) * dw // 2
+    gx = np.zeros((n, h, wid, ci))
+    for oy in range(h):
+        for ox in range(wid):
+            for ky in range(kh):
+                iy = oy + ky * dh - pt
+                if not 0 <= iy < h:
+                    continue
+                for kx in range(kw):
+                    ix = ox + kx * dw - pl
+                    if 0 <= ix < wid:
+                        gx[:, iy, ix] += g[:, oy, ox] @ w[ky, kx].T
+    return gx
+
+
 def conv2d_kernel_grad_naive(x, g, w_shape, dilation=1):
     """Gradient of sum(g * conv2d(x, w)) for the kernel, one tap and one
     output pixel at a time (padding as in conv2d_naive)."""

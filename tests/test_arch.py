@@ -156,6 +156,20 @@ def test_forward_rejects_wrong_modalities():
         net.forward(np.zeros((1, 24, 24, 2), np.float32))
 
 
+def test_too_small_slice_is_a_slice_size_error():
+    assert NetConfig().min_side == 23       # 23 pools (ceil mode) to 12, 22 to 11
+    assert NetConfig(init_pool=False).min_side == 12
+    net = small("v3")
+    for h, w in ((22, 30), (30, 22), (22, 22)):
+        with pytest.raises(ShapeError, match=f"{h}x{w} slice .* >= 23"):
+            net.forward(np.zeros((1, h, w, 3), np.float32))
+    assert net.forward(np.zeros((1, 23, 23, 3), np.float32)).shape == (1, 23, 23, 4)
+    flat = small("v1", init_pool=False)
+    with pytest.raises(ShapeError, match="11x30 slice .* >= 12"):
+        flat.forward(np.zeros((1, 11, 30, 3), np.float32))
+    assert flat.forward(np.zeros((1, 12, 12, 3), np.float32)).shape == (1, 12, 12, 4)
+
+
 def test_seed_determinism():
     x = np.random.default_rng(1).normal(size=(1, 24, 24, 3)).astype(np.float32)
     a = small("v2").forward(x).data

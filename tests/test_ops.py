@@ -123,13 +123,12 @@ def test_conv2d_lowerings_match_naive_oracle(monkeypatch, shape, dilation, dtype
         monkeypatch.setattr(ops, helper, call)
 
     spy("_patch_matrix")
-    spy("_conv_taps")
     rng = np.random.default_rng(sum(shape) + dilation)
     x = rng.normal(size=(2, 7, 9, shape[2])).astype(dtype)
     w = rng.normal(size=shape).astype(dtype)
     b = rng.normal(size=shape[3]).astype(dtype)
     out = ops.conv2d(Node.leaf(x), Node.leaf(w), Node.leaf(b), dilation=dilation)
-    assert ran == ["_patch_matrix" if LOWERINGS[shape] else "_conv_taps"]
+    assert ran == (["_patch_matrix"] if LOWERINGS[shape] else [])
     assert out.dtype == dtype
     want = oracles.conv2d_naive(x, w, b, dilation=dilation)
     # a GEMM sums a pixel's taps in another order than the oracle, so an
@@ -139,6 +138,41 @@ def test_conv2d_lowerings_match_naive_oracle(monkeypatch, shape, dilation, dtype
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-13 * scale)
     else:
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-6 * scale)
+
+
+# kernel shape -> whether the input gradient stacks the patch matrix of the
+# output gradient (its correlation has Cin and Cout swapped: taps * Cout <= 2 * Cin)
+INPUT_GRAD_LOWERINGS = {**{shape: False for shape in LOWERINGS},
+                        (3, 3, 9, 2): True, (3, 3, 8, 2): False,
+                        # even kernels: padding uneven wherever (k - 1) * d is odd
+                        (2, 2, 4, 2): True, (2, 2, 3, 4): False,
+                        (2, 3, 3, 1): True, (2, 3, 5, 2): False,
+                        (4, 4, 8, 1): True, (4, 4, 2, 3): False}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dilation", [1, 2, (1, 2), (2, 1)], ids=str)
+@pytest.mark.parametrize("shape", INPUT_GRAD_LOWERINGS,
+                         ids=lambda s: "x".join(map(str, s)))
+def test_conv2d_input_gradient_matches_naive_oracle(monkeypatch, shape, dilation, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=(2, 7, 9, shape[2])).astype(dtype)
+    w = rng.normal(size=shape).astype(dtype)
+    g = rng.normal(size=(2, 7, 9, shape[3])).astype(dtype)
+    node = ops.conv2d(Node.leaf(x, requires_grad=True), Node.leaf(w), dilation=dilation)
+    ran = []
+    real = ops._patch_matrix
+    monkeypatch.setattr(ops, "_patch_matrix", lambda *a: ran.append(a) or real(*a))
+    gx = node._backward(g)[0]
+    assert len(ran) == INPUT_GRAD_LOWERINGS[shape]
+    assert gx.shape == x.shape and gx.dtype == dtype
+    want = oracles.conv2d_input_grad_naive(g, w, dilation)
+    # the floor scaled to the output covers pixels whose taps cancel
+    scale = np.abs(want).max()
+    if dtype == np.float64:
+        np.testing.assert_allclose(gx, want, rtol=1e-12, atol=1e-13 * scale)
+    else:
+        np.testing.assert_allclose(gx, want, rtol=0, atol=1e-6 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +379,12 @@ def test_pyramid_head_matches_unfused_composition(variant, dtype, tol):
     c = HEAD_WIDTHS[variant]
     rng = np.random.default_rng(22)
     # h = w = max(bins); sizes no bin divides; a batch of one and of several
-    for n, h, w in ((1, 12, 12), (2, 13, 17), (3, 25, 14)):
+    # and an even kernel height, padded one more pixel at the bottom
+    for n, h, w, (kh, kw) in ((1, 12, 12, (3, 3)), (2, 13, 17, (3, 3)),
+                              (3, 25, 14, (3, 3)), (2, 13, 17, (2, 3))):
         arrays = [rng.normal(size=(n, h, w, c)).astype(dtype),
-                  (rng.normal(size=(3, 3, 5 * c, 4)) / np.sqrt(45 * c)).astype(dtype),
+                  (rng.normal(size=(kh, kw, 5 * c, 4))
+                   / np.sqrt(kh * kw * 5 * c)).astype(dtype),
                   rng.normal(size=(4,)).astype(dtype)]
         g = rng.normal(size=(n, h, w, 4)).astype(dtype)
         got = _head_and_grads(ops.pyramid_head, arrays, g)
