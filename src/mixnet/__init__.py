@@ -6,7 +6,7 @@ evaluation metrics, plus a command line wrapper around the whole
 pipeline.
 """
 
-from .tensor import Tensor, derive_seed, he_init, zeros
+from .tensor import derive_seed, he_init, zeros
 from .autodiff import Node, backward, grad_check
 from .errors import (
     BuildError,
@@ -23,7 +23,7 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "Node", "backward", "grad_check", "zeros", "he_init",
+    "Node", "backward", "grad_check", "zeros", "he_init",
     "derive_seed",
     "MixNetError", "ShapeError", "ParameterError", "DataError",
     "ConfigError", "PolicyError", "BuildError", "TrainingDiverged",

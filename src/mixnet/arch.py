@@ -62,7 +62,7 @@ from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
 from .records import read_record
 from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
-from .volume import MAX_CLASSES
+from .volume import check_classes
 
 VARIANTS = ("v1", "v2", "v3")
 
@@ -89,9 +89,7 @@ class NetConfig:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         if self.modalities < 1:
             raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
-        if not 2 <= self.classes <= MAX_CLASSES:
-            raise ConfigError(f"classes must be in [2, {MAX_CLASSES}] (a label volume "
-                              f"stores one byte per voxel), got {self.classes}")
+        check_classes(self.classes, ConfigError)
         if self.filters < 2 or self.filters % 2:
             raise ConfigError(f"filters must be a positive even number, got {self.filters}")
         if not self.dilations or any(d < 1 for d in self.dilations):
@@ -118,6 +116,13 @@ class NetConfig:
         ceil-mode pool turns 2m - 1 pixels into m."""
         m = max(self.pyramid_bins)
         return 2 * m - 1 if self.init_pool else m
+
+    def check_slice(self, height: int, width: int) -> None:
+        """Raise ``ShapeError`` unless a height x width slice is at least
+        ``min_side`` a side."""
+        if min(height, width) < self.min_side:
+            raise ShapeError(f"a {height}x{width} slice is too small: this network "
+                             f"needs height and width >= {self.min_side}")
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "network config",
@@ -252,9 +257,7 @@ class Network:
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[-1] != cfg.modalities:
             raise ShapeError(f"expected input (N,H,W,{cfg.modalities}), got {x.shape}")
-        if min(x.shape[1:3]) < cfg.min_side:
-            raise ShapeError(f"a {x.shape[1]}x{x.shape[2]} slice is too small: this network "
-                             f"needs height and width >= {cfg.min_side}")
+        cfg.check_slice(x.shape[1], x.shape[2])
         split = cfg.variant != "v1"  # a stream per modality, else one for all
         fuse = cfg.variant == "v2"   # odd levels fuse the streams into a summary
         n = cfg.modalities if split else 1

@@ -1,12 +1,20 @@
 """Reverse-mode automatic differentiation.
 
-A ``Node`` is a :class:`~mixnet.tensor.Tensor` with graph links: it
-holds the array an op produced as its own ``data``, and a ``Vertex``
-that holds the graph side of that value: the vertices it was computed
-from, ``requires_grad``, ``grad``, a rule that maps the output gradient
-to the parent gradients, and the value's name and shape.  Graphs are
+Every value of the computation graph is a ``Node``.  It holds the array
+an op produced as its own ``data``, and a ``Vertex`` that holds the
+graph side of that value: the vertices it was computed from,
+``requires_grad``, ``grad``, a rule that maps the output gradient to
+the parent gradients, and the value's name and shape.  Graphs are
 acyclic by construction; ``backward`` visits each vertex exactly once
 in reverse topological order.
+
+A node's constructor applies one array rule to what it is given:
+float32 and float64 arrays keep their dtype and anything else becomes
+float32 (``DEFAULT_DTYPE``); an array is made contiguous and its shape
+checked by ``validate_shape``; a 0-d scalar stays 0-d.  Values are
+treated as immutable once constructed, except parameter buffers: the
+optimizer updates them in place, and ``arch.embed_v3_into_v1`` writes
+its blocks into a freshly built network's buffers.
 
 A graph edge carries no array: a vertex's ``parents`` are vertices, and
 a backward rule's closure captures the arrays it reads (an op's input
@@ -49,9 +57,27 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .tensor import Tensor
+
+DEFAULT_DTYPE = np.float32
+
+# Generous ceiling; anything past this is a bookkeeping bug, not a tensor.
+MAX_ELEMENTS = 1 << 40
 
 _GRAD_ENABLED = contextvars.ContextVar("mixnet_grad_enabled", default=True)
+
+
+def validate_shape(dims) -> tuple[int, ...]:
+    """Check that every extent is a positive integer and the element count
+    cannot overflow; return the shape as a plain tuple."""
+    shape = tuple(int(d) for d in dims)
+    count = 1
+    for d in shape:
+        if d < 1:
+            raise ShapeError(f"shape {shape} has a non-positive extent")
+        count *= d
+        if count > MAX_ELEMENTS:
+            raise ShapeError(f"shape {shape} exceeds {MAX_ELEMENTS} elements")
+    return shape
 
 
 @contextlib.contextmanager
@@ -93,24 +119,47 @@ def _on_vertex(attr: str) -> property:
                     lambda node, value: setattr(node.vertex, attr, value))
 
 
-class Node(Tensor):
-    """One value of the computation graph: a tensor plus its ``vertex``.
+class Node:
+    """One value of the computation graph: a dense float array ``data``
+    (the module's array rule applied) plus its ``vertex``.
 
     ``parents``, ``requires_grad``, ``grad``, ``_backward`` (the vertex's
     ``rule``) and ``name`` read and write the vertex.
     """
 
-    __slots__ = ("vertex",)
+    __slots__ = ("data", "vertex")
 
     def __init__(self, value, parents: tuple = (), backward=None,
                  requires_grad: Optional[bool] = None, name: str = ""):
-        super().__init__(value)
+        keep = isinstance(value, np.ndarray) and value.dtype in (np.float32, np.float64)
+        arr = np.asarray(value, dtype=value.dtype if keep else DEFAULT_DTYPE)
+        if arr.ndim > 0:
+            # keep 0-d scalars 0-d; ascontiguousarray would promote them
+            arr = np.ascontiguousarray(arr)
+            validate_shape(arr.shape)
+        self.data = arr
         if not _GRAD_ENABLED.get():
             parents, backward = (), None
         links = tuple(p.vertex for p in parents)
         if requires_grad is None:
             requires_grad = any(v.requires_grad for v in links)
-        self.vertex = Vertex(links, requires_grad, backward, name, self.shape)
+        self.vertex = Vertex(links, requires_grad, backward, name, arr.shape)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
 
     parents = _on_vertex("parents")
     requires_grad = _on_vertex("requires_grad")

@@ -95,7 +95,7 @@ def _echo_config(command: str, resolved: dict, out_dir=None) -> None:
     print(text)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.json"), "w") as fh:
+        with volume.atomic_open(os.path.join(out_dir, "config.json"), "w") as fh:
             fh.write(text + "\n")
 
 
@@ -160,10 +160,11 @@ SLICE_KEYS = ("plane", "augment", "max_slices", "holdout")
 AUGMENT = ("plane", "full", "light", "none")
 
 
-def _checkpoint_settings(path) -> tuple[dict, int]:
+def _checkpoint_settings(path, header: dict | None = None) -> tuple[dict, int]:
     """(settings, batch-order seed) recorded in a resumable checkpoint's
-    header.  Checkpoints older than the slice settings record none."""
-    header = load_checkpoint_header(path)
+    header, read from ``path`` unless given.  Checkpoints older than the
+    slice settings record none."""
+    header = load_checkpoint_header(path) if header is None else header
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
     saved = header["train_config"]
@@ -188,7 +189,8 @@ def cmd_train(args) -> int:
     # may change its epochs, and nothing else it records
     recorded = {}
     if args.resume:
-        recorded, batch_seed = _checkpoint_settings(args.resume)
+        header = load_checkpoint_header(args.resume)
+        recorded, batch_seed = _checkpoint_settings(args.resume, header)
     cfg = _resolve(TRAIN_DEFAULTS, args, recorded)
     if cfg["plane"] not in PLANES:
         raise ConfigError(f"plane must be one of {PLANES}, got {cfg['plane']!r}")
@@ -214,6 +216,13 @@ def cmd_train(args) -> int:
     _echo_config("train", cfg, args.out)
 
     manifest = volume.load_manifest(args.data)
+    dims = manifest.get("dims", ())
+    if len(dims) == 3:  # without dims, the first forward checks the slices
+        # the network that trains: the checkpoint's, or net_config, whose
+        # min_side the manifest's modalities and classes leave as it is
+        trains = header["net_config"] if args.resume else net_config
+        trains.check_slice(*(d for axis, d in enumerate(dims)
+                             if axis != PLANES[cfg["plane"]]))
     entries = manifest["subjects"]
     val = None
     if cfg["holdout"]:

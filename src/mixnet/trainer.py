@@ -232,14 +232,14 @@ class Trainer:
 
     def _write_log(self) -> None:
         keys = ["epoch", "lr", "loss", "steps", "val_dice_mean"]
-        with open(self.log_path, "w", newline="") as fh:
+        header = keys + [f"val_dice_{k}" for k in range(1, self.net.config.classes)]
+        with atomic_open(self.log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            classes = self.net.config.classes
-            writer.writerow(keys + [f"val_dice_{k}" for k in range(1, classes)])
+            writer.writerow(header)
             for row in self.history:
-                line = [row.get(k, "") for k in keys]
-                line += list(row.get("val_dice", []))
-                writer.writerow(line)
+                # an epoch without validation leaves its dice fields empty
+                line = [row.get(k, "") for k in keys] + list(row.get("val_dice", []))
+                writer.writerow(line + [""] * (len(header) - len(line)))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,14 @@ def check_spacing(spacing, error=DataError) -> tuple[float, ...]:
     return sp
 
 
+def check_classes(classes: int, error=DataError, what: str = "classes") -> None:
+    """Raise ``error``, the caller's class, naming the count ``what``,
+    unless ``classes`` is 2 to ``MAX_CLASSES`` (a label volume stores one
+    byte per voxel)."""
+    if not 2 <= classes <= MAX_CLASSES:
+        raise error(f"{what} must be in [2, {MAX_CLASSES}], got {classes}")
+
+
 def check_weights(weights, count: int, error=ParameterError) -> np.ndarray:
     """Fusion weights as float64, if there are ``count`` of them, each
     finite and non-negative, and not all zero; else raise ``error``."""
@@ -88,9 +96,8 @@ class VolumeMeta:
         ndim = 4 if self.kind == "probs" else 3
         if len(self.dims) != ndim:
             raise DataError(f"{self.kind} volumes are {ndim}D, got dims {self.dims}")
-        if self.kind == "labels" and not 2 <= self.classes <= MAX_CLASSES:
-            raise DataError(f"label volumes need a class count in [2, {MAX_CLASSES}], "
-                            f"got {self.classes}")
+        if self.kind == "labels":
+            check_classes(self.classes, what="a label volume's class count")
         if self.kind == "probs" and self.classes != self.dims[3]:
             raise DataError(f"probs classes {self.classes} != last dim {self.dims[3]}")
         if any(d < 1 for d in self.dims):
@@ -103,13 +110,14 @@ def _sidecar(path) -> str:
 
 
 @contextmanager
-def atomic_open(path, mode: str = "wb"):
-    """Write ``path`` through a temp file beside it.  A clean exit renames
-    the temp file over ``path`` in one step; an exception removes it, so a
-    failed write leaves the previous file as it was, never a torn one."""
+def atomic_open(path, mode: str = "wb", newline: str | None = None):
+    """Write ``path`` through a temp file beside it (``mode`` and
+    ``newline`` as for ``open``).  A clean exit renames the temp file over
+    ``path`` in one step; an exception removes it, so a failed write
+    leaves the previous file as it was, never a torn one."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -280,8 +288,7 @@ def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int 
     if len(dims) != 3 or any(d < 8 for d in dims):
         raise error(f"dims must be three extents >= 8, got {tuple(dims)}")
     check_spacing(spacing, error)
-    if not 2 <= classes <= MAX_CLASSES:
-        raise error(f"classes must be in [2, {MAX_CLASSES}], got {classes}")
+    check_classes(classes, error)
     if modalities < 1:
         raise error(f"modalities must be >= 1, got {modalities}")
 

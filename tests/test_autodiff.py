@@ -182,6 +182,15 @@ def test_tensor_init_runs_once_per_node_and_never_for_a_vertex(monkeypatch):
     assert not issubclass(Vertex, Tensor)
 
 
+def test_tensor_names_the_one_node_class():
+    # perfbench/tracer.py counts graph values by patching
+    # mixnet.tensor.Tensor.__init__, so that name must be the node class
+    # itself, and the node class must build a value in one __init__ call
+    assert Tensor is Node
+    assert Node.__bases__ == (object,)
+    assert Node.__slots__ == ("data", "vertex")
+
+
 def test_deep_chain_does_not_recurse():
     # 5000 stacked relus would blow the default recursion limit if the
     # traversal were recursive

@@ -231,6 +231,74 @@ def test_train_on_subject_entries_with_unequal_modalities_is_a_data_error(
     assert f"subject 1 lists {keep} modalities" in err
 
 
+TOO_SMALL = "error: a 16x16 slice is too small: this network needs height and width >= "
+
+
+def _small_dataset(tmp_path, name="small"):
+    data = tmp_path / name
+    assert run("generate", "--out", data, "--subjects", "2", "--dims", "16,16,16") == 0
+    return data
+
+
+def _only_the_echo(capsys, out):
+    """The config echo is all a failed run printed, and it wrote no log."""
+    printed = capsys.readouterr()
+    assert json.loads(printed.out) == json.loads((out / "config.json").read_text())
+    assert not (out / "train_log.csv").exists()
+    return printed.err
+
+
+def test_train_on_slices_too_small_fails_before_reading_a_subject(tmp_path, capsys):
+    data = _small_dataset(tmp_path)
+    for name in os.listdir(data):  # a subject read would fail on a missing file
+        if name.endswith(".vol"):
+            os.remove(data / name)
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+
+
+def test_resume_checks_slices_against_the_checkpoints_network(dataset, tmp_path, capsys):
+    data = _small_dataset(tmp_path)
+    assert train_fast(dataset, tmp_path / "first") == 0
+    ckpt = tmp_path / "first" / "checkpoint.ckpt"
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run", "--epochs", "2", "--resume", ckpt) == 2
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+    # the checkpoint's output unit, not the command line default, sets the
+    # least side: bins up to 8 need 15 pixels, and 16x16 slices train
+    finer = tmp_path / "finer.ckpt"
+    _rewrite_header(ckpt, finer, lambda h: h["net_config"].update(pyramid_bins=[2, 4, 6, 8]))
+    assert train_fast(data, tmp_path / "finer", "--epochs", "2", "--resume", finer) == 0
+
+
+def test_manifest_without_dims_fails_at_the_first_forward(tmp_path, capsys):
+    data = _small_dataset(tmp_path)
+    man = json.loads((data / "manifest.json").read_text())
+    del man["dims"]
+    (data / "manifest.json").write_text(json.dumps(man))
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    printed = capsys.readouterr()
+    assert "training on 8 slices of 16x16" in printed.out
+    assert printed.err == TOO_SMALL + "23\n"
+
+
+def test_config_json_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert run("train", "--data", tmp_path / "missing", "--out", out) == 2
+    before = (out / "config.json").read_bytes()
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    assert run("train", "--data", tmp_path / "missing", "--out", out,
+               "--epochs", "3") == 2
+    assert (out / "config.json").read_bytes() == before
+    assert os.listdir(out) == ["config.json"]
+
+
 def _first_buffer(**fields):
     def make(header):
         header["buffers"][0].update(fields)

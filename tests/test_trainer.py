@@ -1,5 +1,7 @@
+import csv
 import gc
 import json
+import os
 import struct
 import tracemalloc
 
@@ -147,6 +149,38 @@ def test_validation_dice_is_recorded(tmp_path):
     text = log.read_text().splitlines()
     assert text[0].startswith("epoch,lr,loss")
     assert len(text) == 3
+
+
+def test_log_rows_are_as_wide_as_the_header(tmp_path):
+    x, y = tiny_task()
+    log = tmp_path / "log.csv"
+    t = tr.Trainer(tiny_net(), x, y, tr.TrainConfig(
+        epochs=2, batch_size=2, use_lr_schedule=False, val_every=2, seed=1),
+        val=(x, y), log_path=log)
+    t.fit()
+    with open(log, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [7, 7, 7]
+    assert rows[1][4:] == ["", "", ""]        # epoch 1 was not validated
+    assert all(rows[2][4:])
+
+
+def test_a_killed_log_write_leaves_the_previous_log(tmp_path, monkeypatch):
+    x, y = tiny_task()
+    log = tmp_path / "log.csv"
+    t = tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=2, batch_size=2, seed=1),
+                   log_path=log)
+    t.fit(1)
+    before = log.read_bytes()
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(OSError):
+        t.fit(2)
+    assert log.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["log.csv"]
 
 
 def test_trainer_rejects_mismatched_labels():
