@@ -36,7 +36,7 @@ images = np.stack([image, image])
 labels = np.stack([label, label])
 for policy in ("full", "light"):
     aug_i, aug_l = augment.expand_slices(images, labels, policy, seed=1)
-    factor = augment.expansion_factor(policy)
+    factor = len(augment.policy_ops(policy))
     assert aug_i.shape[0] == images.shape[0] * factor
     assert np.array_equal(aug_i[0], image)
     print(f"policy {policy!r}: {images.shape[0]} slices -> {aug_i.shape[0]}")

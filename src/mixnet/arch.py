@@ -12,8 +12,8 @@ All variants share the same building blocks:
   summed and passed through a final ReLU.  Dilation grows the receptive
   field without pooling away localization.
 * output unit: pyramid pooling global prior (average pooling onto
-  2x2, 4x4, 6x6 and 12x12 grids, each bilinearly resized back and
-  concatenated with the input, giving 5x the channels), then a 3x3
+  the ``PYRAMID_BINS`` grids, 2x2, 4x4, 6x6 and 12x12, each bilinearly
+  resized back and concatenated with the input: 5x the channels), then a 3x3
   convolution down to the class logits.  Per-pixel channel mixing
   commutes with every per-channel spatial linear map (region pooling,
   bilinear resize, zero-padded tap shifts).  Split the kernel W along
@@ -32,7 +32,8 @@ All variants share the same building blocks:
   padded the mirrored way, by the adjoint stated in ``ops.conv2d``.
 
 All three variants run one trunk: per stream an init unit, then one
-residual unit per dilation level.  A variant decides two facts:
+residual unit per dilation level of ``DILATIONS``, 2, 1, 4, 1 and 8.
+The paper fixes the dilations and the bins; a variant decides two facts:
 
 * streams: v1 has one stream that holds all modalities; v2 and v3 have
   one per modality.  Units run at ``trunk_filters // streams`` channels.
@@ -65,11 +66,20 @@ from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
 from .volume import check_classes
 
 VARIANTS = ("v1", "v2", "v3")
+DILATIONS = (2, 1, 4, 1, 8)      # one residual unit per level
+PYRAMID_BINS = (2, 4, 6, 12)     # the output unit's pooling grids
+
+# fields older checkpoint headers hold, each at the network's one value
+RETIRED_FIELDS = {"pool_kind": "max", "dilations": DILATIONS,
+                  "pyramid_bins": PYRAMID_BINS}
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Structural description of one network.
+    """Structural description of one network: what a run chooses, the
+    variant, modalities, classes and width, plus whether the init unit
+    pools.  The dilations and the pyramid bins are the module constants
+    ``DILATIONS`` and ``PYRAMID_BINS``.
 
     ``filters`` is the per-modality width: a variant with a stream per
     modality (v2, v3) runs its units at ``filters`` channels, and v1's one
@@ -80,9 +90,7 @@ class NetConfig:
     modalities: int = 3
     classes: int = 4
     filters: int = 24
-    dilations: tuple[int, ...] = (2, 1, 4, 1, 8)
     init_pool: bool = True
-    pyramid_bins: tuple[int, ...] = (2, 4, 6, 12)
 
     def validate(self) -> "NetConfig":
         if self.variant not in VARIANTS:
@@ -92,11 +100,6 @@ class NetConfig:
         check_classes(self.classes, ConfigError)
         if self.filters < 2 or self.filters % 2:
             raise ConfigError(f"filters must be a positive even number, got {self.filters}")
-        if not self.dilations or any(d < 1 for d in self.dilations):
-            raise ConfigError(f"dilations must be one or more levels >= 1, "
-                              f"got {self.dilations}")
-        if not self.pyramid_bins or any(b < 1 for b in self.pyramid_bins):
-            raise ConfigError(f"pyramid_bins must be positive, got {self.pyramid_bins}")
         return self
 
     @property
@@ -106,15 +109,11 @@ class NetConfig:
         return self.filters * self.modalities
 
     @property
-    def levels(self) -> int:
-        return len(self.dilations)
-
-    @property
     def min_side(self) -> int:
         """Least slice height and width: the output unit's finest grid
-        needs max(pyramid_bins) pixels a side after the init unit, whose
+        needs max(PYRAMID_BINS) pixels a side after the init unit, whose
         ceil-mode pool turns 2m - 1 pixels into m."""
-        m = max(self.pyramid_bins)
+        m = max(PYRAMID_BINS)
         return 2 * m - 1 if self.init_pool else m
 
     def check_slice(self, height: int, width: int) -> None:
@@ -127,13 +126,20 @@ class NetConfig:
     @classmethod
     def from_dict(cls, d: dict, what: str = "network config",
                   error=ConfigError) -> "NetConfig":
-        """Read a config record; see :mod:`mixnet.records`."""
+        """Read a config record; see :mod:`mixnet.records`.  A field of
+        ``RETIRED_FIELDS`` is dropped at its one value and rejected at
+        any other; so is a value ``validate`` rejects, as ``error``."""
         kw = dict(d)
-        # older checkpoints record the init unit's pool, which is always max
-        if kw.pop("pool_kind", "max") != "max":
-            raise ConfigError(f"unsupported pool_kind {d['pool_kind']!r}: the init "
-                              "unit pools with max only")
-        return read_record(cls, kw, what, error).validate()
+        for key, value in RETIRED_FIELDS.items():
+            held = kw.pop(key, value)
+            if (tuple(held) if isinstance(held, list) else held) != value:
+                raise error(f"{what}: unsupported {key} {held!r}: the network "
+                            f"has {key} {value!r} only")
+        config = read_record(cls, kw, what, error)
+        try:
+            return config.validate()
+        except ConfigError as e:
+            raise error(f"{what}: {e}") from None
 
 
 @dataclass
@@ -239,10 +245,10 @@ class Network:
 
     def _output_unit(self, name: str, x: Node, out_hw) -> Node:
         c_in = x.shape[-1]
-        bins = self.config.pyramid_bins
         classes = self.config.classes
-        w, b = self._weights(name + ".final", (3, 3, (1 + len(bins)) * c_in, classes))
-        logits = ops.pyramid_head(x, w, b, bins, name=name + ".final")
+        w, b = self._weights(name + ".final",
+                             (3, 3, (1 + len(PYRAMID_BINS)) * c_in, classes))
+        logits = ops.pyramid_head(x, w, b, PYRAMID_BINS, name=name + ".final")
         if self.config.init_pool:
             logits = ops.bilinear_resize(logits, out_hw[0], out_hw[1],
                                          name=name + ".upscale")
@@ -266,7 +272,7 @@ class Network:
         streams = [self._init_unit("init" + tag, Node.leaf(xs, name="input" + tag), width)
                    for tag, xs in zip(tags, np.split(x, n, axis=-1))]
         collected = []
-        for i, d in enumerate(map(int, cfg.dilations), 1):
+        for i, d in enumerate(DILATIONS, 1):
             if fuse and i % 2:  # all streams -> one summary unit
                 fused = ops.concat_channels(streams, name=f"level{i}.fuse")
                 summary = self._res_unit(f"level{i}", fused, width, d)

@@ -70,24 +70,18 @@ def policy_for_plane(plane: str) -> str:
     raise PolicyError(f"unknown plane {plane!r}")
 
 
-def expansion_factor(policy: str) -> int:
-    return len(policy_ops(policy))
-
-
 # ---------------------------------------------------------------------------
 # individual ops; image (H, W, C) float, label (H, W) int
 
 
-def _sample_at(image: np.ndarray, label: np.ndarray, coords,
-               mode: str, cval: float = 0.0):
+def _sample_at(image: np.ndarray, label: np.ndarray, coords, mode: str):
     """Resample an image stack (bilinear) and its labels (nearest) at
-    the given source coordinates."""
+    the given source coordinates; ``mode="constant"`` fills with zero."""
     out_img = np.empty_like(image)
     for c in range(image.shape[2]):
         out_img[:, :, c] = map_coordinates(image[:, :, c], coords, order=1,
-                                           mode=mode, cval=cval)
-    out_lab = map_coordinates(label, coords, order=0, mode=mode,
-                              cval=int(cval))
+                                           mode=mode, cval=0.0)
+    out_lab = map_coordinates(label, coords, order=0, mode=mode, cval=0)
     return out_img, out_lab.astype(label.dtype)
 
 
@@ -279,7 +273,7 @@ def expand_slices(images: np.ndarray, labels: np.ndarray, policy: str,
 
     Returns image and label views of the expanded stack, which compute
     slices when indexed: slice i of the input produces the block
-    [i * k, (i + 1) * k) of the output, k = expansion_factor(policy), in
+    [i * k, (i + 1) * k) of the output, k = len(policy_ops(policy)), in
     the canonical op order.  Every slice is a pure function of (seed,
     source slice, op), so the views equal the stack they stand for.
     The views read the given arrays; do not change them afterwards.

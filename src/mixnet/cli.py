@@ -175,10 +175,15 @@ def _checkpoint_settings(path, header: dict | None = None) -> tuple[dict, int]:
 
 
 def _stack_subjects(data_dir, entries, plane):
-    """All slices of all subjects along one plane."""
-    images, labels = [], []
+    """All slices of all subjects along one plane; every subject must
+    have the first one's dims."""
+    images, labels, dims = [], [], None
     for entry in entries:
         sub = volume.load_subject(data_dir, entry)
+        dims = dims or sub["labels"].shape
+        if sub["labels"].shape != dims:
+            raise DataError(f"subject {entry['id']!r} has dims {sub['labels'].shape}, "
+                            f"subject {entries[0]['id']!r} {dims}")
         images.append(volume.slice_stack(sub["images"], plane))
         labels.append(volume.slice_stack(sub["labels"], plane))
     return np.concatenate(images, axis=0), np.concatenate(labels, axis=0)
@@ -216,24 +221,24 @@ def cmd_train(args) -> int:
     _echo_config("train", cfg, args.out)
 
     manifest = volume.load_manifest(args.data)
-    dims = manifest.get("dims", ())
-    if len(dims) == 3:  # without dims, the first forward checks the slices
-        # the network that trains: the checkpoint's, or net_config, whose
-        # min_side the manifest's modalities and classes leave as it is
-        trains = header["net_config"] if args.resume else net_config
-        trains.check_slice(*(d for axis, d in enumerate(dims)
-                             if axis != PLANES[cfg["plane"]]))
     entries = manifest["subjects"]
-    val = None
+    held = []
     if cfg["holdout"]:
         held = [e for e in entries if e["id"] == cfg["holdout"]]
         if not held:
             raise DataError(f"holdout subject {cfg['holdout']!r} not in manifest "
                             f"({[e['id'] for e in entries]})")
         entries = [e for e in entries if e["id"] != cfg["holdout"]]
-        val = _stack_subjects(args.data, held, cfg["plane"])
     if not entries:
-        raise DataError("no training subjects left after holdout")
+        raise DataError("no training subjects" + (" left after holdout" if held else ""))
+    # the network that trains, the checkpoint's or net_config (whose
+    # min_side the manifest's modalities and classes leave as it is),
+    # checks the slices before any volume body is read
+    dims = volume.read_meta(os.path.join(args.data, entries[0]["labels"])).dims
+    trains = header["net_config"] if args.resume else net_config
+    trains.check_slice(*(d for axis, d in enumerate(dims)
+                         if axis != PLANES[cfg["plane"]]))
+    val = _stack_subjects(args.data, held, cfg["plane"]) if held else None
     images, labels = _stack_subjects(args.data, entries, cfg["plane"])
 
     if cfg["max_slices"] and images.shape[0] > cfg["max_slices"]:
@@ -283,8 +288,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.plane not in PLANES:
-        raise ConfigError(f"plane must be one of {PLANES}, got {args.plane!r}")
     if args.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     net = load_network(args.checkpoint)

@@ -55,7 +55,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError, ParameterError
-from .volume import check_spacing
+from .volume import check_classes, check_spacing
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)  # dice, distance term, volumetric similarity
 
@@ -206,15 +206,15 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def score_class(row: ClassResult, weights=DEFAULT_WEIGHTS) -> float:
-    """Weighted quality of one class in [0, sum(weights)].
+def score_class(row: ClassResult) -> float:
+    """Quality of one class, its terms weighted by ``DEFAULT_WEIGHTS``.
 
     The distance term is 1 / (1 + hd95): 1.0 at perfect contours, toward
     0 as contours drift apart.  An undefined distance contributes 1.0
     when both masks are empty (nothing to miss) and 0.0 when only one is
     (the structure was entirely missed or entirely invented).
     """
-    wd, wh, wv = weights
+    wd, wh, wv = DEFAULT_WEIGHTS
     if row.hd95_mm is not None:
         hd_term = 1.0 / (1.0 + row.hd95_mm)
     else:
@@ -223,8 +223,7 @@ def score_class(row: ClassResult, weights=DEFAULT_WEIGHTS) -> float:
 
 
 def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
-                          spacing=(1.0, 1.0, 1.0),
-                          weights=DEFAULT_WEIGHTS) -> EvalReport:
+                          spacing=(1.0, 1.0, 1.0)) -> EvalReport:
     """Per-foreground-class metrics plus the aggregate score (the mean
     over classes of the weighted per-class quality)."""
     pred = np.asarray(pred)
@@ -233,8 +232,7 @@ def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
         raise DataError(f"prediction {pred.shape} does not match truth {truth.shape}")
     if pred.ndim != 3:
         raise DataError(f"expected 3D label volumes, got {pred.shape}")
-    if classes < 2:
-        raise ParameterError(f"classes must be >= 2, got {classes}")
+    check_classes(classes, ParameterError)
     for name, vol in (("prediction", pred), ("truth", truth)):
         if vol.size and int(vol.max()) >= classes:
             raise DataError(f"{name} contains label {int(vol.max())} "
@@ -251,6 +249,5 @@ def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
             pred_voxels=int(a.sum()),
             truth_voxels=int(b.sum()),
         ))
-    overall = float(np.mean([score_class(r, weights) for r in rows]))
-    return EvalReport(rows, tuple(float(s) for s in spacing),
-                      tuple(weights), overall)
+    overall = float(np.mean([score_class(r) for r in rows]))
+    return EvalReport(rows, tuple(float(s) for s in spacing), overall=overall)

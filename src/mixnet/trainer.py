@@ -43,9 +43,8 @@ from .volume import atomic_open
 LR_BOUNDARIES = (0.2, 0.4, 0.6, 0.75, 0.8, 0.85, 0.9, 0.95)
 
 
-def lr_at(lr0: float, epoch: int, total_epochs: int,
-          boundaries=LR_BOUNDARIES) -> float:
-    """Stepped decay: lr0 * 2^-(number of boundaries already reached).
+def lr_at(lr0: float, epoch: int, total_epochs: int) -> float:
+    """Stepped decay: lr0 * 2^-(number of LR_BOUNDARIES already reached).
 
     A boundary b counts as reached when b <= epoch / total_epochs; the
     comparison is done on the fraction so boundary epochs land exactly.
@@ -53,7 +52,7 @@ def lr_at(lr0: float, epoch: int, total_epochs: int,
     if total_epochs < 1:
         raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
     frac = epoch / total_epochs
-    halvings = sum(1 for b in boundaries if b <= frac)
+    halvings = sum(1 for b in LR_BOUNDARIES if b <= frac)
     return lr0 * 2.0 ** -halvings
 
 
@@ -125,8 +124,13 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict, what: str = "training config",
                   error=ConfigError) -> "TrainConfig":
-        """Read a config record; see :mod:`mixnet.records`."""
-        return read_record(cls, d, what, error).validate()
+        """Read a config record; see :mod:`mixnet.records`.  A value
+        ``validate`` rejects raises ``error`` too."""
+        config = read_record(cls, d, what, error)
+        try:
+            return config.validate()
+        except ConfigError as e:
+            raise error(f"{what}: {e}") from None
 
 
 def predict_slices(net: Network, images: np.ndarray,

@@ -153,8 +153,8 @@ def write_volume(path, data: np.ndarray, spacing, kind: str,
     return meta
 
 
-def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
-    """Read a body + sidecar pair; validates sizes before reshaping."""
+def read_meta(path) -> VolumeMeta:
+    """Read and check the sidecar of the volume at ``path``, not its body."""
     side = _sidecar(path)
     if not os.path.exists(side):
         raise DataError(f"missing sidecar header {side}")
@@ -163,7 +163,12 @@ def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise DataError(f"{side}: invalid JSON: {e}") from None
-    meta = read_record(VolumeMeta, raw, side, DataError).validate()
+    return read_record(VolumeMeta, raw, side, DataError).validate()
+
+
+def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
+    """Read a body + sidecar pair; validates sizes before reshaping."""
+    meta = read_meta(path)
     dtype = _DTYPES[meta.dtype]
     expected = int(np.prod(meta.dims)) * dtype.itemsize
     actual = os.path.getsize(path)
@@ -217,6 +222,8 @@ def predict_volume(net, images: np.ndarray, plane: str,
     images = np.asarray(images)
     if images.ndim != 4:
         raise DataError(f"expected an (X, Y, Z, M) volume, got {images.shape}")
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     axis = plane_axis(plane)
     slices = np.moveaxis(images, axis, 0)
     probs = None
@@ -260,20 +267,20 @@ def fuse_predictions(prob_volumes, weights=None) -> tuple[np.ndarray, np.ndarray
 # bias fields, noise) that a network has something real to do.
 
 
-def _smooth_field(dims, rng, waves: int = 3) -> np.ndarray:
-    """Sum of a few random low-frequency cosine products, roughly in
+def _smooth_field(dims, rng) -> np.ndarray:
+    """Mean of three random low-frequency cosine products, roughly in
     [-1, 1], used for shape deformation and intensity bias."""
     grids = np.meshgrid(*[np.linspace(0.0, 1.0, d) for d in dims],
                         indexing="ij", sparse=True)
     out = np.zeros(dims, dtype=np.float64)
-    for _ in range(waves):
+    for _ in range(3):
         term = np.ones(dims, dtype=np.float64)
         for g in grids:
             freq = rng.uniform(0.5, 2.5)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             term = term * np.cos(2.0 * np.pi * freq * g + phase)
         out += term
-    return out / waves
+    return out / 3
 
 
 def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int = 1,
@@ -295,14 +302,14 @@ def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int 
 
 def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
                        spacing=(1.0, 1.0, 1.0), seed: int = 0,
-                       deform: float = 0.12, bias: float = 0.25,
-                       noise: float = 0.05) -> dict:
+                       deform: float = 0.12) -> dict:
     """One synthetic multi-modality subject with a known segmentation.
 
     The label field nests ``classes - 1`` shells inside an ellipsoid
-    whose radius is warped by a smooth random field.  Each modality maps
-    the classes to a different intensity profile, multiplied by a smooth
-    bias field plus Gaussian noise, so no single threshold solves it.
+    whose radius a smooth random field of amplitude ``deform`` warps.
+    Each modality maps the classes to its own intensity profile, times a
+    smooth bias field (amplitude 0.25) plus Gaussian noise (sd 0.05), so
+    no single threshold solves it.
     """
     dims = tuple(int(d) for d in dims)
     check_synthesis(dims, classes, modalities, spacing)
@@ -342,8 +349,8 @@ def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
     for m in range(modalities):
         mod_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "mod", m)))
         base = profiles[m][labels]
-        field = 1.0 + bias * _smooth_field(dims, mod_rng)
-        img = base * field + mod_rng.normal(0.0, noise, size=dims)
+        field = 1.0 + 0.25 * _smooth_field(dims, mod_rng)
+        img = base * field + mod_rng.normal(0.0, 0.05, size=dims)
         images[..., m] = img.astype(np.float32)
 
     return {"images": images, "labels": labels,
@@ -408,21 +415,20 @@ def load_manifest(data_dir) -> dict:
     return manifest
 
 
-def load_subject(data_dir, entry: dict, normalize: bool = True) -> dict:
-    """Load one manifest entry: stacked modalities + labels + spacing."""
+def load_subject(data_dir, entry: dict) -> dict:
+    """Load one manifest entry: normalized modalities, labels and spacing."""
     mods = []
-    spacing = None
+    first = None
     for fname in entry["modalities"]:
         data, meta = read_volume(os.path.join(data_dir, fname))
         if meta.kind != "intensity":
             raise DataError(f"{fname}: expected an intensity volume")
-        mods.append(normalize_volume(data) if normalize else
-                    np.asarray(data, np.float32))
-        if spacing is None:
-            spacing = meta.spacing
-        elif meta.spacing != spacing:
-            raise DataError(f"{fname}: spacing {meta.spacing} differs from "
-                            f"{spacing}")
+        first = first or meta
+        for field in ("dims", "spacing"):
+            if getattr(meta, field) != getattr(first, field):
+                raise DataError(f"{fname}: {field} {getattr(meta, field)}, but "
+                                f"{entry['modalities'][0]} has {getattr(first, field)}")
+        mods.append(normalize_volume(data))
     labels, lmeta = read_volume(os.path.join(data_dir, entry["labels"]))
     if lmeta.kind != "labels":
         raise DataError(f"{entry['labels']}: expected a label volume")
@@ -431,4 +437,4 @@ def load_subject(data_dir, entry: dict, normalize: bool = True) -> dict:
         raise DataError(f"labels {labels.shape} do not match modalities "
                         f"{images.shape[:3]}")
     return {"id": entry.get("id", ""), "images": images, "labels": labels,
-            "spacing": spacing, "classes": lmeta.classes}
+            "spacing": first.spacing, "classes": lmeta.classes}

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from mixnet import arch, ops
 from mixnet.arch import NetConfig, Network, embed_v3_into_v1
 from mixnet.autodiff import backward, no_grad, topo_order
-from mixnet.errors import BuildError, ConfigError, ShapeError
+from mixnet.errors import BuildError, ConfigError, DataError, ShapeError
 from mixnet.trainer import Optimizer
 
 
@@ -30,10 +30,6 @@ def test_config_validation():
     NetConfig(classes=256).validate()       # label volumes store one byte a voxel
     with pytest.raises(ConfigError, match=r"^classes must be in \[2, 256\][^\n]*257$"):
         NetConfig(classes=257).validate()
-    with pytest.raises(ConfigError):
-        NetConfig(dilations=()).validate()
-    with pytest.raises(ConfigError):
-        NetConfig(dilations=(2, 0)).validate()
     NetConfig().validate()
 
 
@@ -47,7 +43,7 @@ def test_config_round_trip_and_unknown_keys():
 
 # one wrongly typed value per NetConfig field
 WRONG_TYPES = {"variant": 1, "modalities": "3", "classes": 2.0, "filters": "x",
-               "dilations": 3, "init_pool": 1, "pyramid_bins": ["a"]}
+               "init_pool": 1}
 
 
 @pytest.mark.parametrize("key", sorted(WRONG_TYPES))
@@ -55,6 +51,22 @@ def test_config_from_dict_rejects_wrong_types(key):
     d = {**asdict(NetConfig()), key: WRONG_TYPES[key]}
     with pytest.raises(ConfigError, match=f"wrongly typed {key}="):
         NetConfig.from_dict(d)
+
+
+# fields older checkpoint headers hold: (the network's one value, another)
+RETIRED = {"pool_kind": ("max", "avg"), "dilations": ([2, 1, 4, 1, 8], [2, 0]),
+           "pyramid_bins": ([2, 4, 6, 12], [2, 4, 6, 8])}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_config_from_dict_drops_a_retired_field_at_its_one_value(key):
+    assert [f.name for f in fields(NetConfig)] == \
+        ["variant", "modalities", "classes", "filters", "init_pool"]
+    paper, other = RETIRED[key]
+    d = asdict(NetConfig(variant="v3", filters=6))
+    assert NetConfig.from_dict({**d, key: paper}) == NetConfig(variant="v3", filters=6)
+    with pytest.raises(DataError, match=f"^ck: unsupported {key} "):
+        NetConfig.from_dict({**d, key: other}, "ck", DataError)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ def checkerboard(h=16, w=16, channels=2):
 
 
 def test_policy_counts():
-    assert A.expansion_factor("full") == 15
-    assert A.expansion_factor("light") == 3
+    assert len(A.policy_ops("full")) == 15
+    assert len(A.policy_ops("light")) == 3
     ops = A.policy_ops("full")
     kinds = [op[0] for op in ops]
     assert kinds.count("scale") == 4

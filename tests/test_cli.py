@@ -265,23 +265,81 @@ def test_resume_checks_slices_against_the_checkpoints_network(dataset, tmp_path,
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run", "--epochs", "2", "--resume", ckpt) == 2
     assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
-    # the checkpoint's output unit, not the command line default, sets the
-    # least side: bins up to 8 need 15 pixels, and 16x16 slices train
-    finer = tmp_path / "finer.ckpt"
-    _rewrite_header(ckpt, finer, lambda h: h["net_config"].update(pyramid_bins=[2, 4, 6, 8]))
-    assert train_fast(data, tmp_path / "finer", "--epochs", "2", "--resume", finer) == 0
+    # the checkpoint's network, not the command line default, sets the
+    # least side: without the init unit's pool it is 12, and 16x16 slices train
+    unpooled = tmp_path / "unpooled.ckpt"
+    _rewrite_header(ckpt, unpooled, lambda h: h["net_config"].update(init_pool=False))
+    assert train_fast(data, tmp_path / "unpooled", "--epochs", "2", "--resume",
+                      unpooled) == 0
 
 
-def test_manifest_without_dims_fails_at_the_first_forward(tmp_path, capsys):
+def test_manifest_without_dims_fails_before_reading_a_subject(tmp_path, capsys):
     data = _small_dataset(tmp_path)
     man = json.loads((data / "manifest.json").read_text())
     del man["dims"]
     (data / "manifest.json").write_text(json.dumps(man))
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run") == 2
-    printed = capsys.readouterr()
-    assert "training on 8 slices of 16x16" in printed.out
-    assert printed.err == TOO_SMALL + "23\n"
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+
+
+def _set_manifest_dims(data, dims):
+    man = json.loads((data / "manifest.json").read_text())
+    man["dims"] = dims
+    (data / "manifest.json").write_text(json.dumps(man))
+
+
+def test_train_takes_the_slice_size_from_the_volumes(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    _set_manifest_dims(data, [16, 16, 16])   # the volumes are 24^3
+    assert train_fast(data, tmp_path / "run") == 0
+    small = _small_dataset(tmp_path)
+    _set_manifest_dims(small, [64, 64, 64])  # the volumes are 16^3
+    capsys.readouterr()
+    assert train_fast(small, tmp_path / "small") == 2
+    assert _only_the_echo(capsys, tmp_path / "small") == TOO_SMALL + "23\n"
+
+
+def test_train_on_a_manifest_without_subjects_is_a_data_error(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    man = json.loads((data / "manifest.json").read_text())
+    man["subjects"] = []
+    (data / "manifest.json").write_text(json.dumps(man))
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    assert capsys.readouterr().err == "error: no training subjects\n"
+
+
+def test_subjects_of_other_dims_are_a_data_error(dataset, tmp_path, capsys):
+    data, other = tmp_path / "data", tmp_path / "other"
+    shutil.copytree(dataset, data)
+    assert run("generate", "--out", other, "--subjects", "2", "--dims", "32,24,24") == 0
+    for name in os.listdir(other):
+        if name.startswith("subject01_"):
+            shutil.copy(other / name, data / name)
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    assert capsys.readouterr().err == ("error: subject 'subject01' has dims (32, 24, 24), "
+                                       "subject 'subject00' (24, 24, 24)\n")
+
+
+def test_modalities_of_other_dims_are_a_data_error(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    volume.write_volume(data / "subject00_mod1.vol", np.zeros((24, 24, 25)),
+                        (1.0, 1.0, 1.0), "intensity", modality="mod1")
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, Network(NetConfig(variant="v3", classes=4, filters=4)))
+    want = ("error: subject00_mod1.vol: dims (24, 24, 25), "
+            "but subject00_mod0.vol has (24, 24, 24)")
+    assert _fails_cleanly(capsys, 2, "predict", "--checkpoint", ckpt, "--data", data,
+                          "--subject", "subject00", "--plane", "coronal",
+                          "--out", tmp_path / "p.vol") == want
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    assert capsys.readouterr().err == want + "\n"
 
 
 def test_config_json_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
@@ -320,6 +378,13 @@ WRONGLY_TYPED = {**{f"net_config.{k}": v for k, v in sorted(WRONG_TYPES.items())
                  "store_seed": "a", "epoch": "x", "step_count": [1], "history": 3,
                  "rng_state": 3, "slice_settings": [1], "train_config.epochs": "x"}
 
+# values of the right kind that validate() rejects, and retired fields at a
+# value other than the network's one
+OUT_OF_RANGE_HEADERS = {"net_config.filters": 7, "net_config.classes": 1,
+                        "train_config.epochs": 0}
+RETIRED_HEADERS = {"net_config.pool_kind": "avg", "net_config.dilations": [2, 0],
+                   "net_config.pyramid_bins": [2, 4, 6, 8]}
+
 # headers every checkpoint reader rejects
 MALFORMED_HEADERS = {
     "no-buffers": lambda h: {k: v for k, v in h.items() if k != "buffers"},
@@ -330,6 +395,8 @@ MALFORMED_HEADERS = {
     "history-row-lr": _header_value("history", [{"epoch": 1, "lr": "x", "loss": 1.0,
                                                  "steps": 2}]),
     **{f: _header_value(f, v) for f, v in WRONGLY_TYPED.items()},
+    **{f"{f}={v}": _header_value(f, v) for f, v in OUT_OF_RANGE_HEADERS.items()},
+    **{f: _header_value(f, v) for f, v in RETIRED_HEADERS.items()},
 }
 # headers only train --resume rejects: it reads the slice settings' keys
 UNRESUMABLE_HEADERS = {
@@ -357,11 +424,11 @@ def test_malformed_checkpoint_header_is_a_data_error(dataset, tmp_path, capsys, 
     if case in MALFORMED_HEADERS:
         with pytest.raises(DataError):
             load_network(bad)
-        _fails_cleanly(capsys, 2, "predict", "--checkpoint", bad, "--data", dataset,
-                       "--subject", "subject00", "--plane", "coronal",
-                       "--out", tmp_path / "p.vol")
-    _fails_cleanly(capsys, 2, "train", "--data", dataset, "--out", tmp_path / "run",
-                   "--epochs", "2", "--resume", bad)
+        assert str(bad) in _fails_cleanly(
+            capsys, 2, "predict", "--checkpoint", bad, "--data", dataset,
+            "--subject", "subject00", "--plane", "coronal", "--out", tmp_path / "p.vol")
+    assert str(bad) in _fails_cleanly(capsys, 2, "train", "--data", dataset, "--out",
+                                      tmp_path / "run", "--epochs", "2", "--resume", bad)
     assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
 
 

@@ -283,7 +283,6 @@ def test_score_class_undefined_distance_conventions():
     assert M.score_class(one_empty) == pytest.approx(0.0)
     present = M.ClassResult(1, 1.0, 1.0, 1.0, 9, 9)
     assert M.score_class(present) == pytest.approx(1 + 0.5 + 1)
-    assert M.score_class(present, (2.0, 0.0, 1.0)) == pytest.approx(3.0)
 
 
 def test_report_json_round_trip_and_table():
@@ -318,3 +317,11 @@ def test_evaluate_validates_input():
         M.evaluate_segmentation(pred, truth, classes=3)  # labels reach 3
     with pytest.raises(ParameterError):
         M.evaluate_segmentation(pred % 2, truth % 2, classes=1)
+
+
+def test_evaluate_takes_the_class_counts_a_label_volume_can_hold():
+    pred, truth = make_pair()
+    for classes in (1, 257):
+        with pytest.raises(ParameterError, match=rf"^classes must be in \[2, 256\], "
+                                                 rf"got {classes}$"):
+            M.evaluate_segmentation(pred, truth, classes)

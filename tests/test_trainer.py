@@ -326,7 +326,7 @@ def test_checkpoint_pool_kind_max_loads_and_avg_is_rejected(tmp_path):
     _rewrite_header(path, avg, lambda h: h["net_config"].update(pool_kind="avg"))
     np.testing.assert_array_equal(tr.load_network(kept).forward(probe).data,
                                   net.forward(probe).data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="unsupported pool_kind 'avg'"):
         tr.load_network(avg)
 
 

@@ -235,17 +235,24 @@ def test_slice_restack_round_trip_3d_and_4d():
 
 
 def test_predict_volume_matches_the_restacked_stack():
-    net = Network(NetConfig(variant="v2", classes=3, filters=4,
-                            pyramid_bins=(1, 2)), seed=2)
-    images = np.random.default_rng(5).normal(size=(10, 9, 8, 3)).astype(np.float32)
+    net = Network(NetConfig(variant="v2", classes=3, filters=4, init_pool=False), seed=2)
+    images = np.random.default_rng(5).normal(size=(12, 13, 14, 3)).astype(np.float32)
     for plane, axis in vol.PLANES.items():
         got = vol.predict_volume(net, images, plane, batch_size=4)
         want = oracles.predict_volume_restacked(net, images, axis, batch_size=4)
         assert got.dtype == want.dtype == np.float32
-        assert got.flags.c_contiguous and got.shape == (10, 9, 8, 3)
+        assert got.flags.c_contiguous and got.shape == (12, 13, 14, 3)
         np.testing.assert_array_equal(got, want)
     with pytest.raises(DataError):
         vol.predict_volume(net, images[..., 0], "sagittal")
+
+
+def test_predict_volume_rejects_a_batch_size_below_1():
+    net = Network(NetConfig(variant="v3", classes=3, filters=4, init_pool=False), seed=2)
+    images = np.zeros((12, 12, 12, 3), np.float32)
+    for bad in (0, -1):
+        with pytest.raises(ParameterError, match=f"^batch_size must be >= 1, got {bad}$"):
+            vol.predict_volume(net, images, "sagittal", batch_size=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +358,22 @@ def test_generate_dataset_and_loaders(tmp_path):
     loaded = vol.load_manifest(tmp_path)
     assert loaded["classes"] == 3
 
-    sub = vol.load_subject(tmp_path, loaded["subjects"][0], normalize=False)
-    assert sub["images"].shape == (16, 16, 16, 2)
-    assert sub["labels"].shape == (16, 16, 16)
-    assert sub["classes"] == 3
-    # loader reproduces exactly what the generator wrote
+    entry = loaded["subjects"][0]
+    images = np.stack([vol.read_volume(tmp_path / f)[0] for f in entry["modalities"]],
+                      axis=-1)
+    labels = vol.read_volume(tmp_path / entry["labels"])[0]
+    assert images.shape == (16, 16, 16, 2)
+    assert labels.shape == (16, 16, 16)
+    # the volumes hold exactly what the generator synthesized
     from mixnet.tensor import derive_seed
     direct = vol.synthesize_subject((16, 16, 16), 3, 2,
                                     seed=derive_seed(4, "subject", 0))
-    np.testing.assert_array_equal(sub["images"], direct["images"])
-    np.testing.assert_array_equal(sub["labels"], direct["labels"])
+    np.testing.assert_array_equal(images, direct["images"])
+    np.testing.assert_array_equal(labels, direct["labels"])
 
-    norm = vol.load_subject(tmp_path, loaded["subjects"][0])
+    norm = vol.load_subject(tmp_path, entry)
+    assert norm["classes"] == 3
+    np.testing.assert_array_equal(norm["labels"], labels)
     assert abs(float(norm["images"][..., 0].mean())) < 1e-4
 
 
