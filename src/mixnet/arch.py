@@ -135,21 +135,7 @@ class NetConfig:
             if (tuple(held) if isinstance(held, list) else held) != value:
                 raise error(f"{what}: unsupported {key} {held!r}: the network "
                             f"has {key} {value!r} only")
-        config = read_record(cls, kw, what, error)
-        try:
-            return config.validate()
-        except ConfigError as e:
-            raise error(f"{what}: {e}") from None
-
-
-@dataclass
-class UnitRow:
-    """One line of the structure manifest."""
-    name: str
-    c_in: int
-    c_out: int
-    dilation: int = 0
-    params: int = 0
+        return read_record(cls, kw, what, error)
 
 
 class Network:
@@ -162,6 +148,12 @@ class Network:
     so optimizer updates stay out of the caller's arrays), else drawn with
     a seed derived from ``seed`` and its name, so construction order
     cannot change initial values.
+
+    ``forward`` is the one description of the network: construction runs
+    it once on a dummy slice, which creates every parameter.  A unit's
+    widths are its kernels' shapes in ``store``, and its dilation is the
+    argument of its ``_conv`` call, through which every trunk conv runs
+    (``verify.check_structure`` observes those calls).
     """
 
     def __init__(self, config: NetConfig, seed: int = 0,
@@ -169,14 +161,11 @@ class Network:
         self.config = config.validate()
         self.seed = int(seed)
         self.store: dict[str, Node] = {}
-        self.units: list[UnitRow] = []
         self._arrays = arrays
-        self._recording = True
-        # materialize every parameter (and the manifest) with a dummy pass
+        # materialize every parameter with a dummy pass
         side = config.min_side
         with no_grad():
             self.forward(np.zeros((1, side, side, config.modalities), np.float32))
-        self._recording = False
         self._arrays = None
         extra = set(arrays or ()) - set(self.store)
         if extra:
@@ -211,37 +200,23 @@ class Network:
         w, b = self._weights(name, (k, k, x.shape[-1], c_out))
         return ops.conv2d(x, w, b, dilation=dilation, name=name)
 
-    def _record(self, row: UnitRow, names: list) -> None:
-        if not self._recording:
-            return
-        row.params = sum(self.store[n].size
-                         for base in names for n in (base + ".w", base + ".b"))
-        self.units.append(row)
-
     def _init_unit(self, name: str, x: Node, c_out: int) -> Node:
         y = self._conv(name + ".conv", x, 5, c_out)
         if self.config.init_pool:
             y = ops.maxpool2x2(y, name=name + ".pool")
-        y = ops.relu(y, name=name + ".relu")
-        self._record(UnitRow(name, x.shape[-1], c_out), [name + ".conv"])
-        return y
+        return ops.relu(y, name=name + ".relu")
 
     def _res_unit(self, name: str, x: Node, c_out: int, d: int) -> Node:
-        c_in = x.shape[-1]
         mid = c_out // 2
         y = ops.relu(self._conv(name + ".reduce", x, 1, mid), name=name + ".relu1")
         y = ops.relu(self._conv(name + ".dilated", y, 3, mid, dilation=d),
                      name=name + ".relu2")
         y = self._conv(name + ".expand", y, 1, c_out)
-        convs = [name + ".reduce", name + ".dilated", name + ".expand"]
-        if c_in != c_out:
+        if x.shape[-1] != c_out:
             shortcut = self._conv(name + ".shortcut", x, 1, c_out)
-            convs.append(name + ".shortcut")
         else:
             shortcut = x
-        out = ops.relu(ops.add(y, shortcut, name=name + ".add"), name=name + ".out")
-        self._record(UnitRow(name, c_in, c_out, d), convs)
-        return out
+        return ops.relu(ops.add(y, shortcut, name=name + ".add"), name=name + ".out")
 
     def _output_unit(self, name: str, x: Node, out_hw) -> Node:
         c_in = x.shape[-1]
@@ -252,7 +227,6 @@ class Network:
         if self.config.init_pool:
             logits = ops.bilinear_resize(logits, out_hw[0], out_hw[1],
                                          name=name + ".upscale")
-        self._record(UnitRow(name, c_in, classes), [name + ".final"])
         return logits
 
     # -- forward ------------------------------------------------------------

@@ -233,11 +233,13 @@ def cmd_train(args) -> int:
         raise DataError("no training subjects" + (" left after holdout" if held else ""))
     # the network that trains, the checkpoint's or net_config (whose
     # min_side the manifest's modalities and classes leave as it is),
-    # checks the slices before any volume body is read
-    dims = volume.read_meta(os.path.join(args.data, entries[0]["labels"])).dims
+    # checks the slices of every subject it stacks, the holdout's too,
+    # before any volume body is read
     trains = header["net_config"] if args.resume else net_config
-    trains.check_slice(*(d for axis, d in enumerate(dims)
-                         if axis != PLANES[cfg["plane"]]))
+    for entry in entries + held:
+        dims = volume.read_meta(os.path.join(args.data, entry["labels"])).dims
+        trains.check_slice(*(d for axis, d in enumerate(dims)
+                             if axis != PLANES[cfg["plane"]]))
     val = _stack_subjects(args.data, held, cfg["plane"]) if held else None
     images, labels = _stack_subjects(args.data, entries, cfg["plane"])
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import MISSING, fields
 from typing import get_type_hints
 
+from .errors import ConfigError, DataError
+
 
 def _element(kind):
     """T for ``tuple[T, ...]``, else None."""
@@ -61,6 +63,13 @@ def check_record(raw, kinds: dict, what: str, error, required=()) -> dict:
 
 def read_record(cls, raw, what: str, error):
     """The dataclass ``cls`` built from ``raw`` after :func:`check_record`
-    against its field annotations; fields without a default are required."""
+    against its field annotations (fields without a default are required),
+    then checked by its ``validate()``.  A ``ConfigError`` or ``DataError``
+    from ``validate`` comes back as ``error``, led by ``what``, so the
+    one error line names where the record came from."""
     required = [f.name for f in fields(cls) if f.default is MISSING]
-    return cls(**check_record(raw, get_type_hints(cls), what, error, required))
+    record = cls(**check_record(raw, get_type_hints(cls), what, error, required))
+    try:
+        return record.validate()
+    except (ConfigError, DataError) as e:
+        raise error(f"{what}: {e}") from None

@@ -126,11 +126,7 @@ class TrainConfig:
                   error=ConfigError) -> "TrainConfig":
         """Read a config record; see :mod:`mixnet.records`.  A value
         ``validate`` rejects raises ``error`` too."""
-        config = read_record(cls, d, what, error)
-        try:
-            return config.validate()
-        except ConfigError as e:
-            raise error(f"{what}: {e}") from None
+        return read_record(cls, d, what, error)
 
 
 def predict_slices(net: Network, images: np.ndarray,

@@ -16,6 +16,7 @@ copy, and the test suite's oracles reuse them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,11 +209,37 @@ def _reference_shapes(variant: str) -> dict:
     return shapes
 
 
+class _ConvLog(Network):
+    """A network that records, by name, the dilation each trunk conv is
+    called with."""
+
+    def __init__(self, config: NetConfig):
+        self.dilations = {}
+        super().__init__(config, seed=0)
+
+    def _conv(self, name, x, k, c_out, dilation=1):
+        self.dilations[name] = dilation
+        return super()._conv(name, x, k, c_out, dilation)
+
+
+def _reference_dilations(shapes: dict) -> dict:
+    """The paper's dilation for each trunk conv of a ``_reference_shapes``
+    table: level i's 3x3 ``dilated`` conv runs at (2, 1, 4, 1, 8)[i - 1],
+    every other conv at 1.  The output unit's kernel runs in
+    ``ops.pyramid_head``, not as a trunk conv."""
+    want = {}
+    for key in shapes:
+        if key.endswith(".w") and key != "out.final.w":
+            level = re.fullmatch(r"level(\d)(\.s\d)?\.dilated\.w", key)
+            want[key[:-2]] = (2, 1, 4, 1, 8)[int(level[1]) - 1] if level else 1
+    return want
+
+
 def check_structure() -> list:
     results = []
-    dilations = (2, 1, 4, 1, 8)
+    x = np.zeros((1, 26, 30, 3), np.float32)
     for variant in ("v1", "v2", "v3"):
-        net = Network(NetConfig(variant=variant), seed=0)
+        net = _ConvLog(NetConfig(variant=variant))
         want = _reference_shapes(variant)
         got = {k: v.shape for k, v in net.store.items()}
         ok = got == want
@@ -225,22 +252,16 @@ def check_structure() -> list:
                      f"wrong={sorted(wrong)[:3]}"
         results.append(_result(f"structure/{variant}/parameters", ok, detail))
 
-        rows = {u.name: (u.c_in, u.dilation, u.c_out) for u in net.units}
-        if variant == "v1":
-            want = {f"level{i}": (72, d, 72) for i, d in enumerate(dilations, 1)}
-        elif variant == "v2":
-            want = {f"level{i}": (72, d, 24) for i, d in ((1, 2), (3, 4), (5, 8))}
-            want.update({f"level{i}.s{s}": (48, d, 24)
-                         for i, d in ((2, 1), (4, 1)) for s in range(3)})
-        else:
-            want = {f"level{i}.s{s}": (24, d, 24)
-                    for i, d in enumerate(dilations, 1) for s in range(3)}
-        level_ok = all(rows.get(name) == row for name, row in want.items())
-        results.append(_result(f"structure/{variant}/levels", level_ok,
-                               "per-level widths and dilations"))
-
-        x = np.zeros((1, 26, 30, 3), np.float32)
+        net.dilations = {}
         out_shape = net.forward(x).shape
+        paper = _reference_dilations(want)
+        wrong = sorted(name for name in paper.keys() | net.dilations.keys()
+                       if net.dilations.get(name) != paper.get(name))
+        detail = "; ".join(f"{name} ran at dilation {net.dilations.get(name)}, "
+                           f"want {paper.get(name)}" for name in wrong[:3])
+        results.append(_result(f"structure/{variant}/levels", not wrong, detail or
+                               f"{len(paper)} trunk convs: each level's dilated 3x3 "
+                               f"at 2, 1, 4, 1, 8, every other at 1"))
         results.append(_result(f"structure/{variant}/logits", out_shape == (1, 26, 30, 4),
                                f"logits {out_shape} for input (1, 26, 30, 3)"))
     return results

@@ -163,7 +163,7 @@ def read_meta(path) -> VolumeMeta:
             raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise DataError(f"{side}: invalid JSON: {e}") from None
-    return read_record(VolumeMeta, raw, side, DataError).validate()
+    return read_record(VolumeMeta, raw, side, DataError)
 
 
 def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:

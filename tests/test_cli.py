@@ -301,6 +301,18 @@ def test_train_takes_the_slice_size_from_the_volumes(dataset, tmp_path, capsys):
     assert _only_the_echo(capsys, tmp_path / "small") == TOO_SMALL + "23\n"
 
 
+def test_a_holdout_too_small_fails_before_training(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    small = _small_dataset(tmp_path)
+    for name in os.listdir(small):      # subject01 becomes a 16^3 subject
+        if name.startswith("subject01_"):
+            shutil.copy(small / name, data / name)
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run", "--holdout", "subject01") == 2
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+
+
 def test_train_on_a_manifest_without_subjects_is_a_data_error(dataset, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(dataset, data)

@@ -34,6 +34,11 @@ class Record:
     rate: float = 0.5
     name: str = ""
 
+    def validate(self) -> "Record":
+        if self.rate < 0:
+            raise ConfigError(f"rate must be >= 0, got {self.rate}")
+        return self
+
 
 def test_read_record_makes_lists_tuples_and_keeps_values():
     rec = read_record(Record, {"dims": [2, 3], "rate": 1}, "rec", DataError)
@@ -50,3 +55,8 @@ def test_read_record_names_every_bad_key_in_one_line():
         assert part in message
     with pytest.raises(DataError, match="must be an object"):
         check_record([1], {"a": int}, "rec", DataError)
+
+
+def test_read_record_leads_a_validate_error_with_what_as_the_callers_error():
+    with pytest.raises(DataError, match=r"^rec: rate must be >= 0, got -1$"):
+        read_record(Record, {"dims": [2], "rate": -1}, "rec", DataError)

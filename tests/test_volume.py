@@ -152,6 +152,11 @@ MALFORMED_SIDECARS = {
     "spacing-nan": lambda m: m.update(spacing=[float("nan"), 1, 1]),
     "spacing-inf": lambda m: m.update(spacing=[1, 1, float("inf")]),
     "no-kind": lambda m: m.pop("kind"),
+    "dtype": lambda m: m.update(dtype="f64"),
+    "kind": lambda m: m.update(kind="mask"),
+    "byte-order": lambda m: m.update(byte_order="big"),
+    "dims-2d": lambda m: m.update(dims=[4, 4]),
+    "classes-1": lambda m: m.update(classes=1),
 }
 
 
@@ -169,7 +174,7 @@ def test_malformed_sidecar_is_a_data_error(tmp_path, capsys, case):
     capsys.readouterr()
     assert cli.main(["evaluate", "--pred", str(bad), "--truth", str(good)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1 and err[0].startswith("error: ") and "bad.vol.json" in err[0], err
 
 
 def test_meta_validation():
