@@ -2,8 +2,8 @@
 
 All variants share the same building blocks:
 
-* init unit: one 5x5 convolution, optionally a 2x2 stride-2 max pool
-  (halves memory; the output unit then upscales by 2), then ReLU.  ReLU
+* init unit: one 5x5 convolution, a 2x2 stride-2 max pool (halves
+  memory; the output unit then upscales by 2), then ReLU.  ReLU
   is monotone, so maxpool(relu(x)) = relu(maxpool(x)), values and
   gradients alike: pooling first runs ReLU on a quarter of the elements.
 * residual dilated unit: 1x1 conv to half the output width, ReLU, 3x3
@@ -61,25 +61,37 @@ import numpy as np
 from . import ops
 from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
-from .records import read_record
+from .records import check_record, kind_of, read_record
 from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
 from .volume import check_classes
 
 VARIANTS = ("v1", "v2", "v3")
 DILATIONS = (2, 1, 4, 1, 8)      # one residual unit per level
 PYRAMID_BINS = (2, 4, 6, 12)     # the output unit's pooling grids
+# least slice height and width: the output unit's finest grid needs
+# max(PYRAMID_BINS) pixels a side after the init unit, whose ceil-mode
+# pool turns 2m - 1 pixels into m
+MIN_SIDE = 2 * max(PYRAMID_BINS) - 1
 
 # fields older checkpoint headers hold, each at the network's one value
 RETIRED_FIELDS = {"pool_kind": "max", "dilations": DILATIONS,
-                  "pyramid_bins": PYRAMID_BINS}
+                  "pyramid_bins": PYRAMID_BINS, "init_pool": True}
+
+
+def check_slice(height: int, width: int) -> None:
+    """Raise ``ShapeError`` unless a height x width slice is at least
+    ``MIN_SIDE`` a side."""
+    if min(height, width) < MIN_SIDE:
+        raise ShapeError(f"a {height}x{width} slice is too small: this network "
+                         f"needs height and width >= {MIN_SIDE}")
 
 
 @dataclass(frozen=True)
 class NetConfig:
     """Structural description of one network: what a run chooses, the
-    variant, modalities, classes and width, plus whether the init unit
-    pools.  The dilations and the pyramid bins are the module constants
-    ``DILATIONS`` and ``PYRAMID_BINS``.
+    variant, modalities, classes and width.  The dilations and the
+    pyramid bins are the module constants ``DILATIONS`` and
+    ``PYRAMID_BINS``.
 
     ``filters`` is the per-modality width: a variant with a stream per
     modality (v2, v3) runs its units at ``filters`` channels, and v1's one
@@ -90,7 +102,6 @@ class NetConfig:
     modalities: int = 3
     classes: int = 4
     filters: int = 24
-    init_pool: bool = True
 
     def validate(self) -> "NetConfig":
         if self.variant not in VARIANTS:
@@ -108,34 +119,22 @@ class NetConfig:
         runs at ``trunk_filters // streams``."""
         return self.filters * self.modalities
 
-    @property
-    def min_side(self) -> int:
-        """Least slice height and width: the output unit's finest grid
-        needs max(PYRAMID_BINS) pixels a side after the init unit, whose
-        ceil-mode pool turns 2m - 1 pixels into m."""
-        m = max(PYRAMID_BINS)
-        return 2 * m - 1 if self.init_pool else m
-
-    def check_slice(self, height: int, width: int) -> None:
-        """Raise ``ShapeError`` unless a height x width slice is at least
-        ``min_side`` a side."""
-        if min(height, width) < self.min_side:
-            raise ShapeError(f"a {height}x{width} slice is too small: this network "
-                             f"needs height and width >= {self.min_side}")
-
     @classmethod
     def from_dict(cls, d: dict, what: str = "network config",
                   error=ConfigError) -> "NetConfig":
         """Read a config record; see :mod:`mixnet.records`.  A field of
-        ``RETIRED_FIELDS`` is dropped at its one value and rejected at
-        any other; so is a value ``validate`` rejects, as ``error``."""
-        kw = dict(d)
-        for key, value in RETIRED_FIELDS.items():
-            held = kw.pop(key, value)
-            if (tuple(held) if isinstance(held, list) else held) != value:
-                raise error(f"{what}: unsupported {key} {held!r}: the network "
-                            f"has {key} {value!r} only")
-        return read_record(cls, kw, what, error)
+        ``RETIRED_FIELDS`` must be of its one value's kind (so 1 is not a
+        bool, though ``1 == True``); it is dropped at that value and
+        rejected at any other, and so is a value ``validate`` rejects, as
+        ``error``."""
+        retired = {k: kind_of(v) for k, v in RETIRED_FIELDS.items()}
+        held = check_record({k: d[k] for k in retired if k in d}, retired, what, error)
+        for key, value in held.items():
+            if value != RETIRED_FIELDS[key]:
+                raise error(f"{what}: unsupported {key} {value!r}: the network "
+                            f"has {key} {RETIRED_FIELDS[key]!r} only")
+        return read_record(cls, {k: v for k, v in d.items() if k not in retired},
+                           what, error)
 
 
 class Network:
@@ -163,9 +162,8 @@ class Network:
         self.store: dict[str, Node] = {}
         self._arrays = arrays
         # materialize every parameter with a dummy pass
-        side = config.min_side
         with no_grad():
-            self.forward(np.zeros((1, side, side, config.modalities), np.float32))
+            self.forward(np.zeros((1, MIN_SIDE, MIN_SIDE, config.modalities), np.float32))
         self._arrays = None
         extra = set(arrays or ()) - set(self.store)
         if extra:
@@ -201,9 +199,7 @@ class Network:
         return ops.conv2d(x, w, b, dilation=dilation, name=name)
 
     def _init_unit(self, name: str, x: Node, c_out: int) -> Node:
-        y = self._conv(name + ".conv", x, 5, c_out)
-        if self.config.init_pool:
-            y = ops.maxpool2x2(y, name=name + ".pool")
+        y = ops.maxpool2x2(self._conv(name + ".conv", x, 5, c_out), name=name + ".pool")
         return ops.relu(y, name=name + ".relu")
 
     def _res_unit(self, name: str, x: Node, c_out: int, d: int) -> Node:
@@ -224,10 +220,7 @@ class Network:
         w, b = self._weights(name + ".final",
                              (3, 3, (1 + len(PYRAMID_BINS)) * c_in, classes))
         logits = ops.pyramid_head(x, w, b, PYRAMID_BINS, name=name + ".final")
-        if self.config.init_pool:
-            logits = ops.bilinear_resize(logits, out_hw[0], out_hw[1],
-                                         name=name + ".upscale")
-        return logits
+        return ops.bilinear_resize(logits, out_hw[0], out_hw[1], name=name + ".upscale")
 
     # -- forward ------------------------------------------------------------
 
@@ -237,7 +230,7 @@ class Network:
         x = np.asarray(x)
         if x.ndim != 4 or x.shape[-1] != cfg.modalities:
             raise ShapeError(f"expected input (N,H,W,{cfg.modalities}), got {x.shape}")
-        cfg.check_slice(x.shape[1], x.shape[2])
+        check_slice(x.shape[1], x.shape[2])
         split = cfg.variant != "v1"  # a stream per modality, else one for all
         fuse = cfg.variant == "v2"   # odd levels fuse the streams into a summary
         n = cfg.modalities if split else 1
@@ -267,10 +260,6 @@ class Network:
     @property
     def param_count(self) -> int:
         return sum(p.size for p in self.store.values())
-
-    def zero_grad(self) -> None:
-        for p in self.store.values():
-            p.grad = None
 
     def predict_probs(self, x: np.ndarray) -> np.ndarray:
         """Softmax class probabilities for a batch of slices."""

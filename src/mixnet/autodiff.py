@@ -202,8 +202,8 @@ def topo_order(root: Node) -> list[Vertex]:
 def backward(root: Node) -> None:
     """Accumulate gradients of a scalar ``root`` into every leaf ancestor
     that requires them.  Existing ``.grad`` buffers keep accumulating;
-    call ``zero_grad`` on the model (or reset ``.grad`` yourself) between
-    steps.  Intermediate vertices get no ``.grad``.
+    call the optimizer's ``zero_grad`` (or reset ``.grad`` yourself)
+    between steps.  Intermediate vertices get no ``.grad``.
     """
     if root.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.shape}")

@@ -21,9 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import verify, volume
-from .arch import VARIANTS, NetConfig, Network
+from .arch import VARIANTS, NetConfig, Network, check_slice
 from .augment import expand_slices, policy_for_plane
-from .errors import ConfigError, DataError, MixNetError, VerificationFailure
+from .errors import ConfigError, DataError, MixNetError, ShapeError, VerificationFailure
 from .metrics import evaluate_segmentation
 from .records import check_record, kind_of
 from .tensor import derive_seed
@@ -61,10 +61,12 @@ def _numbers(kind):
 # config resolution
 
 
-def resolve_config(defaults: dict, config_path, flags: dict,
+def resolve_config(defaults: dict, config_path, flags: dict, check,
                    recorded: dict | None = None) -> dict:
     """defaults <- settings a checkpoint recorded <- config file <- flags;
-    each file value must be of its default's kind (``records.kind_of``)."""
+    each file value must be of its default's kind (``records.kind_of``),
+    and ``check``, the caller's range check, names the file if it fails
+    on the file's values before the flags apply."""
     resolved = {**defaults, **(recorded or {})}
     if config_path:
         try:
@@ -76,17 +78,21 @@ def resolve_config(defaults: dict, config_path, flags: dict,
             raise ConfigError(f"{config_path}: invalid JSON: {e}") from None
         kinds = {k: kind_of(v) for k, v in defaults.items()}
         resolved.update(check_record(from_file, kinds, config_path, ConfigError))
+        try:
+            check(resolved)
+        except ConfigError as e:
+            raise ConfigError(f"{config_path}: {e}") from None
     for key, value in flags.items():
         if value is not None:
             resolved[key] = value
     return resolved
 
 
-def _resolve(defaults: dict, args, recorded: dict | None = None) -> dict:
+def _resolve(defaults: dict, args, check, recorded: dict | None = None) -> dict:
     """resolve_config with the flags of ``args``; each key of ``defaults``
     is its flag's argparse dest."""
     return resolve_config(defaults, args.config,
-                          {k: getattr(args, k) for k in defaults}, recorded)
+                          {k: getattr(args, k) for k in defaults}, check, recorded)
 
 
 def _echo_config(command: str, resolved: dict, out_dir=None) -> None:
@@ -113,10 +119,14 @@ GENERATE_DEFAULTS = {
 }
 
 
-def cmd_generate(args) -> int:
-    cfg = _resolve(GENERATE_DEFAULTS, args)
+def _check_generate(cfg: dict) -> None:
     volume.check_synthesis(cfg["dims"], cfg["classes"], cfg["modalities"],
                            cfg["spacing"], cfg["subjects"], ConfigError)
+
+
+def cmd_generate(args) -> int:
+    cfg = _resolve(GENERATE_DEFAULTS, args, _check_generate)
+    _check_generate(cfg)
     _echo_config("generate", cfg, args.out)
     manifest = volume.generate_dataset(
         args.out, subjects=cfg["subjects"], dims=tuple(cfg["dims"]),
@@ -153,18 +163,18 @@ TRAIN_DEFAULTS = {
 }
 
 
-# train settings that choose the training slices; Trainer.slice_settings
-SLICE_KEYS = ("plane", "augment", "max_slices", "holdout")
+# train settings that choose the training slices and their draws; Trainer.slice_settings
+SLICE_KEYS = ("plane", "augment", "max_slices", "holdout", "seed")
 
 # the --augment policies; plane = full for transverse, light otherwise
 AUGMENT = ("plane", "full", "light", "none")
 
 
-def _checkpoint_settings(path, header: dict | None = None) -> tuple[dict, int]:
-    """(settings, batch-order seed) recorded in a resumable checkpoint's
-    header, read from ``path`` unless given.  Checkpoints older than the
-    slice settings record none."""
-    header = load_checkpoint_header(path) if header is None else header
+def _checkpoint_settings(path) -> tuple[dict, int]:
+    """(settings, batch-order seed) recorded in the header of the
+    resumable checkpoint at ``path``.  Checkpoints older than the slice
+    settings record none, and older than the seed's record no seed."""
+    header = load_checkpoint_header(path)
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
     saved = header["train_config"]
@@ -189,16 +199,10 @@ def _stack_subjects(data_dir, entries, plane):
     return np.concatenate(images, axis=0), np.concatenate(labels, axis=0)
 
 
-def cmd_train(args) -> int:
-    # a resumed run starts from the checkpoint's settings; a file or flag
-    # may change its epochs, and nothing else it records
-    recorded = {}
-    if args.resume:
-        header = load_checkpoint_header(args.resume)
-        recorded, batch_seed = _checkpoint_settings(args.resume, header)
-    cfg = _resolve(TRAIN_DEFAULTS, args, recorded)
+def _train_configs(cfg: dict) -> tuple[NetConfig, TrainConfig]:
+    """The network and training configs of in-range train settings."""
     if cfg["plane"] not in PLANES:
-        raise ConfigError(f"plane must be one of {PLANES}, got {cfg['plane']!r}")
+        raise ConfigError(f"plane must be one of {tuple(PLANES)}, got {cfg['plane']!r}")
     if cfg["augment"] not in AUGMENT:
         raise ConfigError(f"augment must be one of {AUGMENT}, got {cfg['augment']!r}")
     if cfg["max_slices"] < 0:
@@ -208,10 +212,21 @@ def cmd_train(args) -> int:
     train_config = TrainConfig(
         **{k: cfg[k] for k in TRAIN_CONFIG_KEYS}, use_lr_schedule=cfg["lr_schedule"],
         seed=derive_seed(cfg["seed"], "batches")).validate()
+    return net_config, train_config
+
+
+def cmd_train(args) -> int:
+    # a resumed run starts from the checkpoint's settings; a file or flag
+    # may change its epochs, and nothing else it records
+    recorded = {}
+    if args.resume:
+        recorded, batch_seed = _checkpoint_settings(args.resume)
+    cfg = _resolve(TRAIN_DEFAULTS, args, _train_configs, recorded)
+    net_config, train_config = _train_configs(cfg)
     if args.resume:
         changed = [f"{k} {cfg[k]!r} (checkpoint {v!r})" for k, v in recorded.items()
                    if k != "epochs" and cfg[k] != v]
-        if derive_seed(cfg["seed"], "batches") != batch_seed:
+        if "seed" not in recorded and derive_seed(cfg["seed"], "batches") != batch_seed:
             changed.append(f"seed {cfg['seed']!r} (the checkpoint used another)")
         if changed:
             raise ConfigError(f"{args.resume}: cannot resume with changed settings: "
@@ -231,15 +246,14 @@ def cmd_train(args) -> int:
         entries = [e for e in entries if e["id"] != cfg["holdout"]]
     if not entries:
         raise DataError("no training subjects" + (" left after holdout" if held else ""))
-    # the network that trains, the checkpoint's or net_config (whose
-    # min_side the manifest's modalities and classes leave as it is),
-    # checks the slices of every subject it stacks, the holdout's too,
+    # the slices of every subject stacked, the holdout's too, are checked
     # before any volume body is read
-    trains = header["net_config"] if args.resume else net_config
     for entry in entries + held:
         dims = volume.read_meta(os.path.join(args.data, entry["labels"])).dims
-        trains.check_slice(*(d for axis, d in enumerate(dims)
-                             if axis != PLANES[cfg["plane"]]))
+        try:
+            check_slice(*(d for axis, d in enumerate(dims) if axis != PLANES[cfg["plane"]]))
+        except ShapeError as e:
+            raise ShapeError(f"{entry['id']}: {e}") from None
     val = _stack_subjects(args.data, held, cfg["plane"]) if held else None
     images, labels = _stack_subjects(args.data, entries, cfg["plane"])
 

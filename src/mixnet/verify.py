@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, ops
-from .arch import NetConfig, Network, embed_v3_into_v1
+from .arch import MIN_SIDE, NetConfig, Network, embed_v3_into_v1
 from .augment import expand_slices, policy_ops, rotate_slice
 from .autodiff import Node, grad_check
 from .errors import VerificationFailure
@@ -122,7 +122,8 @@ def check_op_gradients(seed: int = 0) -> list:
 
 
 def check_network_gradients(seed: int = 0) -> list:
-    """Finite differences through a real (tiny) network, parameter side.
+    """Finite differences through a real (tiny) network, parameter side, on
+    a least-side slice, through the init unit's pool and the upscale.
 
     Parameters are jittered away from their initial values first.  Freshly
     built nets hold exact-zero biases, and relu zeros propagated through
@@ -133,14 +134,12 @@ def check_network_gradients(seed: int = 0) -> list:
     1e-5, at which the float64 truncation error is far below the
     tolerance.
     """
-    cfg = NetConfig(variant="v3", modalities=2, classes=3, filters=4,
-                    init_pool=False)
-    net = Network(cfg, seed=seed)
+    net = Network(NetConfig(variant="v3", modalities=2, classes=3, filters=4), seed=seed)
     rng = np.random.default_rng(seed)
     names = list(net.store)
     params = [p.data + rng.normal(scale=0.05, size=p.shape) for p in net.store.values()]
-    x = rng.normal(size=(1, 12, 12, 2))
-    labels = rng.integers(0, 3, size=(1, 12, 12))
+    x = rng.normal(size=(1, MIN_SIDE, MIN_SIDE, 2))
+    labels = rng.integers(0, 3, size=(1, MIN_SIDE, MIN_SIDE))
 
     def build(leaves):
         net.store.update(zip(names, leaves))

@@ -42,7 +42,8 @@ def test_config_round_trip_and_unknown_keys():
         NetConfig.from_dict({"variant": "v1", "depth": 9})
 
 
-# one wrongly typed value per NetConfig field
+# one wrongly typed value per NetConfig field, and the retired init_pool
+# at 1, which equals True but is no bool
 WRONG_TYPES = {"variant": 1, "modalities": "3", "classes": 2.0, "filters": "x",
                "init_pool": 1}
 
@@ -56,13 +57,13 @@ def test_config_from_dict_rejects_wrong_types(key):
 
 # fields older checkpoint headers hold: (the network's one value, another)
 RETIRED = {"pool_kind": ("max", "avg"), "dilations": ([2, 1, 4, 1, 8], [2, 0]),
-           "pyramid_bins": ([2, 4, 6, 12], [2, 4, 6, 8])}
+           "pyramid_bins": ([2, 4, 6, 12], [2, 4, 6, 8]), "init_pool": (True, False)}
 
 
 @pytest.mark.parametrize("key", sorted(RETIRED))
 def test_config_from_dict_drops_a_retired_field_at_its_one_value(key):
     assert [f.name for f in fields(NetConfig)] == \
-        ["variant", "modalities", "classes", "filters", "init_pool"]
+        ["variant", "modalities", "classes", "filters"]
     paper, other = RETIRED[key]
     d = asdict(NetConfig(variant="v3", filters=6))
     assert NetConfig.from_dict({**d, key: paper}) == NetConfig(variant="v3", filters=6)
@@ -104,12 +105,6 @@ def test_parameter_counts_match_shape_arithmetic():
         assert net.param_count == want
 
 
-def test_no_pool_variant_has_no_upscale_and_smaller_rf():
-    net = small("v1", init_pool=False)
-    x = np.zeros((1, 13, 17, 3), np.float32)
-    assert net.forward(x).shape == (1, 13, 17, 4)
-
-
 # ---------------------------------------------------------------------------
 # behaviour
 
@@ -130,17 +125,13 @@ def test_forward_rejects_wrong_modalities():
 
 
 def test_too_small_slice_is_a_slice_size_error():
-    assert NetConfig().min_side == 23       # 23 pools (ceil mode) to 12, 22 to 11
-    assert NetConfig(init_pool=False).min_side == 12
-    net = small("v3")
-    for h, w in ((22, 30), (30, 22), (22, 22)):
-        with pytest.raises(ShapeError, match=f"{h}x{w} slice .* >= 23"):
-            net.forward(np.zeros((1, h, w, 3), np.float32))
-    assert net.forward(np.zeros((1, 23, 23, 3), np.float32)).shape == (1, 23, 23, 4)
-    flat = small("v1", init_pool=False)
-    with pytest.raises(ShapeError, match="11x30 slice .* >= 12"):
-        flat.forward(np.zeros((1, 11, 30, 3), np.float32))
-    assert flat.forward(np.zeros((1, 12, 12, 3), np.float32)).shape == (1, 12, 12, 4)
+    assert arch.MIN_SIDE == 23       # 23 pools (ceil mode) to 12, 22 to 11
+    for variant in arch.VARIANTS:
+        net = small(variant)
+        for h, w in ((22, 30), (30, 22), (22, 22)):
+            with pytest.raises(ShapeError, match=f"^a {h}x{w} slice .* >= 23$"):
+                net.forward(np.zeros((1, h, w, 3), np.float32))
+        assert net.forward(np.zeros((1, 23, 23, 3), np.float32)).shape == (1, 23, 23, 4)
 
 
 def test_seed_determinism():
@@ -172,7 +163,7 @@ def test_every_parameter_receives_gradient():
         dead = [name for name, p in net.store.items()
                 if p.grad is None or not np.any(p.grad)]
         assert dead == [], f"{variant}: no gradient reached {dead}"
-        net.zero_grad()
+        Optimizer(net.store, lr0=0, momentum=0, weight_decay=0).zero_grad()
         assert all(p.grad is None for _, p in net.store.items())
 
 
@@ -192,18 +183,14 @@ class ReluFirst(Network):
 
     def _init_unit(self, name, x, c_out):
         y = ops.relu(self._conv(name + ".conv", x, 5, c_out), name=name + ".relu")
-        if self.config.init_pool:
-            y = ops.maxpool2x2(y, name=name + ".pool")
-        return y
+        return ops.maxpool2x2(y, name=name + ".pool")
 
 
-@pytest.mark.parametrize("variant,init_pool", [("v1", True), ("v2", True),
-                                               ("v3", True), ("v1", False)])
-def test_init_unit_pools_before_relu_with_the_same_logits_and_gradients(variant,
-                                                                        init_pool):
+@pytest.mark.parametrize("variant", arch.VARIANTS)
+def test_init_unit_pools_before_relu_with_the_same_logits_and_gradients(variant):
     x = np.random.default_rng(3).normal(size=(2, 26, 24, 3)).astype(np.float32)
     labels = np.random.default_rng(4).integers(0, 4, size=(2, 26, 24))
-    cfg = NetConfig(variant=variant, classes=4, filters=8, init_pool=init_pool)
+    cfg = NetConfig(variant=variant, classes=4, filters=8)
     runs = []
     for cls in (Network, ReluFirst):
         net = cls(cfg, seed=5)
@@ -215,14 +202,24 @@ def test_init_unit_pools_before_relu_with_the_same_logits_and_gradients(variant,
     np.testing.assert_array_equal(logits, ref_logits)
     for name, p in net.store.items():
         np.testing.assert_array_equal(p.grad, ref.store[name].grad, err_msg=name)
-    # the unit keeps its node names: init.conv -> init.pool -> init.relu
+    # the unit keeps its node names: init.conv -> init.pool -> init.relu,
+    # and the output unit upscales the head's logits back to the input size
     unit = "init" if variant == "v1" else "init.s0"
-    before_relu = unit + (".pool" if init_pool else ".conv")
-    assert [v.name for v in vertices[unit + ".relu"].parents] == [before_relu]
-    if init_pool:
-        assert [v.name for v in vertices[unit + ".pool"].parents] == [unit + ".conv"]
-    else:
-        assert unit + ".pool" not in vertices
+    assert [v.name for v in vertices[unit + ".relu"].parents] == [unit + ".pool"]
+    assert [v.name for v in vertices[unit + ".pool"].parents] == [unit + ".conv"]
+    assert [v.name for v in vertices["out.upscale"].parents] == ["out.final"]
+
+
+def test_network_gradient_check_runs_through_the_pool_and_the_upscale(monkeypatch):
+    ran = set()
+    for op in ("maxpool2x2", "bilinear_resize"):
+        def spy(*args, _op=getattr(ops, op), **kw):
+            ran.add(kw["name"])
+            return _op(*args, **kw)
+        monkeypatch.setattr(ops, op, spy)
+    [result] = verify.check_network_gradients(seed=0)
+    assert result.passed, result.line()
+    assert ran == {"init.s0.pool", "init.s1.pool", "out.upscale"}
 
 
 def test_inference_builds_no_graph():
@@ -295,11 +292,10 @@ def test_network_from_arrays_draws_nothing_and_owns_float32_copies(monkeypatch):
 # v3 -> v1 embedding
 
 
-@pytest.mark.parametrize("modalities,init_pool", [(1, True), (2, True), (3, True),
-                                                  (3, False)])
-def test_embedding_matches_v3_outputs(modalities, init_pool):
+@pytest.mark.parametrize("modalities", [1, 2, 3])
+def test_embedding_matches_v3_outputs(modalities):
     rng = np.random.default_rng(6)
-    v3 = small("v3", modalities=modalities, init_pool=init_pool)
+    v3 = small("v3", modalities=modalities)
     v1 = embed_v3_into_v1(v3)
     for _ in range(3):
         x = rng.normal(size=(1, 24, 24, modalities)).astype(np.float32)

@@ -148,6 +148,26 @@ def test_train_resume_rejects_a_changed_plane(dataset, tmp_path):
     assert train_fast(dataset, tmp_path / "old", "--epochs", "2", "--resume", old) == 0
 
 
+def test_resume_keeps_the_recorded_seed(dataset, tmp_path, capsys):
+    first = tmp_path / "first"
+    assert train_fast(dataset, first) == 0     # --seed 3
+    ckpt = first / "checkpoint.ckpt"
+    assert load_checkpoint_header(ckpt)["slice_settings"]["seed"] == 3
+    resume = ["train", "--data", dataset, "--epochs", "2", "--resume"]
+    assert run(*resume, ckpt, "--out", tmp_path / "resumed") == 0
+    assert json.loads((tmp_path / "resumed" / "config.json").read_text())["seed"] == 3
+    err = _fails_cleanly(capsys, 1, *resume, ckpt, "--out", tmp_path / "other",
+                         "--seed", "4")
+    assert err.endswith("cannot resume with changed settings: seed 4 (checkpoint 3)")
+    # a checkpoint that records no seed compares the batch-order seed it
+    # derived: the default seed 0 is refused, the run's own seed resumes
+    old = tmp_path / "old.ckpt"
+    _rewrite_header(ckpt, old, lambda h: h["slice_settings"].pop("seed"))
+    err = _fails_cleanly(capsys, 1, *resume, old, "--out", tmp_path / "old0")
+    assert err.endswith("seed 0 (the checkpoint used another)")
+    assert run(*resume, old, "--out", tmp_path / "old3", "--seed", "3") == 0
+
+
 def test_resume_settings_come_from_the_header_alone(dataset, tmp_path):
     first = tmp_path / "first"
     assert train_fast(dataset, first, "--holdout", "subject02") == 0
@@ -156,7 +176,7 @@ def test_resume_settings_come_from_the_header_alone(dataset, tmp_path):
     settings, _ = cli._checkpoint_settings(short)
     assert {k: settings[k] for k in cli.SLICE_KEYS} == {
         "plane": "transverse", "augment": "none", "max_slices": 8,
-        "holdout": "subject02"}
+        "holdout": "subject02", "seed": 3}
     with pytest.raises(DataError):
         load_checkpoint(short)
 
@@ -231,7 +251,8 @@ def test_train_on_subject_entries_with_unequal_modalities_is_a_data_error(
     assert f"subject 1 lists {keep} modalities" in err
 
 
-TOO_SMALL = "error: a 16x16 slice is too small: this network needs height and width >= "
+# the slice-size error, naming a subject
+TOO_SMALL = "error: {}: a 16x16 slice is too small: this network needs height and width >= 23\n"
 
 
 def _small_dataset(tmp_path, name="small"):
@@ -255,7 +276,7 @@ def test_train_on_slices_too_small_fails_before_reading_a_subject(tmp_path, caps
             os.remove(data / name)
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run") == 2
-    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL.format("subject00")
 
 
 def test_resume_checks_slices_against_the_checkpoints_network(dataset, tmp_path, capsys):
@@ -264,13 +285,16 @@ def test_resume_checks_slices_against_the_checkpoints_network(dataset, tmp_path,
     ckpt = tmp_path / "first" / "checkpoint.ckpt"
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run", "--epochs", "2", "--resume", ckpt) == 2
-    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
-    # the checkpoint's network, not the command line default, sets the
-    # least side: without the init unit's pool it is 12, and 16x16 slices train
-    unpooled = tmp_path / "unpooled.ckpt"
-    _rewrite_header(ckpt, unpooled, lambda h: h["net_config"].update(init_pool=False))
-    assert train_fast(data, tmp_path / "unpooled", "--epochs", "2", "--resume",
-                      unpooled) == 0
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL.format("subject00")
+    # a header that still records the init unit's pool, as older ones do,
+    # is the same network: it refuses the 16x16 slices and resumes on 24x24
+    pooled = tmp_path / "pooled.ckpt"
+    _rewrite_header(ckpt, pooled, lambda h: h["net_config"].update(init_pool=True))
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "small", "--epochs", "2", "--resume", pooled) == 2
+    assert _only_the_echo(capsys, tmp_path / "small") == TOO_SMALL.format("subject00")
+    assert train_fast(dataset, tmp_path / "pooled", "--epochs", "2", "--resume",
+                      pooled) == 0
 
 
 def test_manifest_without_dims_fails_before_reading_a_subject(tmp_path, capsys):
@@ -280,7 +304,7 @@ def test_manifest_without_dims_fails_before_reading_a_subject(tmp_path, capsys):
     (data / "manifest.json").write_text(json.dumps(man))
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run") == 2
-    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL.format("subject00")
 
 
 def _set_manifest_dims(data, dims):
@@ -298,7 +322,7 @@ def test_train_takes_the_slice_size_from_the_volumes(dataset, tmp_path, capsys):
     _set_manifest_dims(small, [64, 64, 64])  # the volumes are 16^3
     capsys.readouterr()
     assert train_fast(small, tmp_path / "small") == 2
-    assert _only_the_echo(capsys, tmp_path / "small") == TOO_SMALL + "23\n"
+    assert _only_the_echo(capsys, tmp_path / "small") == TOO_SMALL.format("subject00")
 
 
 def test_a_holdout_too_small_fails_before_training(dataset, tmp_path, capsys):
@@ -310,7 +334,7 @@ def test_a_holdout_too_small_fails_before_training(dataset, tmp_path, capsys):
             shutil.copy(small / name, data / name)
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run", "--holdout", "subject01") == 2
-    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL + "23\n"
+    assert _only_the_echo(capsys, tmp_path / "run") == TOO_SMALL.format("subject01")
 
 
 def test_train_on_a_manifest_without_subjects_is_a_data_error(dataset, tmp_path, capsys):
@@ -409,6 +433,9 @@ MALFORMED_HEADERS = {
     **{f: _header_value(f, v) for f, v in WRONGLY_TYPED.items()},
     **{f"{f}={v}": _header_value(f, v) for f, v in OUT_OF_RANGE_HEADERS.items()},
     **{f: _header_value(f, v) for f, v in RETIRED_HEADERS.items()},
+    # the retired init_pool at a value other than true (its 1 is wrongly typed)
+    **{f"net_config.init_pool={v}": _header_value("net_config.init_pool", v)
+       for v in (False, "yes")},
 }
 # headers only train --resume rejects: it reads the slice settings' keys
 UNRESUMABLE_HEADERS = {
@@ -463,13 +490,18 @@ def test_config_file_value_of_the_wrong_kind_is_a_usage_error(dataset, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-# counts out of range, by command: (config-file values, flags, a fragment of
-# the error); the file also keeps a run short should the check be missing
+# settings out of range, by command: (config-file values, flags, a fragment
+# of the error); the file also keeps a run short should the check be missing,
+# and the error names the file when the value comes from it
 QUICK_TRAIN = {"epochs": 1, "augment": "none", "variant": "v3", "filters": 4,
                "max_slices": 2}
 QUICK_GENERATE = {"subjects": 1, "dims": [8, 8, 8]}
 OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"], "must be >= "),
                 "max-slices-file": ("train", {"max_slices": -1}, [], "must be >= "),
+                "epochs-file": ("train", {"epochs": 0}, [], "epochs must be >= 1, got 0"),
+                "plane-file": ("train", {"plane": "axial"}, [],
+                               "plane must be one of ('sagittal', 'coronal', "
+                               "'transverse'), got 'axial'"),
                 "val-every": ("train", {}, ["--val-every", "-1"], "must be >= "),
                 "checkpoint-every": ("train", {}, ["--checkpoint-every", "-1"],
                                      "must be >= "),
@@ -477,6 +509,7 @@ OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"], "must be >= 
                 "batch-size-negative": ("predict", {}, ["--batch-size", "-1"],
                                         "must be >= "),
                 "subjects": ("generate", {}, ["--subjects", "0"], "subjects must be >= 1"),
+                "subjects-file": ("generate", {"subjects": 0}, [], "subjects must be >= 1"),
                 "modalities": ("generate", {}, ["--modalities", "0"],
                                "modalities must be >= 1"),
                 "classes": ("generate", {}, ["--classes", "1"],
@@ -514,6 +547,7 @@ def test_count_out_of_range_is_a_usage_error(dataset, trained, tmp_path, capsys,
                 "--plane", "coronal", "--out", tmp_path / "out" / "p.vol"]
     err = _fails_cleanly(capsys, 1, command, *argv, *flags)
     assert message in err
+    assert err.startswith(f"error: {tmp_path / 'cfg.json'}: ") == bool(values)
     assert not (tmp_path / "out").exists()
 
 

@@ -466,11 +466,12 @@ def test_v1_step_holds_each_activation_once():
     # maxpool2x2 keep masks and padded copies of their inputs: that step
     # peaks near 67 MB
     net = Network(NetConfig(variant="v1"), seed=0)
+    opt = tr.Optimizer(net.store, lr0=0, momentum=0, weight_decay=0)
     x, y = _v1_batch(4)
 
     def step():
         loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
-        net.zero_grad()
+        opt.zero_grad()
         backward(loss)
 
     assert _traced_peak(step) < 48e6
@@ -481,11 +482,12 @@ def test_v1_step_frees_what_no_backward_rule_reads():
     # and the head's output before upscale are freed in forward; if the
     # graph's edges held them, the step would peak near 38 MB
     net = Network(NetConfig(variant="v1"), seed=0)
+    opt = tr.Optimizer(net.store, lr0=0, momentum=0, weight_decay=0)
     x, y = _v1_batch(4)
 
     def step():
         loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
-        net.zero_grad()
+        opt.zero_grad()
         backward(loss)
 
     assert _traced_peak(step) < 30e6

@@ -240,21 +240,22 @@ def test_slice_restack_round_trip_3d_and_4d():
 
 
 def test_predict_volume_matches_the_restacked_stack():
-    net = Network(NetConfig(variant="v2", classes=3, filters=4, init_pool=False), seed=2)
-    images = np.random.default_rng(5).normal(size=(12, 13, 14, 3)).astype(np.float32)
+    net = Network(NetConfig(variant="v2", classes=3, filters=4), seed=2)
+    # every plane's slices are at least the network's least side, 23
+    images = np.random.default_rng(5).normal(size=(23, 24, 25, 3)).astype(np.float32)
     for plane, axis in vol.PLANES.items():
         got = vol.predict_volume(net, images, plane, batch_size=4)
         want = oracles.predict_volume_restacked(net, images, axis, batch_size=4)
         assert got.dtype == want.dtype == np.float32
-        assert got.flags.c_contiguous and got.shape == (12, 13, 14, 3)
+        assert got.flags.c_contiguous and got.shape == (23, 24, 25, 3)
         np.testing.assert_array_equal(got, want)
     with pytest.raises(DataError):
         vol.predict_volume(net, images[..., 0], "sagittal")
 
 
 def test_predict_volume_rejects_a_batch_size_below_1():
-    net = Network(NetConfig(variant="v3", classes=3, filters=4, init_pool=False), seed=2)
-    images = np.zeros((12, 12, 12, 3), np.float32)
+    net = Network(NetConfig(variant="v3", classes=3, filters=4), seed=2)
+    images = np.zeros((23, 23, 23, 3), np.float32)
     for bad in (0, -1):
         with pytest.raises(ParameterError, match=f"^batch_size must be >= 1, got {bad}$"):
             vol.predict_volume(net, images, "sagittal", batch_size=bad)
