@@ -184,16 +184,20 @@ def _checkpoint_settings(path) -> tuple[dict, int]:
     return {**_owned_settings(saved, header["net_config"]), **slices}, saved.seed
 
 
+def _manifest_entry(manifest: dict, sid: str, role: str = "subject") -> dict:
+    """The manifest's entry of subject ``sid``; ``role`` names it if absent."""
+    for entry in manifest["subjects"]:
+        if entry["id"] == sid:
+            return entry
+    raise DataError(f"{role} {sid!r} not in manifest "
+                    f"({[e['id'] for e in manifest['subjects']]})")
+
+
 def _stack_subjects(data_dir, entries, plane):
-    """All slices of all subjects along one plane; every subject must
-    have the first one's dims."""
-    images, labels, dims = [], [], None
+    """All slices of all subjects along one plane."""
+    images, labels = [], []
     for entry in entries:
         sub = volume.load_subject(data_dir, entry)
-        dims = dims or sub["labels"].shape
-        if sub["labels"].shape != dims:
-            raise DataError(f"subject {entry['id']!r} has dims {sub['labels'].shape}, "
-                            f"subject {entries[0]['id']!r} {dims}")
         images.append(volume.slice_stack(sub["images"], plane))
         labels.append(volume.slice_stack(sub["labels"], plane))
     return np.concatenate(images, axis=0), np.concatenate(labels, axis=0)
@@ -236,24 +240,30 @@ def cmd_train(args) -> int:
     _echo_config("train", cfg, args.out)
 
     manifest = volume.load_manifest(args.data)
-    entries = manifest["subjects"]
-    held = []
+    entries, held = manifest["subjects"], []
     if cfg["holdout"]:
-        held = [e for e in entries if e["id"] == cfg["holdout"]]
-        if not held:
-            raise DataError(f"holdout subject {cfg['holdout']!r} not in manifest "
-                            f"({[e['id'] for e in entries]})")
+        held = [_manifest_entry(manifest, cfg["holdout"], "holdout subject")]
         entries = [e for e in entries if e["id"] != cfg["holdout"]]
     if not entries:
         raise DataError("no training subjects" + (" left after holdout" if held else ""))
-    # the slices of every subject stacked, the holdout's too, are checked
-    # before any volume body is read
-    for entry in entries + held:
-        dims = volume.read_meta(os.path.join(args.data, entry["labels"])).dims
+    # every sidecar of every subject stacked, the holdout's too, is checked
+    # before any volume body is read: its kinds and grid, the manifest's
+    # class count, its slices, and one grid for the training subjects
+    dims = None
+    for i, entry in enumerate(entries + held):
+        paths, kinds = volume.subject_files(args.data, entry)
+        meta = volume.read_metas(paths, kinds)[-1]
+        if meta.classes != manifest["classes"]:
+            raise DataError(f"{paths[-1]}: {meta.classes} classes, but the manifest "
+                            f"has {manifest['classes']}")
         try:
-            check_slice(*(d for axis, d in enumerate(dims) if axis != PLANES[cfg["plane"]]))
+            check_slice(*(d for a, d in enumerate(meta.dims) if a != PLANES[cfg["plane"]]))
         except ShapeError as e:
             raise ShapeError(f"{entry['id']}: {e}") from None
+        dims = dims or meta.dims
+        if i < len(entries) and meta.dims != dims:
+            raise DataError(f"subject {entry['id']!r} has dims {meta.dims}, "
+                            f"subject {entries[0]['id']!r} {dims}")
     val = _stack_subjects(args.data, held, cfg["plane"]) if held else None
     images, labels = _stack_subjects(args.data, entries, cfg["plane"])
 
@@ -307,16 +317,11 @@ def cmd_predict(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
     net = load_network(args.checkpoint)
-    manifest = volume.load_manifest(args.data)
-    matches = [e for e in manifest["subjects"] if e["id"] == args.subject]
-    if not matches:
-        raise DataError(f"subject {args.subject!r} not in manifest "
-                        f"({[e['id'] for e in manifest['subjects']]})")
-    sub = volume.load_subject(args.data, matches[0])
-    if sub["images"].shape[-1] != net.config.modalities:
-        raise DataError(
-            f"subject has {sub['images'].shape[-1]} modalities, checkpoint "
-            f"expects {net.config.modalities}")
+    entry = _manifest_entry(volume.load_manifest(args.data), args.subject)
+    if len(entry["modalities"]) != net.config.modalities:
+        raise DataError(f"subject {args.subject!r} has {len(entry['modalities'])} "
+                        f"modalities, checkpoint expects {net.config.modalities}")
+    sub = volume.load_subject(args.data, entry)
     probs = volume.predict_volume(net, sub["images"], args.plane,
                                   batch_size=args.batch_size)
     volume.write_volume(args.out, probs, sub["spacing"], "probs",
@@ -331,38 +336,20 @@ def cmd_fuse(args) -> int:
         # sagittal : coronal : transverse convention for the usual 3 planes
         weights = (1.0, 1.0, 4.0) if len(args.inputs) == 3 else (1.0,) * len(args.inputs)
     weights = volume.check_weights(weights, len(args.inputs), ConfigError)
-    vols, metas = [], []
-    for path in args.inputs:
-        data, meta = volume.read_volume(path)
-        if meta.kind != "probs":
-            raise DataError(f"{path}: expected a probability volume, "
-                            f"got kind {meta.kind!r}")
-        vols.append(data)
-        metas.append(meta)
-    for meta in metas[1:]:
-        if meta.dims != metas[0].dims or meta.classes != metas[0].classes:
-            raise DataError("probability volumes disagree on dims/classes")
-        if meta.spacing != metas[0].spacing:
-            raise DataError("probability volumes disagree on spacing")
-    labels, _ = volume.fuse_predictions(vols, weights)
-    volume.write_volume(args.out, labels, metas[0].spacing, "labels",
-                        classes=metas[0].classes)
+    vols = volume.read_volumes(args.inputs, ["probs"] * len(args.inputs))
+    labels, _ = volume.fuse_predictions([data for data, _ in vols], weights)
+    meta = vols[0][1]
+    volume.write_volume(args.out, labels, meta.spacing, "labels", classes=meta.classes)
     print(f"fused {len(vols)} volumes with weights "
           f"{tuple(float(w) for w in weights)} -> {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    pred, pmeta = volume.read_volume(args.pred)
-    truth, tmeta = volume.read_volume(args.truth)
-    for name, meta in (("pred", pmeta), ("truth", tmeta)):
-        if meta.kind != "labels":
-            raise DataError(f"{name} volume must be labels, got {meta.kind!r}")
-    if pmeta.dims != tmeta.dims:
-        raise DataError(f"pred dims {pmeta.dims} != truth dims {tmeta.dims}")
-    if pmeta.spacing != tmeta.spacing:
-        raise DataError(f"pred spacing {pmeta.spacing} != truth {tmeta.spacing}")
-    report = evaluate_segmentation(pred, truth, tmeta.classes, tmeta.spacing)
+    # the truth comes first, so a grid error names the prediction
+    (truth, meta), (pred, _) = volume.read_volumes([args.truth, args.pred],
+                                                   ["labels", "labels"])
+    report = evaluate_segmentation(pred, truth, meta.classes, meta.spacing)
     print(report.format_table())
     if args.out:
         with open(args.out, "w") as fh:

@@ -411,6 +411,18 @@ def check_metrics(trials: int = 100, seed: int = 0) -> list:
 # optimizer arithmetic
 
 
+def nesterov_ref(p0, grads, lr, momentum, weight_decay) -> list:
+    """Plain-python scalar trace of the update rule, one value per step:
+    g' = g + wd*p;  v <- mu*v - lr*g';  p <- p + mu*v - lr*g'."""
+    p, v, hist = float(p0), 0.0, []
+    for g in grads:
+        gp = g + weight_decay * p
+        v = momentum * v - lr * gp
+        p = p + momentum * v - lr * gp
+        hist.append(p)
+    return hist
+
+
 def check_optimizer() -> list:
     results = []
     # 20-epoch table: halvings at epochs 4, 8, 12, 15, 16, 17, 18, 19
@@ -428,14 +440,7 @@ def check_optimizer() -> list:
         p.grad = np.array(g, dtype=np.float64)
         opt.step()
         got.append(float(p.data))
-    # plain-python reference trace of the same rule
-    pv, vv = 1.5, 0.0
-    want = []
-    for g in grads:
-        gp = g + 0.01 * pv
-        vv = 0.9 * vv - 0.05 * gp
-        pv = pv + 0.9 * vv - 0.05 * gp
-        want.append(pv)
+    want = nesterov_ref(1.5, grads, lr=0.05, momentum=0.9, weight_decay=0.01)
     worst = max(abs(a - b) for a, b in zip(got, want))
     results.append(_result("optim/nesterov_trace", worst <= 1e-12,
                            f"3-step float64 trace, max abs err {worst:.2e}"))

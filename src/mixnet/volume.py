@@ -12,8 +12,9 @@ to the axis that is swept:
 
     sagittal -> axis 0, coronal -> axis 1, transverse -> axis 2
 
-``slice_stack``/``restack_slices`` are exact inverses, so a prediction
-made plane-wise drops back into the volume grid without resampling.
+``slice_stack``/``restack_slices`` are exact inverses.  A plane-wise
+prediction returns to the volume grid without resampling: ``predict_volume``
+writes each batch through a view of the output with the plane axis first.
 """
 
 from __future__ import annotations
@@ -166,9 +167,8 @@ def read_meta(path) -> VolumeMeta:
     return read_record(VolumeMeta, raw, side, DataError)
 
 
-def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
-    """Read a body + sidecar pair; validates sizes before reshaping."""
-    meta = read_meta(path)
+def _read_body(path, meta: VolumeMeta) -> np.ndarray:
+    """The body ``meta`` describes; checks its size and a label volume's ids."""
     dtype = _DTYPES[meta.dtype]
     expected = int(np.prod(meta.dims)) * dtype.itemsize
     actual = os.path.getsize(path)
@@ -178,7 +178,34 @@ def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
     if meta.kind == "labels" and data.max(initial=0) >= meta.classes:
         raise DataError(f"{path}: label id {int(data.max())} exceeds "
                         f"classes {meta.classes}")
-    return data, meta
+    return data
+
+
+def read_volume(path) -> tuple[np.ndarray, VolumeMeta]:
+    """Read a body + sidecar pair; validates sizes before reshaping."""
+    meta = read_meta(path)
+    return _read_body(path, meta), meta
+
+
+def read_metas(paths, kinds) -> list[VolumeMeta]:
+    """The sidecars of volumes read together: ``paths[i]`` must be of kind
+    ``kinds[i]``, and each must have the first one's dims and spacing.  The
+    error names the file, and for the grid the file it was compared with."""
+    metas = [read_meta(p) for p in paths]
+    for path, meta, kind in zip(paths, metas, kinds, strict=True):
+        if meta.kind != kind:
+            raise DataError(f"{path}: kind {meta.kind!r}, expected {kind!r}")
+        for field in ("dims", "spacing"):
+            if getattr(meta, field) != getattr(metas[0], field):
+                raise DataError(f"{path}: {field} {getattr(meta, field)}, but "
+                                f"{paths[0]} has {getattr(metas[0], field)}")
+    return metas
+
+
+def read_volumes(paths, kinds) -> list[tuple[np.ndarray, VolumeMeta]]:
+    """(data, meta) of each volume at ``paths``, if its sidecar passes
+    ``read_metas``: every sidecar is checked before any body is read."""
+    return [(_read_body(p, m), m) for p, m in zip(paths, read_metas(paths, kinds))]
 
 
 def normalize_volume(data: np.ndarray) -> np.ndarray:
@@ -415,26 +442,17 @@ def load_manifest(data_dir) -> dict:
     return manifest
 
 
+def subject_files(data_dir, entry: dict) -> tuple[list[str], list[str]]:
+    """The paths of a manifest entry's volumes, its modalities then its
+    labels, and the kind each must be (see ``read_metas``)."""
+    names = [*entry["modalities"], entry["labels"]]
+    return ([os.path.join(data_dir, n) for n in names],
+            ["intensity"] * len(entry["modalities"]) + ["labels"])
+
+
 def load_subject(data_dir, entry: dict) -> dict:
     """Load one manifest entry: normalized modalities, labels and spacing."""
-    mods = []
-    first = None
-    for fname in entry["modalities"]:
-        data, meta = read_volume(os.path.join(data_dir, fname))
-        if meta.kind != "intensity":
-            raise DataError(f"{fname}: expected an intensity volume")
-        first = first or meta
-        for field in ("dims", "spacing"):
-            if getattr(meta, field) != getattr(first, field):
-                raise DataError(f"{fname}: {field} {getattr(meta, field)}, but "
-                                f"{entry['modalities'][0]} has {getattr(first, field)}")
-        mods.append(normalize_volume(data))
-    labels, lmeta = read_volume(os.path.join(data_dir, entry["labels"]))
-    if lmeta.kind != "labels":
-        raise DataError(f"{entry['labels']}: expected a label volume")
-    images = np.stack(mods, axis=-1)
-    if labels.shape != images.shape[:3]:
-        raise DataError(f"labels {labels.shape} do not match modalities "
-                        f"{images.shape[:3]}")
+    *mods, (labels, meta) = read_volumes(*subject_files(data_dir, entry))
+    images = np.stack([normalize_volume(data) for data, _ in mods], axis=-1)
     return {"id": entry.get("id", ""), "images": images, "labels": labels,
-            "spacing": first.spacing, "classes": lmeta.classes}
+            "spacing": meta.spacing, "classes": meta.classes}

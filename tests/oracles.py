@@ -10,14 +10,16 @@ come from their backward rules, ``expand_slices_naive`` is the
 materialising loop over the tested ``augment.apply_op``, and
 ``predict_volume_restacked`` runs a network's ``predict_probs``.
 
-The metric references are the plain-loop ones that ship with the
-package in :mod:`mixnet.verify` for ``mixnet verify``; they share no
-code with :mod:`mixnet.metrics`.
+The metric references and the Nesterov trace are the plain-loop ones
+that ship with the package in :mod:`mixnet.verify` for ``mixnet
+verify``; they share no code with :mod:`mixnet.metrics` or
+:mod:`mixnet.trainer`.
 """
 
 import numpy as np
 
 from mixnet.verify import (dice_ref as dice_naive, hd95_ref as hd95_naive,  # noqa: F401
+                           nesterov_ref as nesterov_trace,
                            surface_ref as surface_voxels_naive,
                            vs_ref as volumetric_similarity_naive)
 
@@ -210,20 +212,6 @@ def num_grad(f, x, step=1e-3):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * step)
     return g
-
-
-def nesterov_trace(p0, grads, lr, momentum, weight_decay):
-    """Two-or-more step scalar reference for the update rule:
-    g' = g + wd*p;  v <- mu*v - lr*g';  p <- p + mu*v - lr*g'."""
-    p = float(p0)
-    v = 0.0
-    hist = []
-    for g in grads:
-        gp = g + weight_decay * p
-        v = momentum * v - lr * gp
-        p = p + momentum * v - lr * gp
-        hist.append(p)
-    return hist
 
 
 def conv2d_input_grad_naive(g, w, dilation=1):

@@ -368,14 +368,74 @@ def test_modalities_of_other_dims_are_a_data_error(dataset, tmp_path, capsys):
                         (1.0, 1.0, 1.0), "intensity", modality="mod1")
     ckpt = tmp_path / "net.ckpt"
     save_checkpoint(ckpt, Network(NetConfig(variant="v3", classes=4, filters=4)))
-    want = ("error: subject00_mod1.vol: dims (24, 24, 25), "
-            "but subject00_mod0.vol has (24, 24, 24)")
+    want = (f"error: {data / 'subject00_mod1.vol'}: dims (24, 24, 25), "
+            f"but {data / 'subject00_mod0.vol'} has (24, 24, 24)")
     assert _fails_cleanly(capsys, 2, "predict", "--checkpoint", ckpt, "--data", data,
                           "--subject", "subject00", "--plane", "coronal",
                           "--out", tmp_path / "p.vol") == want
     capsys.readouterr()
     assert train_fast(data, tmp_path / "run") == 2
     assert capsys.readouterr().err == want + "\n"
+
+
+def _edit_sidecar(path, **fields):
+    side = path.parent / f"{path.name}.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), **fields}))
+
+
+def _drop_bodies(data):
+    """Remove every volume body, so that reading one fails."""
+    for name in os.listdir(data):
+        if name.endswith(".vol"):
+            os.remove(data / name)
+
+
+def test_labels_on_another_spacing_are_a_data_error(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    _edit_sidecar(data / "subject01_labels.vol", spacing=[1, 1, 3])
+    want = (f"error: {data / 'subject01_labels.vol'}: spacing (1.0, 1.0, 3.0), "
+            f"but {data / 'subject01_mod0.vol'} has (1.0, 1.0, 1.0)")
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, Network(NetConfig(variant="v3", classes=4, filters=4)))
+    assert _fails_cleanly(capsys, 2, "predict", "--checkpoint", ckpt, "--data", data,
+                          "--subject", "subject01", "--plane", "coronal",
+                          "--out", tmp_path / "p.vol") == want
+    _drop_bodies(data)
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    assert _only_the_echo(capsys, tmp_path / "run") == want + "\n"
+
+
+def test_label_sidecars_must_hold_the_manifests_classes(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    _drop_bodies(data)
+    man = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps({**man, "classes": 3}))
+    capsys.readouterr()
+    assert train_fast(data, tmp_path / "run") == 2
+    assert _only_the_echo(capsys, tmp_path / "run") == (
+        f"error: {data / 'subject00_labels.vol'}: 4 classes, but the manifest has 3\n")
+    # the holdout's labels too
+    (data / "manifest.json").write_text(json.dumps(man))
+    _edit_sidecar(data / "subject01_labels.vol", classes=5)
+    assert train_fast(data, tmp_path / "held", "--holdout", "subject01") == 2
+    assert _only_the_echo(capsys, tmp_path / "held") == (
+        f"error: {data / 'subject01_labels.vol'}: 5 classes, but the manifest has 4\n")
+
+
+def test_predict_checks_the_modality_count_before_a_body(dataset, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    _drop_bodies(data)
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(ckpt, Network(NetConfig(variant="v3", modalities=2, classes=4,
+                                            filters=4)))
+    assert _fails_cleanly(capsys, 2, "predict", "--checkpoint", ckpt, "--data", data,
+                          "--subject", "subject02", "--plane", "coronal",
+                          "--out", tmp_path / "p.vol") == (
+        "error: subject 'subject02' has 3 modalities, checkpoint expects 2")
 
 
 def test_config_json_is_replaced_whole_or_not_at_all(tmp_path, monkeypatch):
@@ -624,6 +684,18 @@ def test_fuse_rejects_label_volumes(dataset, tmp_path):
     assert run("fuse", "--inputs", lab, "--out", tmp_path / "f.vol") == 2
 
 
+def test_fuse_checks_every_sidecar_before_a_body(tmp_path, capsys):
+    first, second = tmp_path / "a.vol", tmp_path / "b.vol"
+    volume.write_volume(first, np.full((4, 4, 4, 3), 1 / 3), (1, 1, 1), "probs",
+                        classes=3)
+    volume.write_volume(second, np.full((4, 4, 5, 3), 1 / 3), (1, 1, 1), "probs",
+                        classes=3)
+    first.write_bytes(first.read_bytes()[:-4])      # a truncated body
+    assert _fails_cleanly(capsys, 2, "fuse", "--inputs", first, second,
+                          "--out", tmp_path / "f.vol") == (
+        f"error: {second}: dims (4, 4, 5, 3), but {first} has (4, 4, 4, 3)")
+
+
 @pytest.mark.parametrize("weights,message", [
     ("nan,1,1", "finite, non-negative"), ("1,inf,1", "finite, non-negative"),
     ("1,-1,1", "finite, non-negative"), ("0,0,0", "not all zero"),
@@ -661,6 +733,22 @@ def test_evaluate_dim_mismatch_is_a_data_error(dataset, tmp_path):
     volume.write_volume(small, np.zeros((4, 4, 4), np.uint8), (1, 1, 1),
                         "labels", classes=4)
     assert run("evaluate", "--pred", small, "--truth", truth) == 2
+
+
+@pytest.mark.parametrize("write, want", [
+    (lambda p: volume.write_volume(p, np.full((24, 24, 24, 4), 0.25), (1, 1, 1),
+                                   "probs", classes=4),
+     "kind 'probs', expected 'labels'"),
+    (lambda p: volume.write_volume(p, np.zeros((24, 24, 24), np.uint8), (1, 1, 3),
+                                   "labels", classes=4),
+     "spacing (1.0, 1.0, 3.0), but {truth} has (1.0, 1.0, 1.0)"),
+], ids=["kind", "spacing"])
+def test_evaluate_names_a_prediction_of_another_kind_or_grid(dataset, tmp_path, capsys,
+                                                            write, want):
+    truth, pred = dataset / "subject00_labels.vol", tmp_path / "pred.vol"
+    write(pred)
+    assert _fails_cleanly(capsys, 2, "evaluate", "--pred", pred, "--truth", truth) == (
+        f"error: {pred}: " + want.format(truth=truth))
 
 
 # -- verify ------------------------------------------------------------------

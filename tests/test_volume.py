@@ -143,6 +143,31 @@ def test_read_errors(tmp_path):
         vol.read_volume(path3)
 
 
+def test_read_volumes_checks_every_sidecar_before_a_body(tmp_path):
+    paths = [tmp_path / f"{n}.vol" for n in "abc"]
+    vol.write_volume(paths[0], np.zeros((3, 3, 3)), (1, 1, 2), "intensity")
+    vol.write_volume(paths[1], np.zeros((3, 3, 3)), (1, 1, 2), "intensity")
+    vol.write_volume(paths[2], np.zeros((3, 3, 3), np.uint8), (1, 1, 2), "labels",
+                     classes=2)
+    kinds = ["intensity", "intensity", "labels"]
+    (data, meta), _, (labels, lmeta) = vol.read_volumes(paths, kinds)
+    assert data.shape == labels.shape == meta.dims and lmeta.kind == "labels"
+    with pytest.raises(DataError, match=re.escape(f"{paths[2]}: kind 'labels', "
+                                                  "expected 'intensity'")):
+        vol.read_volumes(paths, ["intensity"] * 3)
+    paths[0].write_bytes(b"")                       # the first body is empty
+    with pytest.raises(DataError, match="body is 0 bytes"):
+        vol.read_volumes(paths, kinds)
+    side = (tmp_path / "b.vol.json").read_text()
+    for field, value in (("dims", (3, 3, 4)), ("spacing", (1.0, 1.0, 1.0))):
+        (tmp_path / "b.vol.json").write_text(json.dumps({**json.loads(side),
+                                                         field: value}))
+        # the sidecar's fault is reported, not the first body's
+        with pytest.raises(DataError, match=re.escape(
+                f"{paths[1]}: {field} {value}, but {paths[0]} has")):
+            vol.read_volumes(paths, kinds)
+
+
 # sidecar edits the reader rejects: values of the wrong kind, a missing key
 MALFORMED_SIDECARS = {
     "dims-str": lambda m: m.update(dims=["x", 4, 4]),
