@@ -30,6 +30,10 @@ All variants share the same building blocks:
   shift-add, with the parameters of the plain 3x3 convolution.  The
   shift-add's gradient is the patch matrix of the output gradient,
   padded the mirrored way, by the adjoint stated in ``ops.conv2d``.
+  Region pooling and bilinear resize are also separable: along one axis
+  each is an (out, in) matrix acting on every channel alike, and its
+  adjoint is that matrix's transpose.  So the head pools the rows of
+  all bins with one matrix, and resizes all bins' rows back with one.
 
 All three variants run one trunk: per stream an init unit, then one
 residual unit per dilation level of ``DILATIONS``, 2, 1, 4, 1 and 8.

@@ -246,6 +246,12 @@ def cmd_train(args) -> int:
         entries = [e for e in entries if e["id"] != cfg["holdout"]]
     if not entries:
         raise DataError("no training subjects" + (" left after holdout" if held else ""))
+    if args.resume:
+        saved = load_checkpoint_header(args.resume)["net_config"]
+        data = (manifest["classes"], len(entries[0]["modalities"]))
+        if (saved.classes, saved.modalities) != data:
+            raise DataError(f"{args.resume}: checkpoint has {saved.classes} classes and "
+                            f"{saved.modalities} modalities, the data {data[0]} and {data[1]}")
     # every sidecar of every subject stacked, the holdout's too, is checked
     # before any volume body is read: its kinds and grid, the manifest's
     # class count, its slices, and one grid for the training subjects
@@ -321,7 +327,7 @@ def cmd_predict(args) -> int:
     if len(entry["modalities"]) != net.config.modalities:
         raise DataError(f"subject {args.subject!r} has {len(entry['modalities'])} "
                         f"modalities, checkpoint expects {net.config.modalities}")
-    sub = volume.load_subject(args.data, entry)
+    sub = volume.load_images(args.data, entry)
     probs = volume.predict_volume(net, sub["images"], args.plane,
                                   batch_size=args.batch_size)
     volume.write_volume(args.out, probs, sub["spacing"], "probs",

@@ -150,14 +150,18 @@ def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
                   dh: int, dw: int) -> np.ndarray:
     """(N*h*wd, kh*kw*C) matrix whose row holds the padded (N, ., ., C)
     ``xp`` under one output pixel's kernel window, tap-major like a (kh,
-    kw, C, Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped."""
+    kw, C, Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped.
+    Otherwise it is the transposed view of a C-ordered (kh*kw*C, N*h*wd)
+    matrix filled from a channels-first copy of ``xp``, so each tap writes
+    runs of wd elements, not of C (Chetlur et al. 2014)."""
     n, c = xp.shape[0], xp.shape[-1]
     if kh == kw == 1:
         return xp.reshape(n * h * wd, c)
-    cols = np.empty((n, h, wd, kh * kw, c), dtype=xp.dtype)
-    for t, v in enumerate(_windows(xp, kh, kw, h, wd, dh, dw)):
-        cols[:, :, :, t] = v
-    return cols.reshape(n * h * wd, kh * kw * c)
+    xc = np.ascontiguousarray(np.moveaxis(xp, -1, 0)).reshape(c * n, *xp.shape[1:3])
+    cols = np.empty((kh * kw, c * n, h, wd), dtype=xp.dtype)
+    for t, v in enumerate(_windows(xc, kh, kw, h, wd, dh, dw)):
+        cols[t] = v
+    return cols.reshape(kh * kw * c, n * h * wd).T
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, h: int, wd: int, dh: int, dw: int) -> np.ndarray:
@@ -361,6 +365,28 @@ def _resize_axis(in_size: int, out_size: int, dtype) -> tuple:
     return entry
 
 
+def _pyramid_axis(size: int, bins: tuple, dtype) -> tuple:
+    """The pyramid head's two maps along one axis of ``size`` pixels, in
+    ``dtype``: the (sum(bins), size) matrix whose rows average each bin
+    count's regions (as avgpool_region), and the (size, sum(bins))
+    matrix of the bins' resizes back to ``size`` (as bilinear_resize),
+    side by side in the order of ``bins``."""
+    key = (size, bins, np.dtype(dtype).str)
+    hit = _AXIS_CACHE.get(key)
+    if hit is not None:
+        return hit
+    pool = np.zeros((sum(bins), size))
+    rows = iter(pool)
+    for nb in bins:
+        edges = _region_edges(size, nb)
+        for lo, hi in zip(edges, edges[1:]):
+            next(rows)[lo:hi] = 1 / (hi - lo)
+    up = np.concatenate([_resize_axis(nb, size, dtype)[3] for nb in bins], axis=1)
+    entry = (pool.astype(dtype), up)
+    _AXIS_CACHE[key] = entry
+    return entry
+
+
 def _resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """(N, H, W, C) -> (N, out_h, out_w, C); see bilinear_resize."""
     h0, h1, hw, _ = _resize_axis(x.shape[1], out_h, x.dtype)
@@ -422,7 +448,13 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     map) is multiplied by the block's kernel as one (C, kh*kw*K) matrix
     at its own resolution; the products are resized, summed, and their
     kh*kw tap slices added at the tap offsets of the zero-padded
-    convolution.  The identity behind this is in the ``arch`` docstring.
+    convolution.  The pools and resizes run as per-axis matrices
+    (:func:`_pyramid_axis`): one matmul pools the rows of every bin,
+    one per bin pools its columns and one resizes them back, and one
+    resizes every bin's rows back at once.  They run in the input
+    dtype, so unlike avgpool_region a region mean is not accumulated in
+    float64.  Backward applies the same matrices transposed.  The
+    identities behind this are in the ``arch`` docstring.
     """
     if x.ndim != 4:
         raise ShapeError(f"pyramid_head input must be (N,H,W,C), got {x.shape}")
@@ -436,10 +468,19 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
                          f"over {len(bins)} bins gives {(1 + len(bins)) * c}")
     if b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
+    if not bins or min(bins) < 1:
+        raise ParameterError(f"bins must be one or more counts >= 1, got {bins}")
+    if min(h, wd) < max(bins):
+        raise ShapeError(f"region pooling with {max(bins)} bins needs spatial size "
+                         f">= {max(bins)}, got {h}x{wd}")
 
     taps = kh * kw
     xd, wdata = x.data, w.data
     pads, mirrored = _same_pads(kh, kw, 1, 1)
+    pool_h, up_h = _pyramid_axis(h, bins, xd.dtype)
+    pool_w, up_w = _pyramid_axis(wd, bins, xd.dtype)
+    edges = np.cumsum((0,) + bins)
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     def kernel_blocks():
         """Block k of w as a (C, taps*K) matrix, tap-major columns (a
@@ -448,11 +489,14 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
                         1 + len(bins))
 
     wx, *wmats = kernel_blocks()
-    pooled = [_region_mean(x.data, nb) for nb in bins]
+    # every bin's row means, then per bin its (N, nb, nb, C) region means
+    rows = (pool_h @ xd.reshape(n, h, wd * c)).reshape(n, -1, wd, c)
+    pooled = [pool_w[s] @ rows[:, s] for s in spans]
 
-    prior = x.data @ wx
-    for p, m in zip(pooled, wmats):
-        prior += _resize(p @ m, h, wd)
+    prior = xd @ wx
+    wide = np.concatenate([up_w[:, s] @ (p @ m) for s, p, m in zip(spans, pooled, wmats)],
+                          axis=1)
+    prior += (up_h @ wide.reshape(n, -1, wd * taps * cout)).reshape(prior.shape)
     prior = _pad(prior.reshape(n, h, wd, taps, cout), pads + ((0, 0),))
     out = sum(v[:, :, :, t] for t, v in enumerate(_windows(prior, kh, kw, h, wd, 1, 1)))
     out += b.data
@@ -463,12 +507,16 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
         wx, *wmats = kernel_blocks()
         gprior = _patch_matrix(_pad(g, mirrored), kh, kw, h, wd, 1, 1).reshape(
             n, h, wd, taps, cout)[:, :, :, ::-1].reshape(n, h, wd, -1)
-        gx = gprior @ wx.T
         gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2]))]
-        for nb, p, m in zip(bins, pooled, wmats):
-            gq = _resize_adjoint(gprior, nb, nb)
+        gwide = (up_h.T @ gprior.reshape(n, h, -1)).reshape(n, -1, wd, taps * cout)
+        grows = np.empty((n, sum(bins), wd, c), dtype=g.dtype)
+        for s, p, m in zip(spans, pooled, wmats):
+            gq = up_w[:, s].T @ gwide[:, s]
             gms.append(np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2])))
-            gx += _region_mean_adjoint(gq @ m.T, h, wd)
+            grows[:, s] = pool_w[s].T @ (gq @ m.T)
+        gx = (pool_h.T @ grows.reshape(n, -1, wd * c)).reshape(n, h, wd, c)
+        del grows       # one full-size temporary at a time
+        gx += gprior @ wx.T
         gw = np.concatenate(gms).reshape(wcin, kh, kw, cout).transpose(1, 2, 0, 3)
         return gx, np.ascontiguousarray(gw), g.sum(axis=(0, 1, 2))
 

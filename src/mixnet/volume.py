@@ -450,9 +450,24 @@ def subject_files(data_dir, entry: dict) -> tuple[list[str], list[str]]:
             ["intensity"] * len(entry["modalities"]) + ["labels"])
 
 
+def load_images(data_dir, entry: dict) -> dict:
+    """Load one manifest entry's normalized modalities and spacing.  The
+    labels' body is never read and need not exist; their sidecar, where it
+    exists, is checked with the modalities' by ``read_metas``."""
+    paths, kinds = subject_files(data_dir, entry)
+    m = len(entry["modalities"])
+    if not os.path.exists(_sidecar(paths[-1])):     # no ground truth on disk
+        paths, kinds = paths[:m], kinds[:m]
+    metas = read_metas(paths, kinds)
+    images = np.stack([normalize_volume(_read_body(p, meta))
+                       for p, meta in zip(paths[:m], metas)], axis=-1)
+    return {"id": entry.get("id", ""), "images": images, "spacing": metas[0].spacing}
+
+
 def load_subject(data_dir, entry: dict) -> dict:
-    """Load one manifest entry: normalized modalities, labels and spacing."""
-    *mods, (labels, meta) = read_volumes(*subject_files(data_dir, entry))
-    images = np.stack([normalize_volume(data) for data, _ in mods], axis=-1)
-    return {"id": entry.get("id", ""), "images": images, "labels": labels,
-            "spacing": meta.spacing, "classes": meta.classes}
+    """Load one manifest entry: ``load_images`` plus its labels and their
+    class count.  Every sidecar is checked before any body is read."""
+    path = subject_files(data_dir, entry)[0][-1]
+    meta = read_meta(path)
+    return {**load_images(data_dir, entry), "labels": _read_body(path, meta),
+            "classes": meta.classes}

@@ -55,6 +55,23 @@ def conv2d_naive(x, w, b=None, dilation=1):
     return out
 
 
+def patch_matrix_naive(xp, kh, kw, h, wd, dh, dw):
+    """(N*h*wd, kh*kw*C) im2col matrix of the padded (N, ., ., C) ``xp``,
+    one output pixel's window at a time: row (n, y, x) holds, tap-major,
+    xp[n, y + i*dh, x + j*dw, :] for each tap (i, j)."""
+    n, c = xp.shape[0], xp.shape[-1]
+    cols = np.empty((n * h * wd, kh * kw * c), dtype=xp.dtype)
+    row = 0
+    for b_i in range(n):
+        for oy in range(h):
+            for ox in range(wd):
+                window = [xp[b_i, oy + i * dh, ox + j * dw]
+                          for i in range(kh) for j in range(kw)]
+                cols[row] = np.concatenate(window)
+                row += 1
+    return cols
+
+
 def maxpool2x2_naive(x):
     x = np.asarray(x, dtype=np.float64)
     n, h, w, c = x.shape

@@ -643,6 +643,29 @@ def test_config_file_ints_stand_for_floats(dataset, tmp_path):
     assert meta.spacing == (1.0, 1.0, 3.0)
 
 
+def test_resume_checks_classes_and_modalities_before_a_body(dataset, trained, tmp_path,
+                                                            capsys):
+    three = tmp_path / "three"
+    assert run("generate", "--out", three, "--subjects", "2", "--dims", "24,24,24",
+               "--classes", "3", "--seed", "5") == 0
+    assert train_fast(three, tmp_path / "run3") == 0
+    three_ckpt = tmp_path / "run3" / "checkpoint.ckpt"
+    two_mods = tmp_path / "two_mods.ckpt"
+    _rewrite_header(trained, two_mods, lambda h: h["net_config"].update(modalities=2))
+    for ckpt, data, got, want in ((three_ckpt, dataset, (3, 3), (4, 3)),
+                                  (trained, three, (4, 3), (3, 3)),
+                                  (two_mods, dataset, (4, 2), (4, 3))):
+        bodiless = tmp_path / f"bodiless_{ckpt.stem}_{data.name}"
+        shutil.copytree(data, bodiless)
+        _drop_bodies(bodiless)
+        out = tmp_path / f"resumed_{ckpt.stem}_{data.name}"
+        assert _fails_cleanly(capsys, 2, "train", "--data", bodiless, "--out", out,
+                              "--epochs", "2", "--resume", ckpt) == (
+            f"error: {ckpt}: checkpoint has {got[0]} classes and {got[1]} modalities, "
+            f"the data {want[0]} and {want[1]}")
+        assert not (out / "train_log.csv").exists()
+
+
 # -- predict / fuse / evaluate -----------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -660,6 +683,21 @@ def test_predict_probabilities_sum_to_one(dataset, trained, tmp_path):
     probs, meta = volume.read_volume(out)
     assert meta.kind == "probs" and probs.shape == DIMS + (4,)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-5)
+
+
+def test_predict_reads_no_labels(dataset, trained, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    predict = ["predict", "--checkpoint", trained, "--data", data,
+               "--subject", "subject01", "--plane", "coronal", "--out"]
+    assert run(*predict, tmp_path / "all.vol") == 0
+    os.remove(data / "subject01_labels.vol")           # the body
+    assert run(*predict, tmp_path / "no_body.vol") == 0
+    os.remove(data / "subject01_labels.vol.json")      # and its sidecar
+    assert run(*predict, tmp_path / "no_labels.vol") == 0
+    want = (tmp_path / "all.vol").read_bytes()
+    for name in ("no_body.vol", "no_labels.vol"):
+        assert (tmp_path / name).read_bytes() == want, name
 
 
 def test_fuse_defaults_to_1_1_4_and_writes_labels(dataset, trained, tmp_path):

@@ -175,6 +175,20 @@ def test_conv2d_input_gradient_matches_naive_oracle(monkeypatch, shape, dilation
         np.testing.assert_allclose(gx, want, rtol=0, atol=1e-6 * scale)
 
 
+@pytest.mark.parametrize("c", [1, 3, 36])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [5, 3])
+def test_patch_matrix_matches_the_window_loop_exactly(k, dilation, c):
+    rng = np.random.default_rng(k * dilation + c)
+    (pt, pb), (pl, pr) = ops.same_padding(k, dilation), ops.same_padding(k, dilation)
+    h, wd = 6, 7
+    xp = rng.normal(size=(2, h + pt + pb, wd + pl + pr, c)).astype(np.float32)
+    got = ops._patch_matrix(xp, k, k, h, wd, dilation, dilation)
+    want = oracles.patch_matrix_naive(xp, k, k, h, wd, dilation, dilation)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -395,6 +409,33 @@ def test_pyramid_head_matches_unfused_composition(variant, dtype, tol):
             assert rel <= tol, f"{what} at {(n, h, w, c)}: rel err {rel:.2e}"
 
 
+def _one_hot_along(axis, size, width):
+    """(1, size, size, width) with x[0, i, j, c] = 1 where the index on
+    ``axis`` (1: i, 2: j) equals c, else 0: a one-hot along one axis,
+    constant along the other."""
+    eye = np.eye(size, width)
+    return np.broadcast_to(eye[:, None] if axis == 1 else eye[None], (1, size, size, width))
+
+
+@pytest.mark.parametrize("size, bins", [(size, bins) for bins in ((2, 3), BINS)
+                                         for size in (7, 13, 17, 25) if size >= max(bins)],
+                         ids=str)
+def test_pyramid_axis_maps_are_the_pool_and_resize_along_each_axis(size, bins):
+    pool, up = ops._pyramid_axis(size, bins, np.float64)
+    assert pool.shape == (sum(bins), size) and up.shape == (size, sum(bins))
+    edges = np.cumsum((0,) + bins)
+    for nb, lo, hi in zip(bins, edges, edges[1:]):
+        # pooled or resized, the one-hot along an axis gives back the
+        # (out, in) matrix of that axis, repeated along the other
+        for axis in (1, 2):
+            pooled = oracles.avgpool_region_naive(_one_hot_along(axis, size, size), nb)
+            resized = oracles.bilinear_naive(_one_hot_along(axis, nb, nb), size, size)
+            for got, want in ((pool[lo:hi], pooled), (up[:, lo:hi], resized)):
+                want = np.moveaxis(want[0], 2 - axis, 0)
+                np.testing.assert_allclose(np.broadcast_to(got, want.shape), want,
+                                           rtol=0, atol=1e-12)
+
+
 def test_pyramid_head_shape_errors():
     x = leaf(np.zeros((1, 6, 6, 2)))
     b = leaf(np.zeros(3))
@@ -404,6 +445,9 @@ def test_pyramid_head_shape_errors():
         ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), leaf(np.zeros(2)), (2, 3))
     with pytest.raises(ShapeError):   # more bins than pixels
         ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), b, (2, 7))
+    for bins in ((), (0, 2)):
+        with pytest.raises(ParameterError):
+            ops.pyramid_head(x, leaf(np.zeros((3, 3, 2 * (1 + len(bins)), 3))), b, bins)
 
 
 # ---------------------------------------------------------------------------
