@@ -11,6 +11,16 @@ The max pool uses 2x2 windows with stride 2 and ceil-mode output sizes:
 a ragged bottom/right edge still produces an output cell, fed by the
 in-bounds values only.
 
+A weight matrix that meets an activation-sized operand in a stacked
+matmul, ``(N, H, W, C) @ (C, K)``, is C-ordered: numpy runs that matmul
+1.4-2.7x slower when the 2-D operand is a transposed (F-ordered) view
+(numpy 2.4.6 with OpenBLAS, one thread: ``(4, 24, 24, 36) @ (36, 360)``
+in float32 took 0.45-0.60 ms C-ordered and 1.08-1.66 ms F-ordered on a
+2-core x86 box).  Copying the weights costs at most taps*Cin*Cout floats
+a call (47 KB for a 3x3 kernel at 36 -> 36 channels).  So
+:func:`_correlate` copies a kernel view's tap matrices, and
+:func:`pyramid_head`'s backward builds its kernel blocks transposed.
+
 Everything is dtype-generic: float64 inputs stay float64 end to end,
 which is what the finite-difference checker relies on.
 
@@ -166,13 +176,16 @@ def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
 
 def _correlate(xp: np.ndarray, w: np.ndarray, h: int, wd: int, dh: int, dw: int) -> np.ndarray:
     """(N, h, wd, Cout) dilated correlation of the padded input ``xp``
-    with the (kh, kw, Cin, Cout) kernel ``w``, lowered by conv2d's rule."""
+    with the (kh, kw, Cin, Cout) kernel ``w``, lowered by conv2d's rule.
+    Its (Cin, Cout) tap matrices are taken C-ordered (the module
+    docstring's layout rule): that copies the input gradient's kernel
+    view, whose taps are F-ordered, and leaves a forward kernel as is."""
     kh, kw, cin, cout = w.shape
     taps = kh * kw
     if taps > 1 and taps * cin <= 2 * cout:
         cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
         return (cols @ w.reshape(taps * cin, cout)).reshape(-1, h, wd, cout)
-    mats = w.reshape(taps, cin, cout)
+    mats = np.ascontiguousarray(w.reshape(taps, cin, cout))
     views = _windows(xp, kh, kw, h, wd, dh, dw)
     out = next(views) @ mats[0]
     for v, m in zip(views, mats[1:]):
@@ -198,6 +211,8 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     swapped; so the input gradient's rule reads ``taps * Cout <= 2 * Cin``.
     The kernel gradient is one GEMM, the patch matrix transposed times
     the output gradient, over the padded input built again, not kept.
+    The flipped, swapped kernel is a view; :func:`_correlate` copies its
+    tap matrices C-ordered (the layout rule in the module docstring).
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
@@ -482,13 +497,12 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     edges = np.cumsum((0,) + bins)
     spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
-    def kernel_blocks():
-        """Block k of w as a (C, taps*K) matrix, tap-major columns (a
-        copy, so backward builds it again rather than keep it)."""
-        return np.split(wdata.transpose(2, 0, 1, 3).reshape(wcin, taps * cout),
-                        1 + len(bins))
-
-    wx, *wmats = kernel_blocks()
+    # input-channel block k of w, (kh, kw, C, K); forward multiplies by it
+    # as a (C, taps*K) matrix with tap-major columns, backward by its
+    # transpose, each built C-ordered (a copy, so backward builds its own
+    # rather than keep the forward's)
+    wblocks = wdata.reshape(kh, kw, 1 + len(bins), c, cout)
+    wx, *wmats = wblocks.transpose(2, 3, 0, 1, 4).reshape(1 + len(bins), c, taps * cout)
     # every bin's row means, then per bin its (N, nb, nb, C) region means
     rows = (pool_h @ xd.reshape(n, h, wd * c)).reshape(n, -1, wd, c)
     pooled = [pool_w[s] @ rows[:, s] for s in spans]
@@ -504,19 +518,19 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     def bwd(g):
         # the shift-add's adjoint: tap t of the prior gradient is tap
         # taps-1-t of the mirror-padded g's patch matrix (as in conv2d)
-        wx, *wmats = kernel_blocks()
+        wxt, *wmts = wblocks.transpose(2, 0, 1, 4, 3).reshape(1 + len(bins), taps * cout, c)
         gprior = _patch_matrix(_pad(g, mirrored), kh, kw, h, wd, 1, 1).reshape(
             n, h, wd, taps, cout)[:, :, :, ::-1].reshape(n, h, wd, -1)
         gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2]))]
         gwide = (up_h.T @ gprior.reshape(n, h, -1)).reshape(n, -1, wd, taps * cout)
         grows = np.empty((n, sum(bins), wd, c), dtype=g.dtype)
-        for s, p, m in zip(spans, pooled, wmats):
+        for s, p, mt in zip(spans, pooled, wmts):
             gq = up_w[:, s].T @ gwide[:, s]
             gms.append(np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2])))
-            grows[:, s] = pool_w[s].T @ (gq @ m.T)
+            grows[:, s] = pool_w[s].T @ (gq @ mt)
         gx = (pool_h.T @ grows.reshape(n, -1, wd * c)).reshape(n, h, wd, c)
         del grows       # one full-size temporary at a time
-        gx += gprior @ wx.T
+        gx += gprior @ wxt
         gw = np.concatenate(gms).reshape(wcin, kh, kw, cout).transpose(1, 2, 0, 3)
         return gx, np.ascontiguousarray(gw), g.sum(axis=(0, 1, 2))
 
@@ -527,11 +541,26 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
 # classification loss
 
 
+def _reduce_classes(a: np.ndarray, ufunc, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, keepdims=True, dtype=dtype)`` bit for
+    bit, as K-1 elementwise calls over the class planes in class order:
+    numpy reduces a short last axis several times slower, and sums fewer
+    than 8 terms sequentially (from 8 on it regroups, so a wider axis
+    takes the reduction itself)."""
+    k = a.shape[-1]
+    if k >= 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True, dtype=dtype)
+    out = np.array(a[..., 0], dtype=a.dtype if dtype is None else dtype)
+    for i in range(1, k):
+        ufunc(out, a[..., i], out=out)
+    return out[..., None]
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax over ``axis`` (plain ndarray helper)."""
-    z = logits - logits.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    x = np.moveaxis(logits, axis, -1)
+    e = np.exp(x - _reduce_classes(x, np.maximum))
+    return np.moveaxis(e / _reduce_classes(e, np.add), -1, axis)
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray,
@@ -558,9 +587,9 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
 
     flat = logits.data.reshape(-1, k)
     lab = labels.reshape(-1)
-    m = flat.max(axis=1, keepdims=True)
+    m = _reduce_classes(flat, np.maximum)
     e = np.exp(flat - m)
-    lse = np.log(e.sum(axis=1, dtype=np.float64)) + m[:, 0]
+    lse = np.log(_reduce_classes(e, np.add, np.float64)[:, 0]) + m[:, 0]
     picked = flat[np.arange(flat.shape[0]), lab]
     per_pixel = lse - picked
     count = flat.shape[0]
@@ -569,7 +598,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
         total = total / count
     out = np.asarray(total, dtype=logits.dtype).reshape(())
 
-    probs = e / e.sum(axis=1, keepdims=True)      # softmax(flat, axis=1)
+    probs = e / _reduce_classes(e, np.add)      # softmax(flat, axis=1)
     shp, dt = logits.shape, logits.dtype
 
     def bwd(g):

@@ -189,6 +189,21 @@ def test_patch_matrix_matches_the_window_loop_exactly(k, dilation, c):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape, dilation", [((3, 3, 36, 36), 1), ((3, 3, 36, 36), 2),
+                                             ((3, 3, 36, 36), 8), ((1, 1, 72, 36), 1),
+                                             ((3, 3, 12, 12), 2)], ids=str)
+def test_correlate_gives_a_kernel_view_the_bits_of_its_c_ordered_copy(shape, dilation):
+    # the input gradient's kernel: flipped, channels swapped, F-ordered taps
+    kh, kw, cin, cout = shape
+    rng = np.random.default_rng(cin + dilation)
+    view = rng.normal(size=shape).astype(np.float32)[::-1, ::-1].transpose(0, 1, 3, 2)
+    mirrored = ops._same_pads(kh, kw, dilation, dilation)[1]
+    gp = ops._pad(rng.normal(size=(4, 24, 24, cout)).astype(np.float32), mirrored)
+    got = ops._correlate(gp, view, 24, 24, dilation, dilation)
+    want = ops._correlate(gp, np.ascontiguousarray(view), 24, 24, dilation, dilation)
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -592,6 +607,27 @@ def test_xent_flushed_gradient_is_within_tiny_of_unflushed():
     unflushed = flat.reshape(logits.shape)
     assert np.any((unflushed != 0) & (np.abs(unflushed) < tiny))  # the case is hit
     assert np.abs(node.grad - unflushed).max() < tiny
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", range(2, 10))
+def test_reduce_classes_is_the_ufunc_reduction(k, dtype):
+    rng = np.random.default_rng(k)
+    a = (rng.normal(size=(3, 5, 7, k)) * 50).astype(dtype)
+    hit = rng.random(a.shape) < 0.2
+    a[hit] = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype), hit.sum())
+    with np.errstate(invalid="ignore"):         # inf - inf
+        for ufunc, out_dtype in ((np.maximum, None), (np.add, None), (np.add, np.float64)):
+            got = ops._reduce_classes(a, ufunc, out_dtype)
+            want = ufunc.reduce(a, axis=-1, keepdims=True, dtype=out_dtype)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True), (ufunc, out_dtype)
+
+
+def test_softmax_over_another_axis_is_the_moved_softmax():
+    logits = np.random.default_rng(25).normal(size=(2, 5, 3, 4)).astype(np.float32) * 9
+    got = ops.softmax(np.moveaxis(logits, -1, 1), axis=1)
+    assert np.array_equal(_bits(got), _bits(np.moveaxis(ops.softmax(logits), -1, 1)))
 
 
 def test_xent_label_validation():
