@@ -34,6 +34,12 @@ All variants share the same building blocks:
   each is an (out, in) matrix acting on every channel alike, and its
   adjoint is that matrix's transpose.  So the head pools the rows of
   all bins with one matrix, and resizes all bins' rows back with one.
+  These maps act on each channel alone, so the head's input need not be
+  one array either: with x the channel concatenation of parts x_i and
+  W_x split by rows into their blocks W_x,i, x @ W_x = sum_i x_i @ W_x,i,
+  and pool_b(x) is the concatenation of the pool_b(x_i).  So the head
+  reads the level outputs where they are, and no concatenated copy of
+  them is made.
 
 All three variants run one trunk: per stream an init unit, then one
 residual unit per dilation level of ``DILATIONS``, 2, 1, 4, 1 and 8.
@@ -48,10 +54,10 @@ The paper fixes the dilations and the bins; a variant decides two facts:
 A unit or input of stream s is named ``<base>.s<s>`` in a variant with a
 stream per modality (``init.s1``, ``level2.s0``), else ``<base>``
 (``init``, ``level3``, v2's summary ``level1``); a concatenated input is
-``<unit>.fuse``.  Every level's outputs are appended, level-major with
-streams adjacent, to the aggregate that feeds the output unit, so the
-prediction sees every scale and v3's parameter space is a
-coordinate-aligned subspace of v1's (see ``embed_v3_into_v1``).
+``<unit>.fuse``.  Every level's outputs are the output unit's input
+parts, level-major with streams adjacent, so the prediction sees every
+scale and v3's parameter space is a coordinate-aligned subspace of v1's
+(see ``embed_v3_into_v1``).
 """
 
 from __future__ import annotations
@@ -218,12 +224,12 @@ class Network:
             shortcut = x
         return ops.relu(ops.add(y, shortcut, name=name + ".add"), name=name + ".out")
 
-    def _output_unit(self, name: str, x: Node, out_hw) -> Node:
-        c_in = x.shape[-1]
+    def _output_unit(self, name: str, parts: list, out_hw) -> Node:
+        c_in = sum(p.shape[-1] for p in parts)
         classes = self.config.classes
         w, b = self._weights(name + ".final",
                              (3, 3, (1 + len(PYRAMID_BINS)) * c_in, classes))
-        logits = ops.pyramid_head(x, w, b, PYRAMID_BINS, name=name + ".final")
+        logits = ops.pyramid_head(parts, w, b, PYRAMID_BINS, name=name + ".final")
         return ops.bilinear_resize(logits, out_hw[0], out_hw[1], name=name + ".upscale")
 
     # -- forward ------------------------------------------------------------
@@ -256,8 +262,7 @@ class Network:
             streams = [self._res_unit(name, stream, width, d)
                        for name, stream in zip(names, streams)]
             collected.extend(streams)
-        aggregate = ops.concat_channels(collected, name="aggregate")
-        return self._output_unit("out", aggregate, x.shape[1:3])
+        return self._output_unit("out", collected, x.shape[1:3])
 
     # -- introspection -------------------------------------------------------
 
@@ -282,9 +287,10 @@ def embed_v3_into_v1(src: Network) -> Network:
     last two, a bias's only one), each block as wide as the source's axis.
     The init kernel puts each stream's filter on its own modality, every
     residual unit becomes block-diagonal, and the output unit, which has
-    no stream, transfers verbatim (v3 aggregates level-major with streams
-    adjacent).  All other v1 weights are zero: cross-modality connections
-    exist in the v1 parameter space but are switched off.
+    no stream, transfers verbatim (both read their levels level-major
+    with streams adjacent).  All other v1 weights are zero:
+    cross-modality connections exist in the v1 parameter space but are
+    switched off.
     """
     cfg = src.config
     if cfg.variant != "v3":

@@ -358,7 +358,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate_segmentation(pred, truth, meta.classes, meta.spacing)
     print(report.format_table())
     if args.out:
-        with open(args.out, "w") as fh:
+        with volume.atomic_open(args.out, "w") as fh:
             fh.write(report.to_json())
         print(f"report: {args.out}")
     return EXIT_OK
@@ -381,7 +381,7 @@ def cmd_verify(args) -> int:
                    "passed": all(r.passed for r in results),
                    "checks": [{"name": r.name, "passed": r.passed,
                                "detail": r.detail} for r in results]}
-        with open(args.json, "w") as fh:
+        with volume.atomic_open(args.json, "w") as fh:
             json.dump(summary, fh, indent=1)
             fh.write("\n")
     verify.require_all(results)

@@ -266,7 +266,10 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     window holding NaN pools to NaN and routes to its first NaN.  Both
     passes work on the four strided window views: a window copy, argmax
     and gather made the forward ten times slower.  Backward pools again
-    rather than keep the output, which the ``relu`` after it keeps."""
+    rather than keep the output, which the ``relu`` after it keeps.  It
+    compares for NaN only if the output holds one (NaN propagates through
+    the max, and the padding is -inf), and gives the last scan position
+    the windows still unrouted: their maximum can only sit there."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2x2 input must be (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
@@ -289,12 +292,16 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
         xp, out = pool()
         gxp = np.empty_like(xp)
         free = np.ones(out.shape, dtype=bool)
-        for s in scan:
+        nan = np.isnan(out).any()
+        for s in scan[:-1]:
             v = xp[s]
-            hit = (v == out) | (v != v)
+            hit = v == out
+            if nan:
+                hit |= v != v
             hit &= free
             free ^= hit
             gxp[s] = _masked(g, hit)
+        gxp[scan[-1]] = _masked(g, free)
         return (np.ascontiguousarray(gxp[:, :h, :w, :]),)
 
     return Node(out, (x,), bwd, name=name)
@@ -450,33 +457,49 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
 # pyramid pooling head
 
 
-def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
+def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int],
                  name: str = "pyramid_head") -> Node:
     """Pyramid pooling prior plus the output convolution in one op.
 
-    Computes ``conv2d(concat([x] + [bilinear_resize(avgpool_region(x, n),
-    H, W) for n in bins]), w, b)`` without forming the concatenation.
-    x: (N, H, W, C), w: (kh, kw, (1 + len(bins)) * C, K), b: (K,); input
-    channel block k of ``w`` belongs to ``x`` (k = 0) or to ``bins[k-1]``.
+    With x the channel concatenation of the input parts, computes
+    ``conv2d(concat([x] + [bilinear_resize(avgpool_region(x, n), H, W)
+    for n in bins]), w, b)`` without forming either concatenation.
+    x: a list of parts (N, H, W, C_i), or one node (a one-part list), C =
+    sum(C_i); w: (kh, kw, (1 + len(bins)) * C, K), b: (K,).  Input channel
+    block k of ``w`` belongs to ``x`` (k = 0) or to ``bins[k-1]``, and its
+    row block i to part i.
 
     Each block's source (x itself as the identity bin, else the pooled
     map) is multiplied by the block's kernel as one (C, kh*kw*K) matrix
     at its own resolution; the products are resized, summed, and their
     kh*kw tap slices added at the tap offsets of the zero-padded
-    convolution.  The pools and resizes run as per-axis matrices
-    (:func:`_pyramid_axis`): one matmul pools the rows of every bin,
-    one per bin pools its columns and one resizes them back, and one
-    resizes every bin's rows back at once.  They run in the input
-    dtype, so unlike avgpool_region a region mean is not accumulated in
-    float64.  Backward applies the same matrices transposed.  The
-    identities behind this are in the ``arch`` docstring.
+    convolution.  The identity bin's product is each part times its rows
+    of the block, accumulated.  The pools and resizes run as per-axis
+    matrices (:func:`_pyramid_axis`): one matmul per part pools the rows
+    of every bin, one per bin and part pools their columns, and the tiny
+    pooled parts are joined per bin; one matmul per bin resizes its
+    columns back, and one resizes every bin's rows back at once.  They
+    run in the input dtype, so unlike avgpool_region a region mean is
+    not accumulated in float64.  Backward applies the same matrices
+    transposed, and the kernel gradient's identity block stacks the
+    parts' products.  The identities behind this are in the ``arch``
+    docstring.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"pyramid_head input must be (N,H,W,C), got {x.shape}")
+    parts = [x] if isinstance(x, Node) else list(x)
+    if not parts:
+        raise ParameterError("pyramid_head needs at least one input part")
+    for p in parts:
+        if p.ndim != 4:
+            raise ShapeError(f"pyramid_head input must be (N,H,W,C), got {p.shape}")
+        if p.shape[:3] != parts[0].shape[:3]:
+            raise ShapeError(f"pyramid_head parts differ in (N,H,W): {p.shape} "
+                             f"vs {parts[0].shape}")
     if w.ndim != 4:
         raise ShapeError(f"pyramid_head kernel must be (kh,kw,cin,cout), got {w.shape}")
     bins = tuple(int(v) for v in bins)
-    n, h, wd, c = x.shape
+    n, h, wd = parts[0].shape[:3]
+    widths = [p.shape[-1] for p in parts]
+    c = sum(widths)
     kh, kw, wcin, cout = w.shape
     if wcin != (1 + len(bins)) * c:
         raise ShapeError(f"kernel expects {wcin} input channels, the pyramid "
@@ -490,12 +513,14 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
                          f">= {max(bins)}, got {h}x{wd}")
 
     taps = kh * kw
-    xd, wdata = x.data, w.data
+    xds, wdata = [p.data for p in parts], w.data
     pads, mirrored = _same_pads(kh, kw, 1, 1)
-    pool_h, up_h = _pyramid_axis(h, bins, xd.dtype)
-    pool_w, up_w = _pyramid_axis(wd, bins, xd.dtype)
+    pool_h, up_h = _pyramid_axis(h, bins, xds[0].dtype)
+    pool_w, up_w = _pyramid_axis(wd, bins, xds[0].dtype)
     edges = np.cumsum((0,) + bins)
     spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    cuts = np.cumsum([0] + widths)
+    chans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
     # input-channel block k of w, (kh, kw, C, K); forward multiplies by it
     # as a (C, taps*K) matrix with tap-major columns, backward by its
@@ -503,11 +528,18 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
     # rather than keep the forward's)
     wblocks = wdata.reshape(kh, kw, 1 + len(bins), c, cout)
     wx, *wmats = wblocks.transpose(2, 3, 0, 1, 4).reshape(1 + len(bins), c, taps * cout)
-    # every bin's row means, then per bin its (N, nb, nb, C) region means
-    rows = (pool_h @ xd.reshape(n, h, wd * c)).reshape(n, -1, wd, c)
-    pooled = [pool_w[s] @ rows[:, s] for s in spans]
+    prior = xds[0] @ wx[chans[0]]
+    for xd, cs in zip(xds[1:], chans[1:]):
+        prior += xd @ wx[cs]
+    # per part, every bin's row means, then per bin its (N, nb, nb, C_i)
+    # region means; a bin's parts are joined along the channels
+    pieces = []
+    for xd in xds:
+        rows = (pool_h @ xd.reshape(n, h, -1)).reshape(n, -1, wd, xd.shape[-1])
+        pieces.append([pool_w[s] @ rows[:, s] for s in spans])
+    pooled = [np.concatenate(ps, axis=-1) for ps in zip(*pieces)]
+    del rows
 
-    prior = xd @ wx
     wide = np.concatenate([up_w[:, s] @ (p @ m) for s, p, m in zip(spans, pooled, wmats)],
                           axis=1)
     prior += (up_h @ wide.reshape(n, -1, wd * taps * cout)).reshape(prior.shape)
@@ -521,20 +553,25 @@ def pyramid_head(x: Node, w: Node, b: Node, bins: Sequence[int],
         wxt, *wmts = wblocks.transpose(2, 0, 1, 4, 3).reshape(1 + len(bins), taps * cout, c)
         gprior = _patch_matrix(_pad(g, mirrored), kh, kw, h, wd, 1, 1).reshape(
             n, h, wd, taps, cout)[:, :, :, ::-1].reshape(n, h, wd, -1)
-        gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2]))]
         gwide = (up_h.T @ gprior.reshape(n, h, -1)).reshape(n, -1, wd, taps * cout)
-        grows = np.empty((n, sum(bins), wd, c), dtype=g.dtype)
-        for s, p, mt in zip(spans, pooled, wmts):
-            gq = up_w[:, s].T @ gwide[:, s]
-            gms.append(np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2])))
-            grows[:, s] = pool_w[s].T @ (gq @ mt)
-        gx = (pool_h.T @ grows.reshape(n, -1, wd * c)).reshape(n, h, wd, c)
-        del grows       # one full-size temporary at a time
-        gx += gprior @ wxt
+        gqs = [up_w[:, s].T @ gwide[:, s] for s in spans]
+        del gwide
+        gpooled = [gq @ mt for gq, mt in zip(gqs, wmts)]
+        gxs = []
+        for width, cs in zip(widths, chans):
+            grows = np.empty((n, sum(bins), wd, width), dtype=g.dtype)
+            for s, gp in zip(spans, gpooled):
+                grows[:, s] = pool_w[s].T @ gp[..., cs]
+            gx = (pool_h.T @ grows.reshape(n, -1, wd * width)).reshape(n, h, wd, width)
+            del grows       # one full-size temporary at a time
+            gx += gprior @ np.ascontiguousarray(wxt[:, cs])
+            gxs.append(gx)
+        gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2])) for xd in xds]
+        gms += [np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2])) for p, gq in zip(pooled, gqs)]
         gw = np.concatenate(gms).reshape(wcin, kh, kw, cout).transpose(1, 2, 0, 3)
-        return gx, np.ascontiguousarray(gw), g.sum(axis=(0, 1, 2))
+        return (*gxs, np.ascontiguousarray(gw), g.sum(axis=(0, 1, 2)))
 
-    return Node(out, (x, w, b), bwd, name=name)
+    return Node(out, (*parts, w, b), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------

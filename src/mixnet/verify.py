@@ -71,6 +71,9 @@ def _op_builders(rng):
     # an even kernel pads unevenly, so the input gradient's mirrored pads matter
     w_even = rng.normal(size=(2, 3, 2, 3))
     g_even = Node.leaf(rng.normal(size=(1, 5, 6, 3)))
+    # the head over three parts of x's size, 1, 2 and 1 channels wide
+    head_parts = [rng.normal(size=(1, 5, 6, c)) for c in (1, 2, 1)]
+    w_parts = rng.normal(size=(3, 3, 12, 3))
 
     return [
         ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
@@ -97,6 +100,9 @@ def _op_builders(rng):
          [x]),
         ("pyramid_head", lambda lv: ops.reduce_sum(ops.mul(
             ops.pyramid_head(lv[0], lv[1], lv[2], (2, 3)), g_head)), [x, w_head, b]),
+        ("pyramid_head_parts", lambda lv: ops.reduce_sum(ops.mul(
+            ops.pyramid_head(lv[:3], lv[3], lv[4], (2, 3)), g_head)),
+         [*head_parts, w_parts, b]),
         ("relu", lambda lv: ops.reduce_sum(ops.relu(lv[0])), [x]),
         ("add_mul", lambda lv: ops.reduce_sum(ops.mul(ops.add(lv[0], lv[1]), lv[0])),
          [pair, pair + 0.5]),

@@ -450,24 +450,32 @@ def subject_files(data_dir, entry: dict) -> tuple[list[str], list[str]]:
             ["intensity"] * len(entry["modalities"]) + ["labels"])
 
 
-def load_images(data_dir, entry: dict) -> dict:
-    """Load one manifest entry's normalized modalities and spacing.  The
-    labels' body is never read and need not exist; their sidecar, where it
-    exists, is checked with the modalities' by ``read_metas``."""
+def _load(data_dir, entry: dict, labels: bool) -> tuple[dict, list, list]:
+    """One manifest entry's normalized modalities and spacing, with the
+    paths and sidecars ``read_metas`` checked.  The labels' sidecar is
+    among them if ``labels`` is set or it exists; their body is not read."""
     paths, kinds = subject_files(data_dir, entry)
     m = len(entry["modalities"])
-    if not os.path.exists(_sidecar(paths[-1])):     # no ground truth on disk
+    if not labels and not os.path.exists(_sidecar(paths[-1])):  # no ground truth
         paths, kinds = paths[:m], kinds[:m]
     metas = read_metas(paths, kinds)
     images = np.stack([normalize_volume(_read_body(p, meta))
                        for p, meta in zip(paths[:m], metas)], axis=-1)
-    return {"id": entry.get("id", ""), "images": images, "spacing": metas[0].spacing}
+    return ({"id": entry.get("id", ""), "images": images, "spacing": metas[0].spacing},
+            paths, metas)
+
+
+def load_images(data_dir, entry: dict) -> dict:
+    """Load one manifest entry's normalized modalities and spacing.  The
+    labels' body is never read and need not exist; their sidecar, where it
+    exists, is checked with the modalities' by ``read_metas``."""
+    return _load(data_dir, entry, labels=False)[0]
 
 
 def load_subject(data_dir, entry: dict) -> dict:
     """Load one manifest entry: ``load_images`` plus its labels and their
-    class count.  Every sidecar is checked before any body is read."""
-    path = subject_files(data_dir, entry)[0][-1]
-    meta = read_meta(path)
-    return {**load_images(data_dir, entry), "labels": _read_body(path, meta),
-            "classes": meta.classes}
+    class count.  Each sidecar is read once, and every one is checked
+    before any body is read."""
+    subject, paths, metas = _load(data_dir, entry, labels=True)
+    return {**subject, "labels": _read_body(paths[-1], metas[-1]),
+            "classes": metas[-1].classes}

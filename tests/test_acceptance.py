@@ -171,12 +171,25 @@ def test_criterion_1_gradient_correctness():
 
 
 def _named_shapes(net, side=48):
+    """Shapes by node name, the logits' shape, and the (name, shape) of
+    each input part of the output unit's ``out.final`` vertex (its
+    parents but the kernel and bias)."""
     logits = net.forward(np.zeros((1, side, side, 3), np.float32))
     shapes = {}
     for node in topo_order(logits):
         if node.name:
             shapes[node.name] = node.shape
-    return shapes, logits.shape
+        if node.name == "out.final":
+            head = [(p.name, p.shape) for p in node.parents[:-2]]
+    return shapes, logits.shape, head
+
+
+def _assert_head_parts(head, names, width, half):
+    """The head reads the level outputs ``names``, in that order, at half
+    resolution, ``width`` channels together."""
+    assert [name for name, _ in head] == names
+    assert all(shape[:3] == (1, half, half) for _, shape in head)
+    assert sum(shape[-1] for _, shape in head) == width
 
 
 def test_criterion_2_structure_conformance():
@@ -184,15 +197,15 @@ def test_criterion_2_structure_conformance():
     checks = 0
 
     net = Network(NetConfig(variant="v1"), seed=0)
-    shapes, out = _named_shapes(net)
+    shapes, out, head = _named_shapes(net)
     for i in range(1, 6):
         assert shapes[f"level{i}.out"] == (1, half, half, 72)
         checks += 1
-    assert shapes["aggregate"] == (1, half, half, 360)
+    _assert_head_parts(head, [f"level{i}.out" for i in range(1, 6)], 360, half)
     assert out == (1, 48, 48, 4)
 
     net = Network(NetConfig(variant="v2"), seed=0)
-    shapes, out = _named_shapes(net)
+    shapes, out, head = _named_shapes(net)
     for i in (1, 3, 5):
         assert shapes[f"level{i}.fuse"] == (1, half, half, 72)
         assert shapes[f"level{i}.out"] == (1, half, half, 24)
@@ -202,18 +215,21 @@ def test_criterion_2_structure_conformance():
             assert shapes[f"level{i}.s{s}.fuse"] == (1, half, half, 48)
             assert shapes[f"level{i}.s{s}.out"] == (1, half, half, 24)
             checks += 2
-    assert shapes["aggregate"] == (1, half, half, 216)
+    _assert_head_parts(head, [name for i in range(1, 6) for name in (
+        [f"level{i}.out"] if i % 2 else [f"level{i}.s{s}.out" for s in range(3)])],
+        216, half)
     assert out == (1, 48, 48, 4)
 
     net = Network(NetConfig(variant="v3"), seed=0)
-    shapes, out = _named_shapes(net)
+    shapes, out, head = _named_shapes(net)
     for i in range(1, 6):
         for s in range(3):
             assert shapes[f"level{i}.s{s}.out"] == (1, half, half, 24)
             checks += 1
-    assert shapes["aggregate"] == (1, half, half, 360)
+    _assert_head_parts(head, [f"level{i}.s{s}.out" for i in range(1, 6) for s in range(3)],
+                       360, half)
     assert out == (1, 48, 48, 4)
-    checks += 6  # the three aggregates and three logit shapes
+    checks += 6  # the three heads' input parts and three logit shapes
 
     # parameter-tensor level conformance for all three variants
     from mixnet.verify import check_structure

@@ -162,7 +162,7 @@ def test_a_replaced_backward_rule_is_the_one_backward_calls():
 def test_topo_order_has_one_vertex_per_graph_value():
     order = topo_order(_v1_loss(arch.Network(arch.NetConfig(variant="v1"), seed=0)))
     assert all(isinstance(v, Vertex) for v in order)
-    assert len({id(v) for v in order}) == len(order) == 77
+    assert len({id(v) for v in order}) == len(order) == 76
 
 
 def test_tensor_init_runs_once_per_node_and_never_for_a_vertex(monkeypatch):
@@ -177,8 +177,8 @@ def test_tensor_init_runs_once_per_node_and_never_for_a_vertex(monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counting)
     loss = _v1_loss(net)
     # one per op result and one for the input leaf; the parameters exist
-    assert calls == [Node] * 43
-    assert len(topo_order(loss)) - len(net.store) == 43
+    assert calls == [Node] * 42
+    assert len(topo_order(loss)) - len(net.store) == 42
     assert not issubclass(Vertex, Tensor)
 
 

@@ -390,7 +390,8 @@ def test_bilinear_gradient_up_and_down():
 # ---------------------------------------------------------------------------
 # pyramid pooling head
 
-# aggregate width feeding the head at each variant's default config
+# summed width of the level outputs feeding the head at each variant's
+# default config
 HEAD_WIDTHS = {"v1": 360, "v2": 216, "v3": 360}
 BINS = (2, 4, 6, 12)
 
@@ -422,6 +423,47 @@ def test_pyramid_head_matches_unfused_composition(variant, dtype, tol):
             assert a.dtype == dtype, what
             rel = np.abs(a - ref).max() / np.abs(ref).max()
             assert rel <= tol, f"{what} at {(n, h, w, c)}: rel err {rel:.2e}"
+
+
+def _head_over(*args):
+    *parts, w, b, bins = args
+    return ops.pyramid_head(parts, w, b, bins)
+
+
+def _unfused_head_over(*args):
+    *parts, w, b, bins = args
+    return oracles.pyramid_head_unfused(ops.concat_channels(parts), w, b, bins)
+
+
+@pytest.mark.parametrize("widths", [(5, 7, 12), (24,)], ids=str)
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_pyramid_head_over_parts_matches_the_unfused_head_of_their_concat(widths, dtype, tol):
+    c = sum(widths)
+    rng = np.random.default_rng(23)
+    # the shapes of test_pyramid_head_matches_unfused_composition
+    for n, h, w, (kh, kw) in ((1, 12, 12, (3, 3)), (2, 13, 17, (3, 3)),
+                              (3, 25, 14, (3, 3)), (2, 13, 17, (2, 3))):
+        arrays = [rng.normal(size=(n, h, w, ci)).astype(dtype) for ci in widths]
+        arrays += [(rng.normal(size=(kh, kw, 5 * c, 4))
+                    / np.sqrt(kh * kw * 5 * c)).astype(dtype),
+                   rng.normal(size=(4,)).astype(dtype)]
+        g = rng.normal(size=(n, h, w, 4)).astype(dtype)
+        got = _head_and_grads(_head_over, arrays, g)
+        want = _head_and_grads(_unfused_head_over, arrays, g)
+        names = ["logits"] + [f"g part {i}" for i in range(len(widths))] + ["gw", "gb"]
+        for what, a, ref in zip(names, got, want, strict=True):
+            assert a.dtype == dtype and a.shape == ref.shape, what
+            rel = np.abs(a - ref).max() / np.abs(ref).max()
+            assert rel <= tol, f"{what} at {(n, h, w, widths)}: rel err {rel:.2e}"
+
+
+def test_pyramid_head_part_errors():
+    w, b = leaf(np.zeros((3, 3, 9, 3))), leaf(np.zeros(3))
+    with pytest.raises(ParameterError):
+        ops.pyramid_head([], w, b, (2,))
+    with pytest.raises(ShapeError):   # parts of different spatial sizes
+        ops.pyramid_head([leaf(np.zeros((1, 6, 6, 2))), leaf(np.zeros((1, 6, 7, 1)))],
+                         w, b, (2, 3))
 
 
 def _one_hot_along(axis, size, width):

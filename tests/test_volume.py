@@ -408,6 +408,28 @@ def test_generate_dataset_and_loaders(tmp_path):
     assert abs(float(norm["images"][..., 0].mean())) < 1e-4
 
 
+def test_load_subject_reads_each_sidecar_once_and_all_before_a_body(tmp_path, monkeypatch):
+    vol.generate_dataset(tmp_path, subjects=1, dims=(8, 8, 8), classes=3,
+                         modalities=2, seed=4)
+    entry = vol.load_manifest(tmp_path)["subjects"][0]
+    reads = []
+    read_meta, read_body = vol.read_meta, vol._read_body
+    monkeypatch.setattr(vol, "read_meta",
+                        lambda p: reads.append(("meta", str(p))) or read_meta(p))
+    monkeypatch.setattr(vol, "_read_body",
+                        lambda p, m: reads.append(("body", str(p))) or read_body(p, m))
+    subject = vol.load_subject(tmp_path, entry)
+    files = [str(tmp_path / f) for f in [*entry["modalities"], entry["labels"]]]
+    assert reads == [("meta", f) for f in files] + [("body", f) for f in files]
+    assert subject["classes"] == 3 and subject["labels"].shape == (8, 8, 8)
+
+    reads.clear()
+    (tmp_path / (entry["labels"] + ".json")).unlink()
+    with pytest.raises(DataError, match="missing sidecar header"):
+        vol.load_subject(tmp_path, entry)
+    assert all(kind == "meta" for kind, _ in reads)
+
+
 def test_load_manifest_errors(tmp_path):
     with pytest.raises(DataError):
         vol.load_manifest(tmp_path)
@@ -477,8 +499,28 @@ def _write_dataset(path, seed):
                          modalities=1, seed=seed)
 
 
+def _run_cli(*argv):
+    """One command, its errors raised rather than turned into an exit code."""
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    args.func(args)
+
+
+def _write_report(path, seed):
+    labels = np.random.default_rng(seed).integers(0, 3, size=(2, 6, 5, 4))
+    for name, data in zip(("truth.vol", "pred.vol"), labels):
+        vol.write_volume(path.parent / name, data, (1, 1, 2), "labels", classes=3)
+    _run_cli("evaluate", "--truth", path.parent / "truth.vol",
+             "--pred", path.parent / "pred.vol", "--out", path)
+
+
+def _write_verify_json(path, seed):
+    _run_cli("verify", "--suite", "metrics", "--trials", seed, "--json", path)
+
+
 # (writer, file it writes, temp file whose write tears, files that must survive)
 TORN_WRITES = {
+    "evaluate report": (_write_report, "report.json", "report.json.tmp", ["report.json"]),
+    "verify summary": (_write_verify_json, "verify.json", "verify.json.tmp", ["verify.json"]),
     "checkpoint": (_write_checkpoint, "ck.bin", "ck.bin.tmp", ["ck.bin"]),
     "volume body": (_write_volume, "a.vol", "a.vol.tmp", ["a.vol", "a.vol.json"]),
     "volume sidecar": (_write_volume, "a.vol", "a.vol.json.tmp", ["a.vol", "a.vol.json"]),
