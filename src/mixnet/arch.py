@@ -32,8 +32,10 @@ All variants share the same building blocks:
   padded the mirrored way, by the adjoint stated in ``ops.conv2d``.
   Region pooling and bilinear resize are also separable: along one axis
   each is an (out, in) matrix acting on every channel alike, and its
-  adjoint is that matrix's transpose.  So the head pools the rows of
-  all bins with one matrix, and resizes all bins' rows back with one.
+  adjoint is that matrix's transpose.  So ``ops.avgpool_region`` and
+  ``ops.bilinear_resize`` (the output unit's 2x upscale) run as those
+  matrices and their transposes, and the head pools the rows of all
+  bins with one matrix, and resizes all bins' rows back with one.
   These maps act on each channel alone, so the head's input need not be
   one array either: with x the channel concatenation of parts x_i and
   W_x split by rows into their blocks W_x,i, x @ W_x = sum_i x_i @ W_x,i,
@@ -274,7 +276,7 @@ class Network:
         """Softmax class probabilities for a batch of slices."""
         with no_grad():
             logits = self.forward(x)
-        return ops.softmax(logits.data, axis=-1)
+        return ops.softmax(logits.data)
 
 
 def embed_v3_into_v1(src: Network) -> Network:

@@ -170,10 +170,11 @@ SLICE_KEYS = ("plane", "augment", "max_slices", "holdout", "seed")
 AUGMENT = ("plane", "full", "light", "none")
 
 
-def _checkpoint_settings(path) -> tuple[dict, int]:
-    """(settings, batch-order seed) recorded in the header of the
-    resumable checkpoint at ``path``.  Checkpoints older than the slice
-    settings record none, and older than the seed's record no seed."""
+def _checkpoint_settings(path) -> tuple[dict, dict]:
+    """The settings recorded in the header of the resumable checkpoint
+    at ``path``, and that header, as :func:`load_checkpoint_header`
+    reads it.  Checkpoints older than the slice settings record none,
+    and older than the seed's record no seed."""
     header = load_checkpoint_header(path)
     if "train_config" not in header:
         raise DataError(f"{path}: checkpoint has no trainer state")
@@ -181,7 +182,7 @@ def _checkpoint_settings(path) -> tuple[dict, int]:
     slices = check_record(header.get("slice_settings", {}),
                           {k: kind_of(TRAIN_DEFAULTS[k]) for k in SLICE_KEYS},
                           f"{path}: slice_settings", DataError)
-    return {**_owned_settings(saved, header["net_config"]), **slices}, saved.seed
+    return {**_owned_settings(saved, header["net_config"]), **slices}, header
 
 
 def _manifest_entry(manifest: dict, sid: str, role: str = "subject") -> dict:
@@ -224,13 +225,14 @@ def cmd_train(args) -> int:
     # may change its epochs, and nothing else it records
     recorded = {}
     if args.resume:
-        recorded, batch_seed = _checkpoint_settings(args.resume)
+        recorded, header = _checkpoint_settings(args.resume)
     cfg = _resolve(TRAIN_DEFAULTS, args, _train_configs, recorded)
     net_config, train_config = _train_configs(cfg)
     if args.resume:
         changed = [f"{k} {cfg[k]!r} (checkpoint {v!r})" for k, v in recorded.items()
                    if k != "epochs" and cfg[k] != v]
-        if "seed" not in recorded and derive_seed(cfg["seed"], "batches") != batch_seed:
+        if ("seed" not in recorded
+                and derive_seed(cfg["seed"], "batches") != header["train_config"].seed):
             changed.append(f"seed {cfg['seed']!r} (the checkpoint used another)")
         if changed:
             raise ConfigError(f"{args.resume}: cannot resume with changed settings: "
@@ -247,7 +249,7 @@ def cmd_train(args) -> int:
     if not entries:
         raise DataError("no training subjects" + (" left after holdout" if held else ""))
     if args.resume:
-        saved = load_checkpoint_header(args.resume)["net_config"]
+        saved = header["net_config"]
         data = (manifest["classes"], len(entries[0]["modalities"]))
         if (saved.classes, saved.modalities) != data:
             raise DataError(f"{args.resume}: checkpoint has {saved.classes} classes and "

@@ -31,6 +31,7 @@ once forward code drops it (see :mod:`mixnet.autodiff`).
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -307,150 +308,98 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     return Node(out, (x,), bwd, name=name)
 
 
-def _region_edges(size: int, bins: int) -> list:
-    return [i * size // bins for i in range(bins + 1)]
-
-
-def _region_mean(x: np.ndarray, bins: int) -> np.ndarray:
-    """(N, H, W, C) -> (N, bins, bins, C) region means; see avgpool_region."""
+def _along_hw(x: np.ndarray, mh: np.ndarray, mw: np.ndarray) -> np.ndarray:
+    """(N, H, W, C) -> (N, oh, ow, C): the (oh, H) matrix ``mh`` applied
+    along the rows, then the (ow, W) matrix ``mw`` along the columns."""
     n, h, w, c = x.shape
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
-    if h < bins or w < bins:
-        raise ShapeError(f"region pooling with {bins} bins needs spatial size "
-                         f">= {bins}, got {h}x{w}")
-    he, we = _region_edges(h, bins), _region_edges(w, bins)
-    out = np.empty((n, bins, bins, c), dtype=x.dtype)
-    for r in range(bins):
-        for s in range(bins):
-            region = x[:, he[r]:he[r + 1], we[s]:we[s + 1], :]
-            out[:, r, s, :] = region.mean(axis=(1, 2), dtype=np.float64)
-    return out
+    return mw @ (mh @ x.reshape(n, h, w * c)).reshape(n, -1, w, c)
 
 
-def _region_mean_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Gradient of :func:`_region_mean` for an (N, h, w, C) input, given
-    the (N, bins, bins, C) output gradient ``g``: each bin's g / area,
-    repeated over the bin's rows, then over its columns."""
-    bins = g.shape[1]
-    hs, ws = np.diff(_region_edges(h, bins)), np.diff(_region_edges(w, bins))
-    share = g / np.multiply.outer(hs, ws)[:, :, None].astype(g.dtype)
-    share += 0      # -0.0 -> +0.0, as when shares are added into zeros
-    return np.repeat(np.repeat(share, hs, axis=1), ws, axis=2)
+@cache
+def _region_axis(size: int, bins: int, dtype) -> np.ndarray:
+    """(bins, size) matrix whose row r averages region r of an axis of
+    ``size`` pixels, [r*size//bins, (r+1)*size//bins), in ``dtype``."""
+    mat = np.zeros((bins, size))
+    edges = [i * size // bins for i in range(bins + 1)]
+    for row, lo, hi in zip(mat, edges, edges[1:]):
+        row[lo:hi] = 1 / (hi - lo)
+    return mat.astype(dtype)
 
 
 def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     """Adaptive average pooling onto a bins x bins grid.
 
     Region r along an axis of length L covers [r*L//bins, (r+1)*L//bins),
-    so region sizes differ by at most one pixel.  Region means are
-    accumulated in float64 and cast back to the input dtype.
+    so region sizes differ by at most one pixel.  The region means are
+    the per-axis averaging matrices of :func:`_region_axis` applied in
+    the input dtype; backward applies their transposes.
     """
     if x.ndim != 4:
         raise ShapeError(f"avgpool_region input must be (N,H,W,C), got {x.shape}")
-    out = _region_mean(x.data, int(bins))
+    bins = int(bins)
+    if bins < 1:
+        raise ParameterError(f"bins must be >= 1, got {bins}")
     h, w = x.shape[1:3]
+    if h < bins or w < bins:
+        raise ShapeError(f"region pooling with {bins} bins needs spatial size "
+                         f">= {bins}, got {h}x{w}")
+    mh, mw = _region_axis(h, bins, x.dtype), _region_axis(w, bins, x.dtype)
 
     def bwd(g):
-        return (_region_mean_adjoint(g, h, w),)
+        return (_along_hw(g, mh.T, mw.T),)
 
-    return Node(out, (x,), bwd, name=name)
+    return Node(_along_hw(x.data, mh, mw), (x,), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
 # bilinear resize
 
 
-_AXIS_CACHE: dict = {}
-
-
-def _resize_axis(in_size: int, out_size: int, dtype) -> tuple:
-    """Gather indices and weights for one axis, half-pixel-center mapping
-    (align_corners false): src = (i + 0.5) * in/out - 0.5, clamped."""
-    key = (in_size, out_size, np.dtype(dtype).str)
-    hit = _AXIS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    i = np.arange(out_size, dtype=np.float64)
-    src = (i + 0.5) * (in_size / out_size) - 0.5
+@cache
+def _resize_axis(in_size: int, out_size: int, dtype) -> np.ndarray:
+    """(out_size, in_size) interpolation matrix of one axis, in ``dtype``,
+    half-pixel-center mapping (align_corners false): output i reads
+    src = (i + 0.5) * in/out - 0.5, clamped, from its two neighbours."""
+    src = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
     src = np.clip(src, 0.0, in_size - 1.0)
     i0 = np.floor(src).astype(np.int64)
-    i1 = np.minimum(i0 + 1, in_size - 1)
-    wgt = (src - i0).astype(dtype)
-    # dense (out, in) matrix used by the backward pass
-    mat = np.zeros((out_size, in_size), dtype=dtype)
+    # the far neighbour's weight is rounded to dtype before 1 - w is taken
+    wgt = (src - i0).astype(dtype).astype(np.float64)
+    mat = np.zeros((out_size, in_size))
     rows = np.arange(out_size)
-    np.add.at(mat, (rows, i0), 1 - wgt.astype(np.float64))
-    np.add.at(mat, (rows, i1), wgt.astype(np.float64))
-    entry = (i0, i1, wgt, mat)
-    _AXIS_CACHE[key] = entry
-    return entry
+    np.add.at(mat, (rows, i0), 1 - wgt)
+    np.add.at(mat, (rows, np.minimum(i0 + 1, in_size - 1)), wgt)
+    return mat.astype(dtype)
 
 
+@cache
 def _pyramid_axis(size: int, bins: tuple, dtype) -> tuple:
     """The pyramid head's two maps along one axis of ``size`` pixels, in
     ``dtype``: the (sum(bins), size) matrix whose rows average each bin
     count's regions (as avgpool_region), and the (size, sum(bins))
     matrix of the bins' resizes back to ``size`` (as bilinear_resize),
     side by side in the order of ``bins``."""
-    key = (size, bins, np.dtype(dtype).str)
-    hit = _AXIS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pool = np.zeros((sum(bins), size))
-    rows = iter(pool)
-    for nb in bins:
-        edges = _region_edges(size, nb)
-        for lo, hi in zip(edges, edges[1:]):
-            next(rows)[lo:hi] = 1 / (hi - lo)
-    up = np.concatenate([_resize_axis(nb, size, dtype)[3] for nb in bins], axis=1)
-    entry = (pool.astype(dtype), up)
-    _AXIS_CACHE[key] = entry
-    return entry
-
-
-def _resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """(N, H, W, C) -> (N, out_h, out_w, C); see bilinear_resize."""
-    h0, h1, hw, _ = _resize_axis(x.shape[1], out_h, x.dtype)
-    w0, w1, ww, _ = _resize_axis(x.shape[2], out_w, x.dtype)
-    xa = np.take(x, h0, axis=1)
-    xb = np.take(x, h1, axis=1)
-    xh = xa + hw[None, :, None, None] * (xb - xa)
-    ya = np.take(xh, w0, axis=2)
-    yb = np.take(xh, w1, axis=2)
-    return ya + ww[None, None, :, None] * (yb - ya)
-
-
-def _resize_adjoint(g: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Gradient of :func:`_resize` for an (N, h, w, C) input: the
-    transposed interpolation matrices applied to ``g``."""
-    hmat = _resize_axis(h, g.shape[1], g.dtype)[3]
-    wmat = _resize_axis(w, g.shape[2], g.dtype)[3]
-    # (N, oh, ow, C) -> undo the W interpolation -> (N, oh, W, C)
-    gh = np.moveaxis(np.tensordot(g, wmat, axes=([2], [0])), 3, 2)
-    gx = np.moveaxis(np.tensordot(gh, hmat, axes=([1], [0])), 3, 1)
-    return np.ascontiguousarray(gx)
+    return (np.concatenate([_region_axis(size, nb, dtype) for nb in bins]),
+            np.concatenate([_resize_axis(nb, size, dtype) for nb in bins], axis=1))
 
 
 def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> Node:
-    """Bilinear resampling to (out_h, out_w) with half-pixel centers.
-
-    Forward interpolates as x0 + w * (x1 - x0), which reproduces constant
-    inputs exactly.  Backward applies the transposed interpolation
-    matrices.
+    """Bilinear resampling to (out_h, out_w) with half-pixel centers, as
+    the per-axis interpolation matrices of :func:`_resize_axis`; backward
+    applies their transposes.
     """
     if x.ndim != 4:
         raise ShapeError(f"bilinear_resize input must be (N,H,W,C), got {x.shape}")
     out_h, out_w = int(out_h), int(out_w)
     if out_h < 1 or out_w < 1:
         raise ParameterError(f"target size must be positive, got {(out_h, out_w)}")
-    out = _resize(x.data, out_h, out_w)
     h, w = x.shape[1:3]
+    mh, mw = _resize_axis(h, out_h, x.dtype), _resize_axis(w, out_w, x.dtype)
 
     def bwd(g):
-        return (_resize_adjoint(g, h, w),)
+        return (_along_hw(g, mh.T, mw.T),)
 
-    return Node(out, (x,), bwd, name=name)
+    return Node(_along_hw(x.data, mh, mw), (x,), bwd, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +427,10 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
     matrices (:func:`_pyramid_axis`): one matmul per part pools the rows
     of every bin, one per bin and part pools their columns, and the tiny
     pooled parts are joined per bin; one matmul per bin resizes its
-    columns back, and one resizes every bin's rows back at once.  They
-    run in the input dtype, so unlike avgpool_region a region mean is
-    not accumulated in float64.  Backward applies the same matrices
-    transposed, and the kernel gradient's identity block stacks the
-    parts' products.  The identities behind this are in the ``arch``
-    docstring.
+    columns back, and one resizes every bin's rows back at once, in the
+    input dtype.  Backward applies the same matrices transposed, and the
+    kernel gradient's identity block stacks the parts' products.  The
+    identities behind this are in the ``arch`` docstring.
     """
     parts = [x] if isinstance(x, Node) else list(x)
     if not parts:
@@ -593,11 +540,10 @@ def _reduce_classes(a: np.ndarray, ufunc, dtype=None) -> np.ndarray:
     return out[..., None]
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax over ``axis`` (plain ndarray helper)."""
-    x = np.moveaxis(logits, axis, -1)
-    e = np.exp(x - _reduce_classes(x, np.maximum))
-    return np.moveaxis(e / _reduce_classes(e, np.add), -1, axis)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis (plain ndarray helper)."""
+    e = np.exp(logits - _reduce_classes(logits, np.maximum))
+    return e / _reduce_classes(e, np.add)
 
 
 def softmax_cross_entropy(logits: Node, labels: np.ndarray,
@@ -635,7 +581,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
         total = total / count
     out = np.asarray(total, dtype=logits.dtype).reshape(())
 
-    probs = e / _reduce_classes(e, np.add)      # softmax(flat, axis=1)
+    probs = e / _reduce_classes(e, np.add)      # softmax(flat)
     shp, dt = logits.shape, logits.dtype
 
     def bwd(g):

@@ -121,13 +121,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
 
-    @classmethod
-    def from_dict(cls, d: dict, what: str = "training config",
-                  error=ConfigError) -> "TrainConfig":
-        """Read a config record; see :mod:`mixnet.records`.  A value
-        ``validate`` rejects raises ``error`` too."""
-        return read_record(cls, d, what, error)
-
 
 def predict_slices(net: Network, images: np.ndarray,
                    batch_size: int = 8) -> np.ndarray:
@@ -343,8 +336,8 @@ def _read_header(fh, path) -> dict:
     header["net_config"] = NetConfig.from_dict(header["net_config"],
                                                f"{path}: net_config", DataError)
     if "train_config" in header:
-        header["train_config"] = TrainConfig.from_dict(header["train_config"],
-                                                       f"{path}: train_config", DataError)
+        header["train_config"] = read_record(TrainConfig, header["train_config"],
+                                             f"{path}: train_config", DataError)
     return header
 
 

@@ -14,6 +14,7 @@ from mixnet.augment import expand_slices
 from mixnet.autodiff import Node, backward
 from mixnet.errors import ConfigError, DataError, TrainingDiverged
 from mixnet import trainer as tr
+from mixnet.records import read_record
 
 import oracles
 
@@ -205,8 +206,8 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         tr.TrainConfig(epochs=0).validate()
     with pytest.raises(ConfigError):
-        tr.TrainConfig.from_dict({"epochs": 3, "warmup": 1})
-    assert tr.TrainConfig.from_dict({"epochs": 3}).epochs == 3
+        read_record(tr.TrainConfig, {"epochs": 3, "warmup": 1}, "config", ConfigError)
+    assert read_record(tr.TrainConfig, {"epochs": 3}, "config", ConfigError).epochs == 3
 
 
 # ---------------------------------------------------------------------------
