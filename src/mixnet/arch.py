@@ -29,7 +29,7 @@ All variants share the same building blocks:
   as one (C, taps * K) matmul whose tap slices share one pad and
   shift-add, with the parameters of the plain 3x3 convolution.  The
   shift-add's gradient is the patch matrix of the output gradient,
-  padded the mirrored way, by the adjoint stated in ``ops.conv2d``.
+  padded as the prior is, by the adjoint stated in ``ops.conv2d``.
   Region pooling and bilinear resize are also separable: along one axis
   each is an (out, in) matrix acting on every channel alike, and its
   adjoint is that matrix's transpose.  So ``ops.avgpool_region`` and

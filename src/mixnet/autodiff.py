@@ -123,8 +123,9 @@ class Node:
     """One value of the computation graph: a dense float array ``data``
     (the module's array rule applied) plus its ``vertex``.
 
-    ``parents``, ``requires_grad``, ``grad``, ``_backward`` (the vertex's
-    ``rule``) and ``name`` read and write the vertex.
+    ``requires_grad``, ``grad``, ``_backward`` (the vertex's ``rule``)
+    and ``name`` read and write the vertex; graph links are the vertex's
+    ``parents``.
     """
 
     __slots__ = ("data", "vertex")
@@ -161,7 +162,6 @@ class Node:
     def ndim(self) -> int:
         return self.data.ndim
 
-    parents = _on_vertex("parents")
     requires_grad = _on_vertex("requires_grad")
     grad = _on_vertex("grad")
     _backward = _on_vertex("rule")

@@ -225,7 +225,8 @@ def score_class(row: ClassResult) -> float:
 def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
                           spacing=(1.0, 1.0, 1.0)) -> EvalReport:
     """Per-foreground-class metrics plus the aggregate score (the mean
-    over classes of the weighted per-class quality)."""
+    over classes of the weighted per-class quality) of two integer label
+    volumes with ids in [0, classes)."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
@@ -234,9 +235,10 @@ def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
         raise DataError(f"expected 3D label volumes, got {pred.shape}")
     check_classes(classes, ParameterError)
     for name, vol in (("prediction", pred), ("truth", truth)):
-        if vol.size and int(vol.max()) >= classes:
-            raise DataError(f"{name} contains label {int(vol.max())} "
-                            f">= classes {classes}")
+        if not np.issubdtype(vol.dtype, np.integer):
+            raise DataError(f"{name} labels must be integers, got dtype {vol.dtype}")
+        if vol.size and not 0 <= vol.min() <= vol.max() < classes:
+            raise DataError(f"{name} labels {vol.min()}..{vol.max()} leave [0, {classes})")
     rows = []
     for k in range(1, classes):
         a = pred == k

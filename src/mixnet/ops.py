@@ -1,11 +1,13 @@
 """Differentiable operations on graph nodes.
 
 All image-like values use channels-last layout ``(N, H, W, C)`` and
-convolution kernels use ``(kh, kw, c_in, c_out)``.  Convolutions are
-cross-correlations (no kernel flip), stride 1, with zero padding chosen
-so the spatial size is preserved for any kernel size and dilation
-(total pad ``(k - 1) * d``, split floor-left / ceil-right); the input
-gradient is the same correlation, lowered by the same rule (:func:`conv2d`).
+convolution kernels use ``(k, k, c_in, c_out)`` with k odd (the network's
+are 1, 3 and 5; another footprint is an odd square kernel with zero
+taps).  Convolutions are cross-correlations (no kernel flip), stride 1,
+at one integer dilation d, padded with ``p = (k - 1) * d / 2`` zeros on
+every side, so output rows [r0, r1) read padded rows [r0, r1 + 2p); the
+input gradient is the same correlation, padded alike and lowered by the
+same rule (:func:`conv2d`).
 
 The max pool uses 2x2 windows with stride 2 and ceil-mode output sizes:
 a ragged bottom/right edge still produces an output cell, fed by the
@@ -40,20 +42,12 @@ from .autodiff import Node
 from .errors import DataError, ParameterError, ShapeError
 
 
-def _as_pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        if len(v) != 2:
-            raise ParameterError(f"expected a pair, got {v!r}")
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
-
-
-def same_padding(k: int, d: int) -> tuple[int, int]:
-    """Left/right zero padding that keeps the spatial size under a
-    stride-1 dilated window: total (k - 1) * d, extra pixel on the right."""
-    total = (k - 1) * d
-    left = total // 2
-    return left, total - left
+def _count(v, what: str) -> int:
+    """``v``, an ``int`` or numpy integer >= 1 (never a ``bool``): checked,
+    never coerced, so a dilation of 1.5 or 2.7 bins is a ParameterError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ParameterError(f"{what} must be an integer >= 1, got {v!r}")
+    return int(v)
 
 
 # ---------------------------------------------------------------------------
@@ -143,62 +137,73 @@ def _pad(a: np.ndarray, pads, value=0) -> np.ndarray:
     return np.pad(a, pads, constant_values=value)
 
 
-def _same_pads(kh: int, kw: int, dh: int, dw: int) -> tuple:
-    """Same-size zero padding of an (N, H, W, C) array, and its mirror."""
-    (pt, pb), (pl, pr) = same_padding(kh, dh), same_padding(kw, dw)
-    return ((0, 0), (pt, pb), (pl, pr), (0, 0)), ((0, 0), (pb, pt), (pr, pl), (0, 0))
+def _same_pads(k: int, d: int) -> tuple:
+    """Same-size zero padding of an (N, H, W, C) array under a k x k
+    window at dilation d: (k - 1) * d / 2 on every side."""
+    p = (k - 1) * d // 2
+    return (0, 0), (p, p), (p, p), (0, 0)
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, h: int, wd: int, dh: int, dw: int):
-    """Each kernel tap's shifted (h, wd) view of the padded ``xp``, in
-    tap-major order like a (kh, kw, ...) kernel's taps."""
-    for i in range(kh):
-        for j in range(kw):
-            yield xp[:, i * dh:i * dh + h, j * dw:j * dw + wd]
+def _odd_square(w: Node, op: str) -> int:
+    """The size k of a (k, k, cin, cout) kernel with k odd."""
+    k = w.shape[0]
+    if w.ndim != 4 or w.shape[1] != k or k % 2 == 0:
+        raise ShapeError(f"{op} kernel must be (k,k,cin,cout) with k odd, got {w.shape}")
+    return k
 
 
-def _patch_matrix(xp: np.ndarray, kh: int, kw: int, h: int, wd: int,
-                  dh: int, dw: int) -> np.ndarray:
-    """(N*h*wd, kh*kw*C) matrix whose row holds the padded (N, ., ., C)
-    ``xp`` under one output pixel's kernel window, tap-major like a (kh,
-    kw, C, Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped.
-    Otherwise it is the transposed view of a C-ordered (kh*kw*C, N*h*wd)
+def _windows(xp: np.ndarray, k: int, d: int):
+    """Each tap's shifted output-sized view of the padded ``xp`` (axes 1
+    and 2 spatial), tap-major like a (k, k, ...) kernel's taps."""
+    h, wd = xp.shape[1] - (k - 1) * d, xp.shape[2] - (k - 1) * d
+    for i in range(k):
+        for j in range(k):
+            yield xp[:, i * d:i * d + h, j * d:j * d + wd]
+
+
+def _patch_matrix(xp: np.ndarray, k: int, d: int) -> np.ndarray:
+    """(N*h*wd, k*k*C) matrix whose row holds the padded (N, ., ., C)
+    ``xp`` under one output pixel's kernel window, tap-major like a (k,
+    k, C, Cout) kernel's rows; a 1x1 kernel's is ``xp`` itself, reshaped.
+    Otherwise it is the transposed view of a C-ordered (k*k*C, N*h*wd)
     matrix filled from a channels-first copy of ``xp``, so each tap writes
     runs of wd elements, not of C (Chetlur et al. 2014)."""
-    n, c = xp.shape[0], xp.shape[-1]
-    if kh == kw == 1:
+    n, hp, wp, c = xp.shape
+    h, wd = hp - (k - 1) * d, wp - (k - 1) * d
+    if k == 1:
         return xp.reshape(n * h * wd, c)
-    xc = np.ascontiguousarray(np.moveaxis(xp, -1, 0)).reshape(c * n, *xp.shape[1:3])
-    cols = np.empty((kh * kw, c * n, h, wd), dtype=xp.dtype)
-    for t, v in enumerate(_windows(xc, kh, kw, h, wd, dh, dw)):
+    xc = np.ascontiguousarray(np.moveaxis(xp, -1, 0)).reshape(c * n, hp, wp)
+    cols = np.empty((k * k, c * n, h, wd), dtype=xp.dtype)
+    for t, v in enumerate(_windows(xc, k, d)):
         cols[t] = v
-    return cols.reshape(kh * kw * c, n * h * wd).T
+    return cols.reshape(k * k * c, n * h * wd).T
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, h: int, wd: int, dh: int, dw: int) -> np.ndarray:
-    """(N, h, wd, Cout) dilated correlation of the padded input ``xp``
-    with the (kh, kw, Cin, Cout) kernel ``w``, lowered by conv2d's rule.
-    Its (Cin, Cout) tap matrices are taken C-ordered (the module
-    docstring's layout rule): that copies the input gradient's kernel
-    view, whose taps are F-ordered, and leaves a forward kernel as is."""
-    kh, kw, cin, cout = w.shape
-    taps = kh * kw
+def _correlate(xp: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
+    """Dilated correlation of the padded input ``xp`` with the (k, k,
+    Cin, Cout) kernel ``w``, lowered by conv2d's rule.  Its (Cin, Cout)
+    tap matrices are taken C-ordered (the module docstring's layout
+    rule): that copies the input gradient's kernel view, whose taps are
+    F-ordered, and leaves a forward kernel as is."""
+    k, _, cin, cout = w.shape
+    taps = k * k
     if taps > 1 and taps * cin <= 2 * cout:
-        cols = _patch_matrix(xp, kh, kw, h, wd, dh, dw)
-        return (cols @ w.reshape(taps * cin, cout)).reshape(-1, h, wd, cout)
+        out = _patch_matrix(xp, k, d) @ w.reshape(taps * cin, cout)
+        return out.reshape(len(xp), -1, xp.shape[2] - (k - 1) * d, cout)
     mats = np.ascontiguousarray(w.reshape(taps, cin, cout))
-    views = _windows(xp, kh, kw, h, wd, dh, dw)
+    views = _windows(xp, k, d)
     out = next(views) @ mats[0]
     for v, m in zip(views, mats[1:]):
         out += v @ m
     return out
 
 
-def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
+def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation: int = 1,
            name: str = "conv") -> Node:
     """Stride-1 dilated cross-correlation with size-preserving zero padding.
 
-    x: (N, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) or None.
+    x: (N, H, W, Cin), w: (k, k, Cin, Cout) with k odd, b: (Cout,) or
+    None, dilation: an integer d >= 1.
     Forward and input gradient are one correlation, lowered by one rule
     in :func:`_correlate`: a patch matrix at most twice the output's size
     (``taps * Cin <= 2 * Cout``, the 5x5 init convs' 25*3/72 and 25*1/24)
@@ -206,8 +211,8 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     (im2col; Chetlur et al. 2014); any other runs a loop over the taps'
     shifted views, each hit with its (Cin, Cout) matrix and added to the
     first tap's product (a 1x1 kernel's single matmul).  The adjoint of a
-    stride-1 dilated correlation padded (pt, pb), (pl, pr) is the same
-    correlation of the output gradient padded (pb, pt), (pr, pl), with
+    stride-1 dilated correlation padded (k - 1) * d / 2 on every side is
+    the same correlation of the output gradient, padded the same, with
     the kernel flipped along both spatial axes and its channel axes
     swapped; so the input gradient's rule reads ``taps * Cout <= 2 * Cin``.
     The kernel gradient is one GEMM, the patch matrix transposed times
@@ -217,22 +222,18 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
-    if w.ndim != 4:
-        raise ShapeError(f"conv2d kernel must be (kh,kw,cin,cout), got {w.shape}")
-    n, h, wd, cin = x.shape
-    kh, kw, wcin, cout = w.shape
-    if wcin != cin:
-        raise ShapeError(f"kernel expects {wcin} input channels, tensor has {cin}")
-    dh, dw = _as_pair(dilation)
-    if dh < 1 or dw < 1:
-        raise ParameterError(f"dilation must be >= 1, got {(dh, dw)}")
+    k = _odd_square(w, "conv2d")
+    cin, cout = w.shape[2:]
+    if x.shape[-1] != cin:
+        raise ShapeError(f"kernel expects {cin} input channels, tensor has {x.shape[-1]}")
+    d = _count(dilation, "dilation")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
 
-    pads, mirrored = _same_pads(kh, kw, dh, dw)
+    pads = _same_pads(k, d)
     wd_ = w.data
 
-    out = _correlate(_pad(x.data, pads), wd_, h, wd, dh, dw)
+    out = _correlate(_pad(x.data, pads), wd_, d)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -245,10 +246,9 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation=1,
     def bwd(g):
         grads = [None] * nparents
         if x_grad:
-            grads[0] = _correlate(_pad(g, mirrored), wd_[::-1, ::-1].transpose(0, 1, 3, 2),
-                                  h, wd, dh, dw)
+            grads[0] = _correlate(_pad(g, pads), wd_[::-1, ::-1].transpose(0, 1, 3, 2), d)
         if w_grad:
-            cols = _patch_matrix(_pad(xd, pads), kh, kw, h, wd, dh, dw)
+            cols = _patch_matrix(_pad(xd, pads), k, d)
             grads[1] = (cols.T @ g.reshape(-1, cout)).reshape(wd_.shape)
         if b_grad:
             grads[2] = g.sum(axis=(0, 1, 2))
@@ -336,9 +336,7 @@ def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     """
     if x.ndim != 4:
         raise ShapeError(f"avgpool_region input must be (N,H,W,C), got {x.shape}")
-    bins = int(bins)
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
+    bins = _count(bins, "bins")
     h, w = x.shape[1:3]
     if h < bins or w < bins:
         raise ShapeError(f"region pooling with {bins} bins needs spatial size "
@@ -390,9 +388,7 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
     """
     if x.ndim != 4:
         raise ShapeError(f"bilinear_resize input must be (N,H,W,C), got {x.shape}")
-    out_h, out_w = int(out_h), int(out_w)
-    if out_h < 1 or out_w < 1:
-        raise ParameterError(f"target size must be positive, got {(out_h, out_w)}")
+    out_h, out_w = _count(out_h, "target height"), _count(out_w, "target width")
     h, w = x.shape[1:3]
     mh, mw = _resize_axis(h, out_h, x.dtype), _resize_axis(w, out_w, x.dtype)
 
@@ -414,21 +410,23 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
     ``conv2d(concat([x] + [bilinear_resize(avgpool_region(x, n), H, W)
     for n in bins]), w, b)`` without forming either concatenation.
     x: a list of parts (N, H, W, C_i), or one node (a one-part list), C =
-    sum(C_i); w: (kh, kw, (1 + len(bins)) * C, K), b: (K,).  Input channel
-    block k of ``w`` belongs to ``x`` (k = 0) or to ``bins[k-1]``, and its
-    row block i to part i.
+    sum(C_i); w: (k, k, (1 + len(bins)) * C, K) with k odd, b: (K,);
+    bins: integers >= 1.  Input channel block j of ``w`` belongs to ``x``
+    (j = 0) or to ``bins[j-1]``, and its row block i to part i.
 
     Each block's source (x itself as the identity bin, else the pooled
-    map) is multiplied by the block's kernel as one (C, kh*kw*K) matrix
-    at its own resolution; the products are resized, summed, and their
-    kh*kw tap slices added at the tap offsets of the zero-padded
-    convolution.  The identity bin's product is each part times its rows
-    of the block, accumulated.  The pools and resizes run as per-axis
-    matrices (:func:`_pyramid_axis`): one matmul per part pools the rows
-    of every bin, one per bin and part pools their columns, and the tiny
-    pooled parts are joined per bin; one matmul per bin resizes its
-    columns back, and one resizes every bin's rows back at once, in the
-    input dtype.  Backward applies the same matrices transposed, and the
+    map) is multiplied by the block's kernel as one (C, k*k*K) matrix
+    at its own resolution; the products are resized, summed, padded
+    (k - 1) / 2 on every side like conv2d's input, and their k*k tap
+    slices added at the tap offsets.  The prior's gradient is the patch
+    matrix of the output gradient under that same pad, its taps in
+    reverse (conv2d's adjoint).  The identity bin's product is each part
+    times its rows of the block, accumulated.  The pools and resizes run
+    as per-axis matrices (:func:`_pyramid_axis`): one matmul per part
+    pools the rows of every bin, one per bin and part pools their
+    columns, and the tiny pooled parts are joined per bin; one matmul per
+    bin resizes its columns back, and one resizes every bin's rows back
+    at once, in the input dtype.  Backward applies the same matrices transposed, and the
     kernel gradient's identity block stacks the parts' products.  The
     identities behind this are in the ``arch`` docstring.
     """
@@ -441,27 +439,26 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
         if p.shape[:3] != parts[0].shape[:3]:
             raise ShapeError(f"pyramid_head parts differ in (N,H,W): {p.shape} "
                              f"vs {parts[0].shape}")
-    if w.ndim != 4:
-        raise ShapeError(f"pyramid_head kernel must be (kh,kw,cin,cout), got {w.shape}")
-    bins = tuple(int(v) for v in bins)
+    k = _odd_square(w, "pyramid_head")
+    bins = tuple(_count(v, "a bin count") for v in bins)
+    if not bins:
+        raise ParameterError("pyramid_head needs one or more bin counts")
     n, h, wd = parts[0].shape[:3]
     widths = [p.shape[-1] for p in parts]
     c = sum(widths)
-    kh, kw, wcin, cout = w.shape
+    wcin, cout = w.shape[2:]
     if wcin != (1 + len(bins)) * c:
         raise ShapeError(f"kernel expects {wcin} input channels, the pyramid "
                          f"over {len(bins)} bins gives {(1 + len(bins)) * c}")
     if b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
-    if not bins or min(bins) < 1:
-        raise ParameterError(f"bins must be one or more counts >= 1, got {bins}")
     if min(h, wd) < max(bins):
         raise ShapeError(f"region pooling with {max(bins)} bins needs spatial size "
                          f">= {max(bins)}, got {h}x{wd}")
 
-    taps = kh * kw
+    taps = k * k
     xds, wdata = [p.data for p in parts], w.data
-    pads, mirrored = _same_pads(kh, kw, 1, 1)
+    pads = _same_pads(k, 1)
     pool_h, up_h = _pyramid_axis(h, bins, xds[0].dtype)
     pool_w, up_w = _pyramid_axis(wd, bins, xds[0].dtype)
     edges = np.cumsum((0,) + bins)
@@ -469,11 +466,11 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
     cuts = np.cumsum([0] + widths)
     chans = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
-    # input-channel block k of w, (kh, kw, C, K); forward multiplies by it
+    # input-channel block j of w, (k, k, C, K); forward multiplies by it
     # as a (C, taps*K) matrix with tap-major columns, backward by its
     # transpose, each built C-ordered (a copy, so backward builds its own
     # rather than keep the forward's)
-    wblocks = wdata.reshape(kh, kw, 1 + len(bins), c, cout)
+    wblocks = wdata.reshape(k, k, 1 + len(bins), c, cout)
     wx, *wmats = wblocks.transpose(2, 3, 0, 1, 4).reshape(1 + len(bins), c, taps * cout)
     prior = xds[0] @ wx[chans[0]]
     for xd, cs in zip(xds[1:], chans[1:]):
@@ -491,14 +488,14 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
                           axis=1)
     prior += (up_h @ wide.reshape(n, -1, wd * taps * cout)).reshape(prior.shape)
     prior = _pad(prior.reshape(n, h, wd, taps, cout), pads + ((0, 0),))
-    out = sum(v[:, :, :, t] for t, v in enumerate(_windows(prior, kh, kw, h, wd, 1, 1)))
+    out = sum(v[:, :, :, t] for t, v in enumerate(_windows(prior, k, 1)))
     out += b.data
 
     def bwd(g):
         # the shift-add's adjoint: tap t of the prior gradient is tap
-        # taps-1-t of the mirror-padded g's patch matrix (as in conv2d)
+        # taps-1-t of the patch matrix of g, padded as the prior (as in conv2d)
         wxt, *wmts = wblocks.transpose(2, 0, 1, 4, 3).reshape(1 + len(bins), taps * cout, c)
-        gprior = _patch_matrix(_pad(g, mirrored), kh, kw, h, wd, 1, 1).reshape(
+        gprior = _patch_matrix(_pad(g, pads), k, 1).reshape(
             n, h, wd, taps, cout)[:, :, :, ::-1].reshape(n, h, wd, -1)
         gwide = (up_h.T @ gprior.reshape(n, h, -1)).reshape(n, -1, wd, taps * cout)
         gqs = [up_w[:, s].T @ gwide[:, s] for s in spans]
@@ -515,7 +512,7 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
             gxs.append(gx)
         gms = [np.tensordot(xd, gprior, axes=([0, 1, 2], [0, 1, 2])) for xd in xds]
         gms += [np.tensordot(p, gq, axes=([0, 1, 2], [0, 1, 2])) for p, gq in zip(pooled, gqs)]
-        gw = np.concatenate(gms).reshape(wcin, kh, kw, cout).transpose(1, 2, 0, 3)
+        gw = np.concatenate(gms).reshape(wcin, k, k, cout).transpose(1, 2, 0, 3)
         return (*gxs, np.ascontiguousarray(gw), g.sum(axis=(0, 1, 2)))
 
     return Node(out, (*parts, w, b), bwd, name=name)

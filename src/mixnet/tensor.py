@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * activations are laid out batch-first, channels-last: (N, H, W, C)
-* convolution kernels are (kh, kw, in_channels, out_channels)
+* convolution kernels are (k, k, in_channels, out_channels), k odd, run
+  at one integer dilation d with (k - 1) * d / 2 zeros of padding a side
 * values are float32; verification code may build float64 arrays, and
   every operation preserves the dtype it is given
 * reductions (sums, means, losses) accumulate in float64 before casting

@@ -15,7 +15,7 @@ def test_leaf_defaults():
     n = Node.leaf(np.ones((2, 2)))
     assert not n.requires_grad
     assert n.grad is None
-    assert n.parents == ()
+    assert n.vertex.parents == ()
 
 
 def test_a_node_is_a_tensor_holding_the_op_result():
@@ -27,7 +27,7 @@ def test_a_node_is_a_tensor_holding_the_op_result():
     np.testing.assert_array_equal(s.data, a.data + b.data)
     assert s.dtype == np.float64 and s.shape == (2, 2)
     # graph links run between vertices, which hold no array
-    assert s.parents == (a.vertex, b.vertex)
+    assert s.vertex.parents == (a.vertex, b.vertex)
     assert not isinstance(s.vertex, Tensor) and not hasattr(s.vertex, "data")
     # the validation and dtype rule of Tensor apply to every node
     assert Node.leaf([1, 2]).dtype == np.float32
@@ -83,9 +83,9 @@ def test_no_grad_keeps_values_and_drops_the_graph():
         y = ops.reduce_sum(ops.mul(ops.relu(x), x))
         assert Node.leaf(np.ones(2), requires_grad=True).requires_grad
     assert float(y.data) == 13.0
-    assert y.parents == () and y._backward is None and not y.requires_grad
+    assert y.vertex.parents == () and y._backward is None and not y.requires_grad
     z = ops.relu(x)   # the graph is back after the block
-    assert z.parents == (x.vertex,) and z.requires_grad
+    assert z.vertex.parents == (x.vertex,) and z.requires_grad
 
 
 def test_grad_accumulates_across_backward_calls():

@@ -319,6 +319,21 @@ def test_evaluate_validates_input():
         M.evaluate_segmentation(pred % 2, truth % 2, classes=1)
 
 
+def test_evaluate_rejects_negative_and_non_integer_labels():
+    pred, truth = make_pair()
+    negative = pred.copy()
+    negative[0, 0, 0] = -1       # would count as background
+    halves = truth.astype(np.float64)
+    halves[0, 0, 0] = 0.5        # would match no class
+    for p, t, name in ((negative, truth, "prediction"), (pred, halves, "truth"),
+                       (truth, negative, "truth"), (halves, truth, "prediction")):
+        with pytest.raises(DataError, match=f"^{name} labels "):
+            M.evaluate_segmentation(p, t, classes=4)
+    # a float volume is refused even when its values are whole
+    with pytest.raises(DataError, match="^prediction labels must be integers"):
+        M.evaluate_segmentation(pred.astype(np.float32), truth, classes=4)
+
+
 def test_evaluate_takes_the_class_counts_a_label_volume_can_hold():
     pred, truth = make_pair()
     for classes in (1, 257):

@@ -17,10 +17,9 @@ def leaf(x, rq=False):
 
 
 def test_same_padding_split():
-    assert ops.same_padding(5, 1) == (2, 2)
-    assert ops.same_padding(3, 2) == (2, 2)
-    assert ops.same_padding(2, 1) == (0, 1)   # even kernel: extra on the right
-    assert ops.same_padding(3, 8) == (8, 8)
+    # (k - 1) * d / 2 on every side of H and W, none on N and C
+    for k, d, p in ((5, 1, 2), (3, 2, 2), (1, 4, 0), (3, 8, 8)):
+        assert ops._same_pads(k, d) == ((0, 0), (p, p), (p, p), (0, 0))
 
 
 def test_conv2d_hand_values_3x3_ones():
@@ -79,6 +78,21 @@ def test_conv2d_shape_errors():
         ops.conv2d(x, leaf(np.zeros((3, 3, 3, 4))), leaf(np.zeros(5)))
     with pytest.raises(ParameterError):
         ops.conv2d(x, leaf(np.zeros((3, 3, 3, 4))), dilation=0)
+
+
+def test_convolutions_take_odd_square_kernels_and_one_integer_dilation():
+    x, b = leaf(np.zeros((1, 6, 6, 2))), leaf(np.zeros(3))
+    for kk in ((2, 2), (3, 5)):
+        with pytest.raises(ShapeError, match="with k odd"):
+            ops.conv2d(x, leaf(np.zeros(kk + (2, 3))), b)
+        with pytest.raises(ShapeError, match="with k odd"):
+            ops.pyramid_head(x, leaf(np.zeros(kk + (6, 3))), b, (2, 3))
+    for dilation in (1.5, (1, 2), 0, True):
+        with pytest.raises(ParameterError, match="^dilation must be an integer >= 1"):
+            ops.conv2d(x, leaf(np.zeros((3, 3, 2, 3))), b, dilation=dilation)
+    # a numpy integer is an integer
+    out = ops.conv2d(x, leaf(np.zeros((3, 3, 2, 3))), b, dilation=np.int64(2))
+    assert out.shape == (1, 6, 6, 3)
 
 
 def test_conv2d_gradients():
@@ -143,28 +157,47 @@ def test_conv2d_lowerings_match_naive_oracle(monkeypatch, shape, dilation, dtype
 # kernel shape -> whether the input gradient stacks the patch matrix of the
 # output gradient (its correlation has Cin and Cout swapped: taps * Cout <= 2 * Cin)
 INPUT_GRAD_LOWERINGS = {**{shape: False for shape in LOWERINGS},
-                        (3, 3, 9, 2): True, (3, 3, 8, 2): False,
-                        # even kernels: padding uneven wherever (k - 1) * d is odd
-                        (2, 2, 4, 2): True, (2, 2, 3, 4): False,
-                        (2, 3, 3, 1): True, (2, 3, 5, 2): False,
-                        (4, 4, 8, 1): True, (4, 4, 2, 3): False}
+                        (3, 3, 9, 2): True, (3, 3, 8, 2): False}
+# footprints conv2d no longer takes (even or non-square kernels, which the
+# oracle pads unevenly wherever (k - 1) * d is odd); these, and every
+# kernel at a dilation per axis, run as their odd square kernel
+OTHER_FOOTPRINTS = [(2, 2, 4, 2), (2, 2, 3, 4), (2, 3, 3, 1), (2, 3, 5, 2),
+                    (4, 4, 8, 1), (4, 4, 2, 3)]
+
+
+def _as_odd_square(w, dilation):
+    """The (K, K, Cin, Cout) kernel, K odd, that correlates at dilation 1
+    as ``w`` does at ``dilation`` (an int or a (dh, dw) pair) under the
+    oracles' (k - 1) * d pads, split floor-left: w's taps at their offsets
+    from the output pixel, zeros elsewhere."""
+    kh, kw = w.shape[:2]
+    dh, dw = dilation if isinstance(dilation, tuple) else (dilation, dilation)
+    rows = np.arange(kh) * dh - (kh - 1) * dh // 2
+    cols = np.arange(kw) * dw - (kw - 1) * dw // 2
+    r = max(np.abs(rows).max(), np.abs(cols).max())
+    out = np.zeros((2 * r + 1, 2 * r + 1) + w.shape[2:], w.dtype)
+    out[np.ix_(rows + r, cols + r)] = w
+    return out
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("dilation", [1, 2, (1, 2), (2, 1)], ids=str)
-@pytest.mark.parametrize("shape", INPUT_GRAD_LOWERINGS,
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8, (1, 2), (2, 1)], ids=str)
+@pytest.mark.parametrize("shape", [*INPUT_GRAD_LOWERINGS, *OTHER_FOOTPRINTS],
                          ids=lambda s: "x".join(map(str, s)))
 def test_conv2d_input_gradient_matches_naive_oracle(monkeypatch, shape, dilation, dtype):
     rng = np.random.default_rng(sum(shape))
     x = rng.normal(size=(2, 7, 9, shape[2])).astype(dtype)
     w = rng.normal(size=shape).astype(dtype)
     g = rng.normal(size=(2, 7, 9, shape[3])).astype(dtype)
-    node = ops.conv2d(Node.leaf(x, requires_grad=True), Node.leaf(w), dilation=dilation)
+    direct = shape in INPUT_GRAD_LOWERINGS and isinstance(dilation, int)
+    kernel, d = (w, dilation) if direct else (_as_odd_square(w, dilation), 1)
+    node = ops.conv2d(Node.leaf(x, requires_grad=True), Node.leaf(kernel), dilation=d)
     ran = []
     real = ops._patch_matrix
     monkeypatch.setattr(ops, "_patch_matrix", lambda *a: ran.append(a) or real(*a))
     gx = node._backward(g)[0]
-    assert len(ran) == INPUT_GRAD_LOWERINGS[shape]
+    if direct:
+        assert len(ran) == INPUT_GRAD_LOWERINGS[shape]
     assert gx.shape == x.shape and gx.dtype == dtype
     want = oracles.conv2d_input_grad_naive(g, w, dilation)
     # the floor scaled to the output covers pixels whose taps cancel
@@ -180,10 +213,10 @@ def test_conv2d_input_gradient_matches_naive_oracle(monkeypatch, shape, dilation
 @pytest.mark.parametrize("k", [5, 3])
 def test_patch_matrix_matches_the_window_loop_exactly(k, dilation, c):
     rng = np.random.default_rng(k * dilation + c)
-    (pt, pb), (pl, pr) = ops.same_padding(k, dilation), ops.same_padding(k, dilation)
     h, wd = 6, 7
-    xp = rng.normal(size=(2, h + pt + pb, wd + pl + pr, c)).astype(np.float32)
-    got = ops._patch_matrix(xp, k, k, h, wd, dilation, dilation)
+    xp = ops._pad(rng.normal(size=(2, h, wd, c)).astype(np.float32),
+                  ops._same_pads(k, dilation))
+    got = ops._patch_matrix(xp, k, dilation)
     want = oracles.patch_matrix_naive(xp, k, k, h, wd, dilation, dilation)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -194,13 +227,14 @@ def test_patch_matrix_matches_the_window_loop_exactly(k, dilation, c):
                                              ((3, 3, 12, 12), 2)], ids=str)
 def test_correlate_gives_a_kernel_view_the_bits_of_its_c_ordered_copy(shape, dilation):
     # the input gradient's kernel: flipped, channels swapped, F-ordered taps
-    kh, kw, cin, cout = shape
+    k, _, cin, cout = shape
     rng = np.random.default_rng(cin + dilation)
     view = rng.normal(size=shape).astype(np.float32)[::-1, ::-1].transpose(0, 1, 3, 2)
-    mirrored = ops._same_pads(kh, kw, dilation, dilation)[1]
-    gp = ops._pad(rng.normal(size=(4, 24, 24, cout)).astype(np.float32), mirrored)
-    got = ops._correlate(gp, view, 24, 24, dilation, dilation)
-    want = ops._correlate(gp, np.ascontiguousarray(view), 24, 24, dilation, dilation)
+    gp = ops._pad(rng.normal(size=(4, 24, 24, cout)).astype(np.float32),
+                  ops._same_pads(k, dilation))
+    got = ops._correlate(gp, view, dilation)
+    want = ops._correlate(gp, np.ascontiguousarray(view), dilation)
+    assert got.shape == (4, 24, 24, cin)
     assert np.array_equal(got, want)
 
 
@@ -327,6 +361,18 @@ def test_avgpool_region_needs_enough_pixels():
         ops.avgpool_region(leaf(np.zeros((1, 5, 5, 1))), 6)
 
 
+def test_pool_and_resize_sizes_are_checked_never_truncated():
+    x = leaf(np.zeros((1, 5, 5, 1)))
+    for bins in (2.7, 0, True, "2"):
+        with pytest.raises(ParameterError, match="^bins must be an integer >= 1"):
+            ops.avgpool_region(x, bins)
+    for size in ((9.5, 11), (9, 0), (np.float64(9), 11), (9, False)):
+        with pytest.raises(ParameterError, match="^target (height|width) must be an integer"):
+            ops.bilinear_resize(x, *size)
+    assert ops.avgpool_region(x, np.int32(2)).shape == (1, 2, 2, 1)
+    assert ops.bilinear_resize(x, np.int64(9), 11).shape == (1, 9, 11, 1)
+
+
 def test_avgpool_region_gradient():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(1, 7, 6, 2))
@@ -427,9 +473,9 @@ def test_pyramid_head_matches_unfused_composition(variant, dtype, tol):
     c = HEAD_WIDTHS[variant]
     rng = np.random.default_rng(22)
     # h = w = max(bins); sizes no bin divides; a batch of one and of several
-    # and an even kernel height, padded one more pixel at the bottom
+    # and a 5x5 kernel, padded two pixels a side
     for n, h, w, (kh, kw) in ((1, 12, 12, (3, 3)), (2, 13, 17, (3, 3)),
-                              (3, 25, 14, (3, 3)), (2, 13, 17, (2, 3))):
+                              (3, 25, 14, (3, 3)), (2, 13, 17, (5, 5))):
         arrays = [rng.normal(size=(n, h, w, c)).astype(dtype),
                   (rng.normal(size=(kh, kw, 5 * c, 4))
                    / np.sqrt(kh * kw * 5 * c)).astype(dtype),
@@ -460,7 +506,7 @@ def test_pyramid_head_over_parts_matches_the_unfused_head_of_their_concat(widths
     rng = np.random.default_rng(23)
     # the shapes of test_pyramid_head_matches_unfused_composition
     for n, h, w, (kh, kw) in ((1, 12, 12, (3, 3)), (2, 13, 17, (3, 3)),
-                              (3, 25, 14, (3, 3)), (2, 13, 17, (2, 3))):
+                              (3, 25, 14, (3, 3)), (2, 13, 17, (5, 5))):
         arrays = [rng.normal(size=(n, h, w, ci)).astype(dtype) for ci in widths]
         arrays += [(rng.normal(size=(kh, kw, 5 * c, 4))
                     / np.sqrt(kh * kw * 5 * c)).astype(dtype),
@@ -520,7 +566,7 @@ def test_pyramid_head_shape_errors():
         ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), leaf(np.zeros(2)), (2, 3))
     with pytest.raises(ShapeError):   # more bins than pixels
         ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), b, (2, 7))
-    for bins in ((), (0, 2)):
+    for bins in ((), (0, 2), (2.5,), (True, 2)):     # counted, never truncated
         with pytest.raises(ParameterError):
             ops.pyramid_head(x, leaf(np.zeros((3, 3, 2 * (1 + len(bins)), 3))), b, bins)
 
