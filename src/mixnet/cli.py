@@ -1,11 +1,11 @@
 """Command line front end: synthesize data, train per plane, predict,
 fuse, evaluate, verify.
 
-``generate`` and ``train`` resolve their settings from three layers,
-strongest last applied first: built-in defaults, then an optional JSON
-config file (--config), then explicit flags.  The fully resolved
-configuration is echoed and written next to the outputs before any work
-starts, so a run can be reproduced from its artifacts alone.
+``generate`` and ``train`` layer their settings in ``_resolve``, weakest
+first: built-in defaults, then an optional JSON config file (--config),
+then explicit flags.  The fully resolved configuration is echoed and
+written next to the outputs before any work starts, so a run can be
+reproduced from its artifacts alone.
 
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 verification failure.
 """
@@ -61,38 +61,30 @@ def _numbers(kind):
 # config resolution
 
 
-def resolve_config(defaults: dict, config_path, flags: dict, check,
-                   recorded: dict | None = None) -> dict:
-    """defaults <- settings a checkpoint recorded <- config file <- flags;
-    each file value must be of its default's kind (``records.kind_of``),
-    and ``check``, the caller's range check, names the file if it fails
-    on the file's values before the flags apply."""
+def _resolve(defaults: dict, args, check, recorded: dict | None = None) -> dict:
+    """defaults <- settings a checkpoint recorded <- --config file <- the
+    flags of ``args`` (dests: the keys of ``defaults``); each file value
+    must be of its default's kind (``records.kind_of``), and ``check``,
+    the caller's range check, names the file if it fails on the file's
+    values before the flags apply."""
     resolved = {**defaults, **(recorded or {})}
-    if config_path:
+    if args.config:
         try:
-            with open(config_path) as fh:
+            with open(args.config) as fh:
                 from_file = json.load(fh)
         except OSError as e:
             raise DataError(f"cannot read config file: {e}") from None
         except json.JSONDecodeError as e:
-            raise ConfigError(f"{config_path}: invalid JSON: {e}") from None
+            raise ConfigError(f"{args.config}: invalid JSON: {e}") from None
         kinds = {k: kind_of(v) for k, v in defaults.items()}
-        resolved.update(check_record(from_file, kinds, config_path, ConfigError))
+        resolved.update(check_record(from_file, kinds, args.config, ConfigError))
         try:
             check(resolved)
         except ConfigError as e:
-            raise ConfigError(f"{config_path}: {e}") from None
-    for key, value in flags.items():
-        if value is not None:
-            resolved[key] = value
+            raise ConfigError(f"{args.config}: {e}") from None
+    flags = {k: getattr(args, k) for k in defaults}
+    resolved.update({k: v for k, v in flags.items() if v is not None})
     return resolved
-
-
-def _resolve(defaults: dict, args, check, recorded: dict | None = None) -> dict:
-    """resolve_config with the flags of ``args``; each key of ``defaults``
-    is its flag's argparse dest."""
-    return resolve_config(defaults, args.config,
-                          {k: getattr(args, k) for k in defaults}, check, recorded)
 
 
 def _echo_config(command: str, resolved: dict, out_dir=None) -> None:
@@ -231,8 +223,7 @@ def cmd_train(args) -> int:
     if args.resume:
         changed = [f"{k} {cfg[k]!r} (checkpoint {v!r})" for k, v in recorded.items()
                    if k != "epochs" and cfg[k] != v]
-        if ("seed" not in recorded
-                and derive_seed(cfg["seed"], "batches") != header["train_config"].seed):
+        if "seed" not in recorded and train_config.seed != header["train_config"].seed:
             changed.append(f"seed {cfg['seed']!r} (the checkpoint used another)")
         if changed:
             raise ConfigError(f"{args.resume}: cannot resume with changed settings: "

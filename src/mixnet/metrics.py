@@ -60,12 +60,26 @@ from .volume import check_classes, check_spacing
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)  # dice, distance term, volumetric similarity
 
 
-def dice_binary(a: np.ndarray, b: np.ndarray) -> float:
-    """2|A & B| / (|A| + |B|); two empty masks count as a perfect 1.0."""
+def _mask_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks as bool arrays of one shape."""
     a = np.asarray(a, bool)
     b = np.asarray(b, bool)
     if a.shape != b.shape:
         raise DataError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def check_labels(vol: np.ndarray, classes: int, name: str) -> None:
+    """Integer class ids in [0, classes), or a DataError naming ``name``."""
+    if not np.issubdtype(vol.dtype, np.integer):
+        raise DataError(f"{name} labels must be integers, got dtype {vol.dtype}")
+    if vol.size and not 0 <= vol.min() <= vol.max() < classes:
+        raise DataError(f"{name} labels {vol.min()}..{vol.max()} leave [0, {classes})")
+
+
+def dice_binary(a: np.ndarray, b: np.ndarray) -> float:
+    """2|A & B| / (|A| + |B|); two empty masks count as a perfect 1.0."""
+    a, b = _mask_pair(a, b)
     total = int(a.sum()) + int(b.sum())
     if total == 0:
         return 1.0
@@ -74,10 +88,7 @@ def dice_binary(a: np.ndarray, b: np.ndarray) -> float:
 
 def volumetric_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """1 - |#A - #B| / (#A + #B); agreement of sizes, not positions."""
-    a = np.asarray(a, bool)
-    b = np.asarray(b, bool)
-    if a.shape != b.shape:
-        raise DataError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    a, b = _mask_pair(a, b)
     na, nb = int(a.sum()), int(b.sum())
     if na + nb == 0:
         return 1.0
@@ -150,10 +161,7 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> Optional[floa
 
     Returns None when either mask has no surface (i.e. is empty).
     """
-    a = np.asarray(a, bool)
-    b = np.asarray(b, bool)
-    if a.shape != b.shape:
-        raise DataError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    a, b = _mask_pair(a, b)
     sp = np.asarray(check_spacing(spacing, ParameterError))
     sa = surface_voxels(a)
     sb = surface_voxels(b)
@@ -189,11 +197,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        rows = [ClassResult(**c) for c in d["classes"]]
-        return cls(rows, tuple(d["spacing"]), tuple(d["weights"]), d["overall"])
 
     def format_table(self) -> str:
         lines = [f"{'class':>5s} {'dice':>8s} {'hd95mm':>8s} {'vs':>8s} "
@@ -234,11 +237,8 @@ def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
     if pred.ndim != 3:
         raise DataError(f"expected 3D label volumes, got {pred.shape}")
     check_classes(classes, ParameterError)
-    for name, vol in (("prediction", pred), ("truth", truth)):
-        if not np.issubdtype(vol.dtype, np.integer):
-            raise DataError(f"{name} labels must be integers, got dtype {vol.dtype}")
-        if vol.size and not 0 <= vol.min() <= vol.max() < classes:
-            raise DataError(f"{name} labels {vol.min()}..{vol.max()} leave [0, {classes})")
+    check_labels(pred, classes, "prediction")
+    check_labels(truth, classes, "truth")
     rows = []
     for k in range(1, classes):
         a = pred == k

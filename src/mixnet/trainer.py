@@ -35,9 +35,9 @@ from .arch import NetConfig, Network
 from .augment import AugmentedSlices
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
-from .metrics import dice_binary
+from .metrics import check_labels, dice_binary
 from .records import check_record, read_record
-from .volume import atomic_open
+from .volume import atomic_open, predict_volume
 
 # fractions of total training at which the learning rate halves again
 LR_BOUNDARIES = (0.2, 0.4, 0.6, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -122,23 +122,15 @@ class TrainConfig:
         return self
 
 
-def predict_slices(net: Network, images: np.ndarray,
-                   batch_size: int = 8) -> np.ndarray:
-    """Softmax probabilities (S, H, W, K) for a stack of slices."""
-    out = []
-    for lo in range(0, images.shape[0], batch_size):
-        out.append(net.predict_probs(images[lo:lo + batch_size]))
-    return np.concatenate(out, axis=0)
-
-
 class Trainer:
     """Mini-batch SGD over a stack of 2D training slices.
 
     ``images`` is (S, H, W, M) float32, ``labels`` (S, H, W) integer class
     ids, either as arrays or as the views :func:`augment.expand_slices`
     returns, which are kept as they are and indexed one batch at a time.
-    An optional validation pair is scored with per-class foreground Dice
-    after each epoch.
+    An optional validation pair is checked here like the training pair and
+    scored with per-class foreground Dice after each epoch, on the
+    probabilities that :func:`volume.predict_volume` gives.
     """
 
     def __init__(self, net: Network, images: np.ndarray, labels: np.ndarray,
@@ -154,6 +146,13 @@ class Trainer:
                             f"labels {labels.shape}")
         if images.shape[0] < 1:
             raise DataError("training set is empty")
+        if val is not None:
+            val = vx, vy = np.asarray(val[0]), np.asarray(val[1])
+            if (vx.ndim != 4 or not vx.shape[0] or vx.shape[3] != images.shape[3]
+                    or vy.shape != vx.shape[:3]):
+                raise DataError(f"bad validation set: images {vx.shape}, labels "
+                                f"{vy.shape}, training images {images.shape}")
+            check_labels(vy, net.config.classes, "validation")
         self.net = net
         self.images = images
         self.labels = labels
@@ -202,7 +201,8 @@ class Trainer:
         row = {"epoch": self.epoch, "lr": lr, "loss": total_loss / seen,
                "steps": self.step_count}
         if self.val is not None and cfg.val_every and self.epoch % cfg.val_every == 0:
-            probs = predict_slices(self.net, self.val[0], cfg.batch_size)
+            # a slice stack is a volume swept along its first axis
+            probs = predict_volume(self.net, self.val[0], "sagittal", cfg.batch_size)
             pred = probs.argmax(axis=-1)
             dice = [dice_binary(pred == k, self.val[1] == k)
                     for k in range(1, self.net.config.classes)]

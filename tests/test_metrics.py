@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,12 @@ def test_hd95_checks_spacing_and_shapes_before_empty_masks():
         M.hd95(empty, np.zeros((4, 4, 5), bool))
 
 
+@pytest.mark.parametrize("metric", [M.dice_binary, M.volumetric_similarity, M.hd95])
+def test_every_mask_metric_rejects_masks_of_two_shapes(metric):
+    with pytest.raises(DataError, match=r"^mask shapes differ"):
+        metric(np.ones((4, 4, 4), bool), np.ones((4, 4, 5), bool))
+
+
 def assert_hd95_exact(a, b, spacing):
     want = oracles.hd95_naive(a, b, spacing)
     assert want is not None
@@ -288,8 +296,10 @@ def test_score_class_undefined_distance_conventions():
 def test_report_json_round_trip_and_table():
     pred, truth = make_pair(seed=5)
     report = M.evaluate_segmentation(pred, truth, classes=4, spacing=(1, 0.9, 1.2))
-    back = M.EvalReport.from_dict(__import__("json").loads(report.to_json()))
-    assert back == report
+    doc = json.loads(report.to_json())
+    assert doc == {"classes": [vars(c) for c in report.classes],
+                   "spacing": [1.0, 0.9, 1.2], "weights": list(report.weights),
+                   "overall": report.overall}
     table = report.format_table()
     assert "overall score" in table
     assert len(table.splitlines()) == 5

@@ -13,6 +13,7 @@ from mixnet import arch, augment, ops
 from mixnet.augment import expand_slices
 from mixnet.autodiff import Node, backward
 from mixnet.errors import ConfigError, DataError, TrainingDiverged
+from mixnet.metrics import dice_binary
 from mixnet import trainer as tr
 from mixnet.records import read_record
 
@@ -150,6 +151,34 @@ def test_validation_dice_is_recorded(tmp_path):
     text = log.read_text().splitlines()
     assert text[0].startswith("epoch,lr,loss")
     assert len(text) == 3
+
+
+def test_validation_dice_is_the_dice_of_the_argmax_per_class():
+    x, y = tiny_task()
+    vx, vy = tiny_task(seed=3, n=3)
+    net = tiny_net()
+    t = tr.Trainer(net, x, y, tr.TrainConfig(
+        epochs=2, batch_size=2, use_lr_schedule=False, val_every=1, seed=1),
+        val=(vx, vy))
+    hist = t.fit()
+    pred = net.predict_probs(vx).argmax(axis=-1)
+    want = [dice_binary(pred == k, vy == k) for k in range(1, net.config.classes)]
+    assert hist[-1]["val_dice"] == want
+    assert hist[-1]["val_dice_mean"] == float(np.mean(want))
+
+
+@pytest.mark.parametrize("case", ["two modalities", "other size", "class 3 of 3",
+                                  "no slices", "float labels"])
+def test_trainer_checks_the_validation_pair_before_training(case):
+    x, y = tiny_task()
+    vx, vy = {"two modalities": (x[..., :2], y),
+              "other size": (x, y[:, :12]),
+              "no slices": (x[:0], y[:0]),
+              "float labels": (x, y.astype(np.float32)),
+              "class 3 of 3": (x, np.where(y == 2, 3, y))}[case]
+    with pytest.raises(DataError, match="^(bad validation set|validation labels)"):
+        tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=1, batch_size=2),
+                   val=(vx, vy))
 
 
 def test_log_rows_are_as_wide_as_the_header(tmp_path):
