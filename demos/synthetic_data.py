@@ -44,6 +44,6 @@ print(f"\n{entry['modalities'][0]}: dims={meta.dims} dtype={meta.dtype} "
 img = sub["images"]
 for plane in volume.PLANES:
     stack = volume.slice_stack(img, plane)
-    assert np.array_equal(volume.restack_slices(stack, plane), img)
+    assert np.array_equal(np.moveaxis(stack, 0, volume.plane_axis(plane)), img)
     print(f"{plane:11s}: {stack.shape[0]} slices of "
           f"{stack.shape[1]}x{stack.shape[2]}")

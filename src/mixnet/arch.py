@@ -73,7 +73,7 @@ import numpy as np
 from . import ops
 from .autodiff import Node, no_grad
 from .errors import BuildError, ConfigError, ShapeError
-from .records import check_record, kind_of, read_record
+from .records import check_count, check_record, kind_of, read_record
 from .tensor import DEFAULT_DTYPE, derive_seed, he_init, zeros
 from .volume import check_classes
 
@@ -118,10 +118,9 @@ class NetConfig:
     def validate(self) -> "NetConfig":
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.modalities < 1:
-            raise ConfigError(f"modalities must be >= 1, got {self.modalities}")
+        check_count(self.modalities, "modalities", ConfigError)
         check_classes(self.classes, ConfigError)
-        if self.filters < 2 or self.filters % 2:
+        if check_count(self.filters, "filters", ConfigError, least=2) % 2:
             raise ConfigError(f"filters must be a positive even number, got {self.filters}")
         return self
 

@@ -25,7 +25,7 @@ from .arch import VARIANTS, NetConfig, Network, check_slice
 from .augment import expand_slices, policy_for_plane
 from .errors import ConfigError, DataError, MixNetError, ShapeError, VerificationFailure
 from .metrics import evaluate_segmentation
-from .records import check_record, kind_of
+from .records import check_count, check_record, kind_of
 from .tensor import derive_seed
 from .trainer import (TrainConfig, Trainer, load_checkpoint_header, load_network,
                       resume_trainer, save_checkpoint)
@@ -202,8 +202,7 @@ def _train_configs(cfg: dict) -> tuple[NetConfig, TrainConfig]:
         raise ConfigError(f"plane must be one of {tuple(PLANES)}, got {cfg['plane']!r}")
     if cfg["augment"] not in AUGMENT:
         raise ConfigError(f"augment must be one of {AUGMENT}, got {cfg['augment']!r}")
-    if cfg["max_slices"] < 0:
-        raise ConfigError(f"max_slices must be >= 0, got {cfg['max_slices']}")
+    check_count(cfg["max_slices"], "max_slices", ConfigError, least=0)
     # modalities and classes come from the manifest, once the data is read
     net_config = NetConfig(variant=cfg["variant"], filters=cfg["filters"]).validate()
     train_config = TrainConfig(
@@ -313,8 +312,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {args.batch_size}")
+    check_count(args.batch_size, "batch_size", ConfigError)
     net = load_network(args.checkpoint)
     entry = _manifest_entry(volume.load_manifest(args.data), args.subject)
     if len(entry["modalities"]) != net.config.modalities:
@@ -362,8 +360,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    check_count(args.trials, "trials", ConfigError)
     if args.suite == "all":
         results = verify.run_all(trials=args.trials, seed=args.seed)
     else:

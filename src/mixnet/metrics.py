@@ -55,6 +55,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError, ParameterError
+from .records import check_labels
 from .volume import check_classes, check_spacing
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)  # dice, distance term, volumetric similarity
@@ -67,14 +68,6 @@ def _mask_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape:
         raise DataError(f"mask shapes differ: {a.shape} vs {b.shape}")
     return a, b
-
-
-def check_labels(vol: np.ndarray, classes: int, name: str) -> None:
-    """Integer class ids in [0, classes), or a DataError naming ``name``."""
-    if not np.issubdtype(vol.dtype, np.integer):
-        raise DataError(f"{name} labels must be integers, got dtype {vol.dtype}")
-    if vol.size and not 0 <= vol.min() <= vol.max() < classes:
-        raise DataError(f"{name} labels {vol.min()}..{vol.max()} leave [0, {classes})")
 
 
 def dice_binary(a: np.ndarray, b: np.ndarray) -> float:
@@ -237,8 +230,8 @@ def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray, classes: int,
     if pred.ndim != 3:
         raise DataError(f"expected 3D label volumes, got {pred.shape}")
     check_classes(classes, ParameterError)
-    check_labels(pred, classes, "prediction")
-    check_labels(truth, classes, "truth")
+    check_labels(pred, classes, "prediction labels")
+    check_labels(truth, classes, "truth labels")
     rows = []
     for k in range(1, classes):
         a = pred == k

@@ -39,15 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .autodiff import Node
-from .errors import DataError, ParameterError, ShapeError
-
-
-def _count(v, what: str) -> int:
-    """``v``, an ``int`` or numpy integer >= 1 (never a ``bool``): checked,
-    never coerced, so a dilation of 1.5 or 2.7 bins is a ParameterError."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ParameterError(f"{what} must be an integer >= 1, got {v!r}")
-    return int(v)
+from .errors import ParameterError, ShapeError
+from .records import check_count, check_labels
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +219,7 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation: int = 1,
     cin, cout = w.shape[2:]
     if x.shape[-1] != cin:
         raise ShapeError(f"kernel expects {cin} input channels, tensor has {x.shape[-1]}")
-    d = _count(dilation, "dilation")
+    d = check_count(dilation, "dilation")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias must be ({cout},), got {b.shape}")
 
@@ -336,7 +329,7 @@ def avgpool_region(x: Node, bins: int, name: str = "regionpool") -> Node:
     """
     if x.ndim != 4:
         raise ShapeError(f"avgpool_region input must be (N,H,W,C), got {x.shape}")
-    bins = _count(bins, "bins")
+    bins = check_count(bins, "bins")
     h, w = x.shape[1:3]
     if h < bins or w < bins:
         raise ShapeError(f"region pooling with {bins} bins needs spatial size "
@@ -388,7 +381,7 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
     """
     if x.ndim != 4:
         raise ShapeError(f"bilinear_resize input must be (N,H,W,C), got {x.shape}")
-    out_h, out_w = _count(out_h, "target height"), _count(out_w, "target width")
+    out_h, out_w = check_count(out_h, "target height"), check_count(out_w, "target width")
     h, w = x.shape[1:3]
     mh, mw = _resize_axis(h, out_h, x.dtype), _resize_axis(w, out_w, x.dtype)
 
@@ -440,7 +433,7 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
             raise ShapeError(f"pyramid_head parts differ in (N,H,W): {p.shape} "
                              f"vs {parts[0].shape}")
     k = _odd_square(w, "pyramid_head")
-    bins = tuple(_count(v, "a bin count") for v in bins)
+    bins = tuple(check_count(v, "a bin count") for v in bins)
     if not bins:
         raise ParameterError("pyramid_head needs one or more bin counts")
     n, h, wd = parts[0].shape[:3]
@@ -559,11 +552,7 @@ def softmax_cross_entropy(logits: Node, labels: np.ndarray,
     if labels.shape != logits.shape[:-1]:
         raise ShapeError(f"labels shape {labels.shape} does not match "
                          f"logit positions {logits.shape[:-1]}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise DataError(f"labels must lie in [0, {k}), got range "
-                        f"[{labels.min()}, {labels.max()}]")
+    check_labels(labels, k, "labels")
 
     flat = logits.data.reshape(-1, k)
     lab = labels.reshape(-1)

@@ -1,12 +1,50 @@
-"""One reader for the package's settings records: config files,
-checkpoint headers, volume sidecars and dataset manifests."""
+"""The package's rules for what it is given, each written once.
+
+* :func:`check_record` and :func:`read_record` read its settings records:
+  config files, checkpoint headers, volume sidecars and dataset manifests.
+* :func:`check_count` is the one rule for a count: an integer (never a
+  bool) of at least its least value.  ``ops`` (dilations, bins, resize
+  sizes), ``tensor.he_init``, ``volume`` (classes, synthesis settings,
+  ``predict_volume``'s batch size), ``arch.NetConfig``,
+  ``trainer.TrainConfig`` and ``lr_at``, and ``cli`` (batch size, trials,
+  max slices) call it.
+* :func:`check_labels` is the one rule for label ids: integers in
+  [0, classes).  ``ops.softmax_cross_entropy``, ``volume`` (writing and
+  reading label volumes), ``metrics.evaluate_segmentation`` and the
+  ``Trainer``'s validation pair call it.
+
+Each checks and never coerces: an epoch count of 1.5 or a label of 1.7
+is rejected, not truncated, with the caller's error class.
+"""
 
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
 from typing import get_type_hints
 
-from .errors import ConfigError, DataError
+import numpy as np
+
+from .errors import ConfigError, DataError, ParameterError
+
+
+def check_count(v, what: str, error=ParameterError, least: int = 1, most=None) -> int:
+    """``v`` as an ``int``, if it is an ``int`` or numpy integer (never a
+    ``bool``) of at least ``least`` and, if ``most`` is given, at most
+    ``most``; else raise ``error``, the caller's class, naming ``what``."""
+    if (isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least
+            or (most is not None and v > most)):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise error(f"{what} must be an integer {bound}, got {v!r}")
+    return int(v)
+
+
+def check_labels(vol: np.ndarray, classes: int, what: str, error=DataError) -> None:
+    """Raise ``error``, naming ``what``, unless ``vol`` holds integer class
+    ids in [0, classes).  An unsigned volume is read once (its maximum)."""
+    if vol.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {vol.dtype}")
+    if vol.size and (vol.max() >= classes or (vol.dtype.kind == "i" and vol.min() < 0)):
+        raise error(f"{what} {vol.min()}..{vol.max()} leave [0, {classes})")
 
 
 def _element(kind):

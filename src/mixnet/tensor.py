@@ -23,7 +23,7 @@ import hashlib
 import numpy as np
 
 from .autodiff import DEFAULT_DTYPE, Node, validate_shape
-from .errors import ParameterError
+from .records import check_count
 
 # perfbench/tracer.py counts graph values (tensor.constructed) by patching
 # Tensor.__init__; the name goes once a timing hook in autodiff replaces it
@@ -39,8 +39,7 @@ def he_init(shape, fan_in: int, seed: int) -> np.ndarray:
     """Zero-mean Gaussian with variance 2/fan_in, the standard scaling for
     deep ReLU stacks, in float32.  Bit-identical for identical seeds."""
     shape = validate_shape(shape)
-    if fan_in < 1:
-        raise ParameterError(f"fan_in must be >= 1, got {fan_in}")
+    check_count(fan_in, "fan_in")
     rng = np.random.Generator(np.random.PCG64(seed))
     std = np.sqrt(2.0 / fan_in)
     return (rng.standard_normal(shape) * std).astype(DEFAULT_DTYPE)

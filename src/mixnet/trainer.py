@@ -35,8 +35,8 @@ from .arch import NetConfig, Network
 from .augment import AugmentedSlices
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
-from .metrics import check_labels, dice_binary
-from .records import check_record, read_record
+from .metrics import dice_binary
+from .records import check_count, check_labels, check_record, read_record
 from .volume import atomic_open, predict_volume
 
 # fractions of total training at which the learning rate halves again
@@ -49,8 +49,7 @@ def lr_at(lr0: float, epoch: int, total_epochs: int) -> float:
     A boundary b counts as reached when b <= epoch / total_epochs; the
     comparison is done on the fraction so boundary epochs land exactly.
     """
-    if total_epochs < 1:
-        raise ConfigError(f"total_epochs must be >= 1, got {total_epochs}")
+    check_count(total_epochs, "total_epochs", ConfigError)
     frac = epoch / total_epochs
     halvings = sum(1 for b in LR_BOUNDARIES if b <= frac)
     return lr0 * 2.0 ** -halvings
@@ -107,16 +106,15 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
 
     def validate(self) -> "TrainConfig":
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("val_every", 0),
+                            ("checkpoint_every", 0)):
+            check_count(getattr(self, name), name, ConfigError, least)
         if self.loss_reduction not in ("sum", "mean"):
             raise ConfigError(f"loss_reduction must be 'sum' or 'mean', "
                               f"got {self.loss_reduction!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("lr0", "weight_decay", "val_every", "checkpoint_every"):
+        for name in ("lr0", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
@@ -152,7 +150,7 @@ class Trainer:
                     or vy.shape != vx.shape[:3]):
                 raise DataError(f"bad validation set: images {vx.shape}, labels "
                                 f"{vy.shape}, training images {images.shape}")
-            check_labels(vy, net.config.classes, "validation")
+            check_labels(vy, net.config.classes, "validation labels")
         self.net = net
         self.images = images
         self.labels = labels

@@ -12,9 +12,9 @@ to the axis that is swept:
 
     sagittal -> axis 0, coronal -> axis 1, transverse -> axis 2
 
-``slice_stack``/``restack_slices`` are exact inverses.  A plane-wise
-prediction returns to the volume grid without resampling: ``predict_volume``
-writes each batch through a view of the output with the plane axis first.
+A plane-wise prediction returns to the volume grid without resampling:
+``predict_volume`` writes each batch through a view of the output with the
+plane axis first.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .records import check_record, read_record
+from .records import check_count, check_labels, check_record, read_record
 from .tensor import derive_seed
 
 PLANES = {"sagittal": 0, "coronal": 1, "transverse": 2}
@@ -56,12 +56,11 @@ def check_spacing(spacing, error=DataError) -> tuple[float, ...]:
     return sp
 
 
-def check_classes(classes: int, error=DataError, what: str = "classes") -> None:
-    """Raise ``error``, the caller's class, naming the count ``what``,
-    unless ``classes`` is 2 to ``MAX_CLASSES`` (a label volume stores one
-    byte per voxel)."""
-    if not 2 <= classes <= MAX_CLASSES:
-        raise error(f"{what} must be in [2, {MAX_CLASSES}], got {classes}")
+def check_classes(classes: int, error=DataError, what: str = "classes") -> int:
+    """``classes`` as an int, if it is an integer from 2 to ``MAX_CLASSES``
+    (a label volume stores one byte per voxel); else raise ``error``, the
+    caller's class, naming the count ``what``."""
+    return check_count(classes, what, error, least=2, most=MAX_CLASSES)
 
 
 def check_weights(weights, count: int, error=ParameterError) -> np.ndarray:
@@ -97,8 +96,9 @@ class VolumeMeta:
         ndim = 4 if self.kind == "probs" else 3
         if len(self.dims) != ndim:
             raise DataError(f"{self.kind} volumes are {ndim}D, got dims {self.dims}")
-        if self.kind == "labels":
-            check_classes(self.classes, what="a label volume's class count")
+        what = f"a {self.kind} volume's class count"
+        self.classes = (check_classes(self.classes, DataError, what) if self.kind == "labels"
+                        else check_count(self.classes, what, DataError, least=0))
         if self.kind == "probs" and self.classes != self.dims[3]:
             raise DataError(f"probs classes {self.classes} != last dim {self.dims[3]}")
         if any(d < 1 for d in self.dims):
@@ -128,24 +128,16 @@ def atomic_open(path, mode: str = "wb", newline: str | None = None):
 
 def write_volume(path, data: np.ndarray, spacing, kind: str,
                  modality: str = "", classes: int = 0) -> VolumeMeta:
-    """Write the body file and its JSON sidecar; returns the metadata."""
+    """Write the body file and its JSON sidecar; returns the metadata.  The
+    sidecar is checked first, then a label volume's ids against its
+    class count."""
     data = np.asarray(data)
-    if kind == "labels":
-        if data.ndim != 3:
-            raise DataError(f"label volume must be 3D, got {data.shape}")
-        top = min(classes, MAX_CLASSES)
-        if data.size and (data.min() < 0 or data.max() >= top):
-            raise DataError(f"labels out of range [0, {top})")
-        body = np.asarray(data, dtype="u1")
-        dtype = "u8"
-    elif kind in ("intensity", "probs"):
-        body = np.asarray(data, dtype="<f4")
-        dtype = "f32"
-    else:
-        raise DataError(f"unsupported kind {kind!r}")
     meta = VolumeMeta(dims=tuple(data.shape), spacing=tuple(spacing),
-                      dtype=dtype, kind=kind, modality=modality,
-                      classes=int(classes)).validate()
+                      dtype="u8" if kind == "labels" else "f32", kind=kind,
+                      modality=modality, classes=classes).validate()
+    if kind == "labels":
+        check_labels(data, meta.classes, "labels")
+    body = np.asarray(data, dtype=_DTYPES[meta.dtype])
     # both temp files are complete before either replaces its target
     with atomic_open(path) as fh, atomic_open(_sidecar(path), "w") as sh:
         fh.write(np.ascontiguousarray(body).data)
@@ -175,9 +167,8 @@ def _read_body(path, meta: VolumeMeta) -> np.ndarray:
     if actual != expected:
         raise DataError(f"{path}: body is {actual} bytes, header implies {expected}")
     data = np.fromfile(path, dtype=dtype).reshape(meta.dims)
-    if meta.kind == "labels" and data.max(initial=0) >= meta.classes:
-        raise DataError(f"{path}: label id {int(data.max())} exceeds "
-                        f"classes {meta.classes}")
+    if meta.kind == "labels":
+        check_labels(data, meta.classes, f"{path}: labels")
     return data
 
 
@@ -232,14 +223,6 @@ def slice_stack(volume: np.ndarray, plane: str) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(volume, plane_axis(plane), 0))
 
 
-def restack_slices(slices: np.ndarray, plane: str) -> np.ndarray:
-    """Exact inverse of :func:`slice_stack`."""
-    slices = np.asarray(slices)
-    if slices.ndim not in (3, 4):
-        raise DataError(f"expected stacked slices, got {slices.shape}")
-    return np.ascontiguousarray(np.moveaxis(slices, 0, plane_axis(plane)))
-
-
 def predict_volume(net, images: np.ndarray, plane: str,
                    batch_size: int = 8) -> np.ndarray:
     """Class probabilities (X, Y, Z, K) from slicing a normalized
@@ -247,11 +230,11 @@ def predict_volume(net, images: np.ndarray, plane: str,
     probabilities are written straight into the volume through a view
     with the plane axis first, so no stack of slices is held besides it."""
     images = np.asarray(images)
-    if images.ndim != 4:
-        raise DataError(f"expected an (X, Y, Z, M) volume, got {images.shape}")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     axis = plane_axis(plane)
+    if images.ndim != 4 or not images.shape[axis]:
+        raise DataError(f"expected an (X, Y, Z, M) volume with {plane} slices, "
+                        f"got {images.shape}")
+    batch_size = check_count(batch_size, "batch_size")
     slices = np.moveaxis(images, axis, 0)
     probs = None
     for lo in range(0, slices.shape[0], batch_size):
@@ -317,14 +300,14 @@ def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int 
     least 8 and three finite positive spacings.  A value out of range raises
     ``error``, the caller's class: ``ParameterError`` in the library,
     ``ConfigError`` (a usage error) on the command line."""
-    if subjects < 1:
-        raise error(f"subjects must be >= 1, got {subjects}")
-    if len(dims) != 3 or any(d < 8 for d in dims):
-        raise error(f"dims must be three extents >= 8, got {tuple(dims)}")
+    check_count(subjects, "subjects", error)
+    if len(dims) != 3:
+        raise error(f"dims must be three extents, got {tuple(dims)}")
+    for d in dims:
+        check_count(d, f"each extent of dims {tuple(dims)}", error, least=8)
     check_spacing(spacing, error)
     check_classes(classes, error)
-    if modalities < 1:
-        raise error(f"modalities must be >= 1, got {modalities}")
+    check_count(modalities, "modalities", error)
 
 
 def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
@@ -338,8 +321,8 @@ def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
     smooth bias field (amplitude 0.25) plus Gaussian noise (sd 0.05), so
     no single threshold solves it.
     """
-    dims = tuple(int(d) for d in dims)
     check_synthesis(dims, classes, modalities, spacing)
+    dims = tuple(int(d) for d in dims)
 
     shape_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "shape")))
     center = [0.5 + shape_rng.uniform(-0.05, 0.05) for _ in range(3)]

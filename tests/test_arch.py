@@ -29,7 +29,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         NetConfig(classes=1).validate()
     NetConfig(classes=256).validate()       # label volumes store one byte a voxel
-    with pytest.raises(ConfigError, match=r"^classes must be in \[2, 256\][^\n]*257$"):
+    with pytest.raises(ConfigError, match=r"^classes must be an integer in \[2, 256\], got 257$"):
         NetConfig(classes=257).validate()
     NetConfig().validate()
 

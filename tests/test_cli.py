@@ -556,28 +556,37 @@ def test_config_file_value_of_the_wrong_kind_is_a_usage_error(dataset, tmp_path,
 QUICK_TRAIN = {"epochs": 1, "augment": "none", "variant": "v3", "filters": 4,
                "max_slices": 2}
 QUICK_GENERATE = {"subjects": 1, "dims": [8, 8, 8]}
-OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"], "must be >= "),
-                "max-slices-file": ("train", {"max_slices": -1}, [], "must be >= "),
-                "epochs-file": ("train", {"epochs": 0}, [], "epochs must be >= 1, got 0"),
+OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"],
+                               "max_slices must be an integer >= 0, got -1"),
+                "max-slices-file": ("train", {"max_slices": -1}, [],
+                                    "max_slices must be an integer >= 0, got -1"),
+                "epochs-file": ("train", {"epochs": 0}, [],
+                                "epochs must be an integer >= 1, got 0"),
                 "plane-file": ("train", {"plane": "axial"}, [],
                                "plane must be one of ('sagittal', 'coronal', "
                                "'transverse'), got 'axial'"),
-                "val-every": ("train", {}, ["--val-every", "-1"], "must be >= "),
+                "val-every": ("train", {}, ["--val-every", "-1"],
+                              "val_every must be an integer >= 0, got -1"),
                 "checkpoint-every": ("train", {}, ["--checkpoint-every", "-1"],
-                                     "must be >= "),
-                "batch-size-0": ("predict", {}, ["--batch-size", "0"], "must be >= "),
+                                     "checkpoint_every must be an integer >= 0, got -1"),
+                "batch-size-0": ("predict", {}, ["--batch-size", "0"],
+                                 "batch_size must be an integer >= 1, got 0"),
                 "batch-size-negative": ("predict", {}, ["--batch-size", "-1"],
-                                        "must be >= "),
-                "subjects": ("generate", {}, ["--subjects", "0"], "subjects must be >= 1"),
-                "subjects-file": ("generate", {"subjects": 0}, [], "subjects must be >= 1"),
+                                        "batch_size must be an integer >= 1, got -1"),
+                "subjects": ("generate", {}, ["--subjects", "0"],
+                             "subjects must be an integer >= 1"),
+                "subjects-file": ("generate", {"subjects": 0}, [],
+                                  "subjects must be an integer >= 1"),
                 "modalities": ("generate", {}, ["--modalities", "0"],
-                               "modalities must be >= 1"),
+                               "modalities must be an integer >= 1"),
                 "classes": ("generate", {}, ["--classes", "1"],
-                            "classes must be in [2, 256], got 1"),
+                            "classes must be an integer in [2, 256], got 1"),
                 "classes-257": ("generate", {}, ["--classes", "257"],
-                                "classes must be in [2, 256], got 257"),
-                "dims": ("generate", {}, ["--dims", "8,7,8"], "extents >= 8"),
-                "dims-file": ("generate", {"dims": [8, 8]}, [], "extents >= 8"),
+                                "classes must be an integer in [2, 256], got 257"),
+                "dims": ("generate", {}, ["--dims", "8,7,8"],
+                         "must be an integer >= 8, got 7"),
+                "dims-file": ("generate", {"dims": [8, 8]}, [],
+                              "dims must be three extents, got (8, 8)"),
                 "spacing": ("generate", {}, ["--spacing", "1,0,1"], "positive numbers"),
                 "spacing-file": ("generate", {"spacing": [1, -0.5, 1]}, [],
                                  "positive numbers"),
@@ -585,9 +594,10 @@ OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"], "must be >= 
                                 "three finite positive numbers"),
                 "spacing-inf-file": ("generate", {"spacing": [1, float("inf"), 1]}, [],
                                      "three finite positive numbers"),
-                "trials-0": ("verify", {}, ["--trials", "0"], "trials must be >= 1"),
+                "trials-0": ("verify", {}, ["--trials", "0"],
+                             "trials must be an integer >= 1"),
                 "trials-negative": ("verify", {}, ["--trials", "-5"],
-                                    "trials must be >= 1")}
+                                    "trials must be an integer >= 1")}
 
 
 @pytest.mark.parametrize("case", OUT_OF_RANGE)

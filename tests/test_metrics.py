@@ -347,6 +347,6 @@ def test_evaluate_rejects_negative_and_non_integer_labels():
 def test_evaluate_takes_the_class_counts_a_label_volume_can_hold():
     pred, truth = make_pair()
     for classes in (1, 257):
-        with pytest.raises(ParameterError, match=rf"^classes must be in \[2, 256\], "
+        with pytest.raises(ParameterError, match=rf"^classes must be an integer in \[2, 256\], "
                                                  rf"got {classes}$"):
             M.evaluate_segmentation(pred, truth, classes)

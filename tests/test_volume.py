@@ -45,9 +45,11 @@ def test_labels_round_trip_and_range_checks(tmp_path):
 
 def test_labels_past_one_byte_are_rejected_whatever_the_class_count(tmp_path):
     # a label body stores one byte per voxel: 300 would read back as 44
+    # a class count past 256 is named first, then the ids it cannot hold
     path = tmp_path / "seg.vol"
-    for classes in (301, vol.MAX_CLASSES):
-        with pytest.raises(DataError, match=r"labels out of range \[0, 256\)"):
+    for classes, message in ((301, r"class count must be an integer in \[2, 256\], got 301"),
+                             (vol.MAX_CLASSES, r"^labels 300\.\.300 leave \[0, 256\)$")):
+        with pytest.raises(DataError, match=message):
             vol.write_volume(path, np.full((2, 2, 2), vol.MAX_CLASSES + 44), (1, 1, 1),
                              "labels", classes=classes)
         assert not path.exists()
@@ -256,10 +258,9 @@ def test_slice_restack_round_trip_3d_and_4d():
     v3 = rng.normal(size=(5, 6, 7))
     v4 = rng.normal(size=(5, 6, 7, 2))
     for plane in vol.PLANES:
-        np.testing.assert_array_equal(
-            vol.restack_slices(vol.slice_stack(v3, plane), plane), v3)
-        np.testing.assert_array_equal(
-            vol.restack_slices(vol.slice_stack(v4, plane), plane), v4)
+        for v in (v3, v4):
+            stack = vol.slice_stack(v, plane)
+            np.testing.assert_array_equal(np.moveaxis(stack, 0, vol.plane_axis(plane)), v)
     with pytest.raises(DataError):
         vol.slice_stack(np.zeros((3, 3)), "sagittal")
 
@@ -278,11 +279,21 @@ def test_predict_volume_matches_the_restacked_stack():
         vol.predict_volume(net, images[..., 0], "sagittal")
 
 
+def test_predict_volume_rejects_a_volume_with_no_slices_along_the_plane():
+    net = Network(NetConfig(variant="v3", classes=3, filters=4), seed=2)
+    for plane, axis in vol.PLANES.items():
+        shape = [23, 23, 23, 3]
+        shape[axis] = 0
+        with pytest.raises(DataError, match=re.escape(f"with {plane} slices, got {tuple(shape)}")):
+            vol.predict_volume(net, np.zeros(shape, np.float32), plane)
+
+
 def test_predict_volume_rejects_a_batch_size_below_1():
     net = Network(NetConfig(variant="v3", classes=3, filters=4), seed=2)
     images = np.zeros((23, 23, 23, 3), np.float32)
     for bad in (0, -1):
-        with pytest.raises(ParameterError, match=f"^batch_size must be >= 1, got {bad}$"):
+        with pytest.raises(ParameterError,
+                           match=f"^batch_size must be an integer >= 1, got {bad}$"):
             vol.predict_volume(net, images, "sagittal", batch_size=bad)
 
 
@@ -368,7 +379,7 @@ def test_synthesize_validation():
 
 
 def test_generate_dataset_checks_its_counts_before_writing(tmp_path):
-    with pytest.raises(ParameterError, match="subjects must be >= 1"):
+    with pytest.raises(ParameterError, match="subjects must be an integer >= 1"):
         vol.generate_dataset(tmp_path / "data", subjects=0, dims=(8, 8, 8))
     assert not (tmp_path / "data").exists()
 
