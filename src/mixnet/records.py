@@ -14,7 +14,8 @@
   ``Trainer``'s validation pair call it.
 
 Each checks and never coerces: an epoch count of 1.5 or a label of 1.7
-is rejected, not truncated, with the caller's error class.
+is rejected, not truncated; a count with the caller's error class, a
+label volume with ``DataError``.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ def check_count(v, what: str, error=ParameterError, least: int = 1, most=None) -
     return int(v)
 
 
-def check_labels(vol: np.ndarray, classes: int, what: str, error=DataError) -> None:
-    """Raise ``error``, naming ``what``, unless ``vol`` holds integer class
-    ids in [0, classes).  An unsigned volume is read once (its maximum)."""
+def check_labels(vol: np.ndarray, classes: int, what: str) -> None:
+    """Raise ``DataError``, naming ``what``, unless ``vol`` holds integer
+    class ids in [0, classes).  An unsigned volume is read once (its
+    maximum)."""
     if vol.dtype.kind not in "iu":
-        raise error(f"{what} must be integers, got dtype {vol.dtype}")
+        raise DataError(f"{what} must be integers, got dtype {vol.dtype}")
     if vol.size and (vol.max() >= classes or (vol.dtype.kind == "i" and vol.min() < 0)):
-        raise error(f"{what} {vol.min()}..{vol.max()} leave [0, {classes})")
+        raise DataError(f"{what} {vol.min()}..{vol.max()} leave [0, {classes})")
 
 
 def _element(kind):

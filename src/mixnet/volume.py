@@ -96,9 +96,9 @@ class VolumeMeta:
         ndim = 4 if self.kind == "probs" else 3
         if len(self.dims) != ndim:
             raise DataError(f"{self.kind} volumes are {ndim}D, got dims {self.dims}")
-        what = f"a {self.kind} volume's class count"
-        self.classes = (check_classes(self.classes, DataError, what) if self.kind == "labels"
-                        else check_count(self.classes, what, DataError, least=0))
+        self.classes = (check_classes(self.classes, DataError, "a label volume's class count")
+                        if self.kind == "labels"
+                        else check_count(self.classes, f"{self.kind} classes", DataError, least=0))
         if self.kind == "probs" and self.classes != self.dims[3]:
             raise DataError(f"probs classes {self.classes} != last dim {self.dims[3]}")
         if any(d < 1 for d in self.dims):
@@ -294,20 +294,23 @@ def _smooth_field(dims, rng) -> np.ndarray:
 
 
 def check_synthesis(dims, classes: int, modalities: int, spacing, subjects: int = 1,
-                    error=ParameterError) -> None:
-    """The ranges of a synthetic dataset's settings: at least one subject
-    and one modality, 2 to ``MAX_CLASSES`` classes, three extents of at
-    least 8 and three finite positive spacings.  A value out of range raises
-    ``error``, the caller's class: ``ParameterError`` in the library,
-    ``ConfigError`` (a usage error) on the command line."""
-    check_count(subjects, "subjects", error)
+                    error=ParameterError) -> tuple:
+    """``(dims, classes, modalities, spacing, subjects)`` as ints and a
+    tuple of floats, if they are a synthetic dataset's settings: three
+    extents of at least 8, 2 to ``MAX_CLASSES`` classes, at least one
+    modality, three finite positive spacings and at least one subject.  A
+    value out of range raises ``error``, the caller's class:
+    ``ParameterError`` in the library, ``ConfigError`` (a usage error) on
+    the command line."""
+    subjects = check_count(subjects, "subjects", error)
     if len(dims) != 3:
         raise error(f"dims must be three extents, got {tuple(dims)}")
-    for d in dims:
-        check_count(d, f"each extent of dims {tuple(dims)}", error, least=8)
-    check_spacing(spacing, error)
-    check_classes(classes, error)
-    check_count(modalities, "modalities", error)
+    dims = tuple(check_count(d, f"each extent of dims {tuple(dims)}", error, least=8)
+                 for d in dims)
+    spacing = check_spacing(spacing, error)
+    classes = check_classes(classes, error)
+    modalities = check_count(modalities, "modalities", error)
+    return dims, classes, modalities, spacing, subjects
 
 
 def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
@@ -321,8 +324,7 @@ def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
     smooth bias field (amplitude 0.25) plus Gaussian noise (sd 0.05), so
     no single threshold solves it.
     """
-    check_synthesis(dims, classes, modalities, spacing)
-    dims = tuple(int(d) for d in dims)
+    dims, classes, modalities, spacing, _ = check_synthesis(dims, classes, modalities, spacing)
 
     shape_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "shape")))
     center = [0.5 + shape_rng.uniform(-0.05, 0.05) for _ in range(3)]
@@ -363,15 +365,15 @@ def synthesize_subject(dims=(64, 64, 64), classes: int = 4, modalities: int = 3,
         img = base * field + mod_rng.normal(0.0, 0.05, size=dims)
         images[..., m] = img.astype(np.float32)
 
-    return {"images": images, "labels": labels,
-            "spacing": tuple(float(s) for s in spacing)}
+    return {"images": images, "labels": labels, "spacing": spacing}
 
 
 def generate_dataset(out_dir, subjects: int = 3, dims=(64, 64, 64),
                      classes: int = 4, modalities: int = 3,
                      spacing=(1.0, 1.0, 1.0), seed: int = 0) -> dict:
     """Write a directory of synthetic subjects plus a manifest.json."""
-    check_synthesis(dims, classes, modalities, spacing, subjects)
+    dims, classes, modalities, spacing, subjects = check_synthesis(
+        dims, classes, modalities, spacing, subjects)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i in range(subjects):

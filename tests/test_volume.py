@@ -63,8 +63,15 @@ def test_label_meta_rejects_a_class_count_past_one_byte(tmp_path):
                           classes=vol.MAX_CLASSES)
     assert meta.validate().classes == vol.MAX_CLASSES
     meta.classes = vol.MAX_CLASSES + 1
-    with pytest.raises(DataError, match="class count"):
+    with pytest.raises(DataError, match=r"^a label volume's class count must be an integer "
+                                        r"in \[2, 256\], got 257$"):
         meta.validate()
+    for kind, dims in (("intensity", (2, 2, 2)), ("probs", (2, 2, 2, 2))):
+        other = vol.VolumeMeta(dims=dims, spacing=(1, 1, 1), dtype="f32", kind=kind,
+                               classes=1.5)
+        with pytest.raises(DataError, match=rf"^{kind} classes must be an integer >= 0, "
+                                            r"got 1\.5$"):
+            other.validate()
     path = tmp_path / "seg.vol"
     vol.write_volume(path, np.zeros((2, 2, 2), np.uint8), (1, 1, 1), "labels", classes=3)
     side = json.loads((tmp_path / "seg.vol.json").read_text())
@@ -382,6 +389,17 @@ def test_generate_dataset_checks_its_counts_before_writing(tmp_path):
     with pytest.raises(ParameterError, match="subjects must be an integer >= 1"):
         vol.generate_dataset(tmp_path / "data", subjects=0, dims=(8, 8, 8))
     assert not (tmp_path / "data").exists()
+
+
+def test_generate_dataset_writes_numpy_settings_as_plain_numbers(tmp_path):
+    # numpy integers are counts: the manifest holds them as the ints they are
+    manifest = vol.generate_dataset(tmp_path, subjects=np.int64(1), dims=np.array([8, 8, 8]),
+                                    classes=np.int64(3), modalities=np.int32(2),
+                                    spacing=np.array([1, 1, 2], np.float32))
+    assert (manifest["dims"], manifest["classes"], manifest["spacing"]) == ([8, 8, 8], 3,
+                                                                            [1.0, 1.0, 2.0])
+    assert vol.load_manifest(tmp_path)["dims"] == (8, 8, 8)
+    assert len(manifest["subjects"][0]["modalities"]) == 2
 
 
 def test_modalities_have_distinct_profiles():
