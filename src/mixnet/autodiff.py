@@ -18,12 +18,15 @@ its blocks into a freshly built network's buffers.
 
 A graph edge carries no array: a vertex's ``parents`` are vertices, and
 a backward rule's closure captures the arrays it reads (an op's input
-or its own output, never copies of them), and no node.  So an
-activation lives as long as forward code or some rule holds it, and is
-freed once both are done with it: a conv output that only feeds
-``relu``, which takes its mask from its own output, is gone as soon as
-``relu`` has run.  What a rule needs from a transformed input, such as
-a padded copy, it rebuilds when it runs and frees when it returns.
+or its own output, never copies of them, or the max pool's one byte per
+output naming each window's winner), and no node.  So an activation
+lives as long as forward code or some rule holds it, and is freed once
+both are done with it: a conv output that only feeds ``relu``, which
+takes its mask from its own output, is gone as soon as ``relu`` has
+run, and the init conv's output, which only feeds the max pool, as
+soon as the pool has recorded its winners.  What a rule needs from a
+transformed input, such as a padded copy, it rebuilds when it runs and
+frees when it returns.
 
 A backward rule computes a parent's gradient only if that parent
 requires one; for any other parent it returns ``None`` rather than an
@@ -90,6 +93,11 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+def grad_enabled() -> bool:
+    """Whether ops build a backward graph here (False inside ``no_grad``)."""
+    return _GRAD_ENABLED.get()
+
+
 class Vertex:
     """The graph side of one value, holding no array.
 
@@ -139,7 +147,7 @@ class Node:
             arr = np.ascontiguousarray(arr)
             validate_shape(arr.shape)
         self.data = arr
-        if not _GRAD_ENABLED.get():
+        if not grad_enabled():
             parents, backward = (), None
         links = tuple(p.vertex for p in parents)
         if requires_grad is None:

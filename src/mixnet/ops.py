@@ -6,12 +6,14 @@ are 1, 3 and 5; another footprint is an odd square kernel with zero
 taps).  Convolutions are cross-correlations (no kernel flip), stride 1,
 at one integer dilation d, padded with ``p = (k - 1) * d / 2`` zeros on
 every side, so output rows [r0, r1) read padded rows [r0, r1 + 2p); the
-input gradient is the same correlation, padded alike and lowered by the
-same rule (:func:`conv2d`).
+input gradient is the same correlation, padded alike, and the kernel
+gradient a sum over taps, each lowered by the same rule (:func:`conv2d`):
+of the network's convs, only the 5x5 init convs build a patch matrix.
 
 The max pool uses 2x2 windows with stride 2 and ceil-mode output sizes:
 a ragged bottom/right edge still produces an output cell, fed by the
-in-bounds values only.
+in-bounds values only.  Its backward reads one byte per output, the scan
+position of each window's winner, not the input (:func:`maxpool2x2`).
 
 A weight matrix that meets an activation-sized operand in a stacked
 matmul, ``(N, H, W, C) @ (C, K)``, is C-ordered: numpy runs that matmul
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Node
+from .autodiff import Node, grad_enabled
 from .errors import ParameterError, ShapeError
 from .records import check_count, check_labels
 
@@ -123,11 +125,16 @@ def concat_channels(parts: Sequence[Node], name: str = "concat") -> Node:
 
 
 def _pad(a: np.ndarray, pads, value=0) -> np.ndarray:
-    """``np.pad(a, pads, constant_values=value)``, or ``a`` itself when
-    every pad is zero."""
+    """``np.pad(a, pads, constant_values=value)`` bit for bit, or ``a``
+    itself when every pad is zero: one filled array of the padded shape
+    with ``a`` written into its interior (np.pad took 5-35 us a call
+    longer at the trunk's and head's float32 shapes, numpy 2.4.6 on a
+    2-core x86 box)."""
     if not any(lo or hi for lo, hi in pads):
         return a
-    return np.pad(a, pads, constant_values=value)
+    out = np.full([n + lo + hi for n, (lo, hi) in zip(a.shape, pads)], value, dtype=a.dtype)
+    out[tuple(slice(lo, lo + n) for n, (lo, _) in zip(a.shape, pads))] = a
+    return out
 
 
 def _same_pads(k: int, d: int) -> tuple:
@@ -172,6 +179,13 @@ def _patch_matrix(xp: np.ndarray, k: int, d: int) -> np.ndarray:
     return cols.reshape(k * k * c, n * h * wd).T
 
 
+def _stacks(k: int, cin: int, cout: int) -> bool:
+    """conv2d's lowering rule: whether a k x k correlation of ``cin`` into
+    ``cout`` channels builds its patch matrix, which it does where that
+    matrix is at most twice the output's size and k > 1."""
+    return k > 1 and k * k * cin <= 2 * cout
+
+
 def _correlate(xp: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
     """Dilated correlation of the padded input ``xp`` with the (k, k,
     Cin, Cout) kernel ``w``, lowered by conv2d's rule.  Its (Cin, Cout)
@@ -180,7 +194,7 @@ def _correlate(xp: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
     F-ordered, and leaves a forward kernel as is."""
     k, _, cin, cout = w.shape
     taps = k * k
-    if taps > 1 and taps * cin <= 2 * cout:
+    if _stacks(k, cin, cout):
         out = _patch_matrix(xp, k, d) @ w.reshape(taps * cin, cout)
         return out.reshape(len(xp), -1, xp.shape[2] - (k - 1) * d, cout)
     mats = np.ascontiguousarray(w.reshape(taps, cin, cout))
@@ -191,27 +205,48 @@ def _correlate(xp: np.ndarray, w: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _kernel_gradient(xp: np.ndarray, g: np.ndarray, k: int, d: int) -> np.ndarray:
+    """The (k, k, Cin, Cout) kernel gradient of the correlation of the
+    padded input ``xp`` whose output gradient is ``g``, lowered by
+    conv2d's rule: the patch matrix transposed times ``g``, or one GEMM
+    per tap, ``window(xp).reshape(-1, Cin).T @ g.reshape(-1, Cout)``."""
+    cin, cout = xp.shape[-1], g.shape[-1]
+    gm = g.reshape(-1, cout)
+    if _stacks(k, cin, cout):
+        return (_patch_matrix(xp, k, d).T @ gm).reshape(k, k, cin, cout)
+    gw = np.empty((k * k, cin, cout), dtype=g.dtype)
+    for t, v in enumerate(_windows(xp, k, d)):
+        gw[t] = v.reshape(-1, cin).T @ gm
+    return gw.reshape(k, k, cin, cout)
+
+
 def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation: int = 1,
            name: str = "conv") -> Node:
     """Stride-1 dilated cross-correlation with size-preserving zero padding.
 
     x: (N, H, W, Cin), w: (k, k, Cin, Cout) with k odd, b: (Cout,) or
     None, dilation: an integer d >= 1.
-    Forward and input gradient are one correlation, lowered by one rule
-    in :func:`_correlate`: a patch matrix at most twice the output's size
-    (``taps * Cin <= 2 * Cout``, the 5x5 init convs' 25*3/72 and 25*1/24)
-    takes one GEMM against the kernel reshaped to (taps*Cin, Cout)
-    (im2col; Chetlur et al. 2014); any other runs a loop over the taps'
-    shifted views, each hit with its (Cin, Cout) matrix and added to the
-    first tap's product (a 1x1 kernel's single matmul).  The adjoint of a
+    Forward, input gradient and kernel gradient follow one rule
+    (:func:`_stacks`): a correlation whose patch matrix is at most twice
+    the output's size (``taps * Cin <= 2 * Cout``, the 5x5 init convs'
+    25*3/72 and 25*1/24) takes one GEMM against that matrix (im2col;
+    Chetlur et al. 2014); any other runs a loop over the taps' shifted
+    views, one GEMM each (a 1x1 kernel's one view is its input).
+    Forward multiplies each view by its (Cin, Cout) tap matrix and adds
+    it to the first tap's product (:func:`_correlate`).  The adjoint of a
     stride-1 dilated correlation padded (k - 1) * d / 2 on every side is
     the same correlation of the output gradient, padded the same, with
     the kernel flipped along both spatial axes and its channel axes
     swapped; so the input gradient's rule reads ``taps * Cout <= 2 * Cin``.
-    The kernel gradient is one GEMM, the patch matrix transposed times
-    the output gradient, over the padded input built again, not kept.
     The flipped, swapped kernel is a view; :func:`_correlate` copies its
     tap matrices C-ordered (the layout rule in the module docstring).
+    The kernel gradient is a sum over output pixels, so each tap's
+    (Cin, Cout) block is that tap's view of the padded input, as a
+    (pixels, Cin) matrix, transposed times the output gradient
+    (:func:`_kernel_gradient`; the per-tap form of Anderson et al.'s
+    2017 low-memory GEMM convolutions): where the rule stacks, the
+    stacked blocks are the patch matrix transposed times it.  Either way
+    it reads the padded input built again, not kept.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d input must be (N,H,W,C), got {x.shape}")
@@ -241,8 +276,7 @@ def conv2d(x: Node, w: Node, b: Optional[Node] = None, dilation: int = 1,
         if x_grad:
             grads[0] = _correlate(_pad(g, pads), wd_[::-1, ::-1].transpose(0, 1, 3, 2), d)
         if w_grad:
-            cols = _patch_matrix(_pad(xd, pads), k, d)
-            grads[1] = (cols.T @ g.reshape(-1, cout)).reshape(wd_.shape)
+            grads[1] = _kernel_gradient(_pad(xd, pads), g, k, d)
         if b_grad:
             grads[2] = g.sum(axis=(0, 1, 2))
         return tuple(grads)
@@ -259,11 +293,14 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     first maximum in window scan order, so backward is deterministic; a
     window holding NaN pools to NaN and routes to its first NaN.  Both
     passes work on the four strided window views: a window copy, argmax
-    and gather made the forward ten times slower.  Backward pools again
-    rather than keep the output, which the ``relu`` after it keeps.  It
-    compares for NaN only if the output holds one (NaN propagates through
-    the max, and the padding is -inf), and gives the last scan position
-    the windows still unrouted: their maximum can only sit there."""
+    and gather made the forward ten times slower.  Backward reads only
+    which cell of each window won, so that is all it keeps (Chen et al.
+    2016): when x requires a gradient, forward records one uint8 per
+    output, the winner's scan position, and keeps neither x nor the
+    output; under ``no_grad`` it records nothing.  The winners are
+    compared for NaN only if the output holds one (NaN propagates through
+    the max, and the padding is -inf), and the windows no earlier scan
+    position won go to the last: their maximum can only sit there."""
     if x.ndim != 4:
         raise ShapeError(f"maxpool2x2 input must be (N,H,W,C), got {x.shape}")
     n, h, w, c = x.shape
@@ -271,31 +308,25 @@ def maxpool2x2(x: Node, name: str = "maxpool") -> Node:
     # and every window's scan-first cell is in bounds, so no gradient
     # lands in the padding
     pads = ((0, 0), (0, h % 2), (0, w % 2), (0, 0))
-    xd = x.data
+    xp = _pad(x.data, pads, -np.inf)
     scan = [(slice(None), slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
-
-    def pool():
-        xp = _pad(xd, pads, -np.inf)
-        v0, v1, v2, v3 = (xp[s] for s in scan)
-        # np.maximum returns its second argument on a tie: +-0 ties keep the scan-first value
-        return xp, np.maximum(np.maximum(v3, v2), np.maximum(v1, v0))
-
-    out = pool()[1]
+    views = [xp[s] for s in scan]
+    # np.maximum returns its second argument on a tie: +-0 ties keep the scan-first value
+    out = np.maximum(np.maximum(views[3], views[2]), np.maximum(views[1], views[0]))
+    padded, code = xp.shape, None
+    if x.requires_grad and grad_enabled():
+        code = np.full(out.shape, 3, dtype=np.uint8)
+        nan = np.isnan(out).any()
+        for i in (2, 1, 0):     # the scan-first hit is written last
+            hit = views[i] == out
+            if nan:
+                hit |= views[i] != views[i]
+            np.copyto(code, i, where=hit)
 
     def bwd(g):
-        xp, out = pool()
-        gxp = np.empty_like(xp)
-        free = np.ones(out.shape, dtype=bool)
-        nan = np.isnan(out).any()
-        for s in scan[:-1]:
-            v = xp[s]
-            hit = v == out
-            if nan:
-                hit |= v != v
-            hit &= free
-            free ^= hit
-            gxp[s] = _masked(g, hit)
-        gxp[scan[-1]] = _masked(g, free)
+        gxp = np.empty(padded, dtype=g.dtype)
+        for i, s in enumerate(scan):
+            gxp[s] = _masked(g, code == i)
         return (np.ascontiguousarray(gxp[:, :h, :w, :]),)
 
     return Node(out, (x,), bwd, name=name)

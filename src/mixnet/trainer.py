@@ -36,7 +36,7 @@ from .augment import AugmentedSlices
 from .autodiff import backward
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import dice_binary
-from .records import check_count, check_labels, check_record, read_record
+from .records import check_count, check_labels, check_real, check_record, read_record
 from .volume import atomic_open, predict_volume
 
 # fractions of total training at which the learning rate halves again
@@ -106,17 +106,18 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
 
     def validate(self) -> "TrainConfig":
+        """Check every count and rate, and keep each as the plain ``int`` or
+        ``float`` its rule returns, so a numpy-typed value reaches no
+        checkpoint header."""
         for name, least in (("epochs", 1), ("batch_size", 1), ("val_every", 0),
                             ("checkpoint_every", 0)):
-            check_count(getattr(self, name), name, ConfigError, least)
+            setattr(self, name, check_count(getattr(self, name), name, ConfigError, least))
         if self.loss_reduction not in ("sum", "mean"):
             raise ConfigError(f"loss_reduction must be 'sum' or 'mean', "
                               f"got {self.loss_reduction!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        self.momentum = check_real(self.momentum, "momentum", ConfigError, below=1.0)
         for name in ("lr0", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            setattr(self, name, check_real(getattr(self, name), name, ConfigError))
         return self
 
 

@@ -71,6 +71,14 @@ def _op_builders(rng):
     # the head over three parts of x's size, 1, 2 and 1 channels wide
     head_parts = [rng.normal(size=(1, 5, 6, c)) for c in (1, 2, 1)]
     w_parts = rng.normal(size=(3, 3, 12, 3))
+    # 9 taps * 3 > 2 * 2 outputs: the kernel gradient goes tap by tap
+    x_tap = rng.normal(size=(1, 6, 5, 3))
+    w_tap = rng.normal(size=(3, 3, 3, 2))
+    b_tap = rng.normal(size=(2,))
+    g_tap = Node.leaf(rng.normal(size=(1, 6, 5, 2)))
+    # odd sides, and values 0.1 apart: no window ties within a difference step
+    x_ragged = rng.permutation(70).reshape(1, 5, 7, 2) * 0.1
+    g_pool = Node.leaf(rng.normal(size=(1, 3, 4, 2)))
 
     return [
         ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
@@ -86,7 +94,11 @@ def _op_builders(rng):
          [x_cin1, w5_stacked, b_stacked]),
         ("conv2d_1x1", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
          [x, w1, b]),
+        ("conv2d_tap_kernel", lambda lv: ops.reduce_sum(ops.mul(
+            ops.conv2d(lv[0], lv[1], lv[2], dilation=2), g_tap)), [x_tap, w_tap, b_tap]),
         ("maxpool2x2", lambda lv: ops.reduce_sum(ops.maxpool2x2(lv[0])), [x]),
+        ("maxpool2x2_ragged", lambda lv: ops.reduce_sum(ops.mul(ops.maxpool2x2(lv[0]), g_pool)),
+         [x_ragged]),
         ("avgpool_region", lambda lv: ops.reduce_sum(ops.avgpool_region(lv[0], 3)),
          [x]),
         ("bilinear_up", lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], 9, 11)),

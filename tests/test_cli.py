@@ -562,6 +562,11 @@ OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"],
                                     "max_slices must be an integer >= 0, got -1"),
                 "epochs-file": ("train", {"epochs": 0}, [],
                                 "epochs must be an integer >= 1, got 0"),
+                "lr0-nan-file": ("train", {"lr0": float("nan")}, [],
+                                 "lr0 must be a finite number >= 0, got nan"),
+                "weight-decay-inf-file": ("train", {"weight_decay": float("inf")}, [],
+                                          "weight_decay must be a finite number >= 0, "
+                                          "got inf"),
                 "plane-file": ("train", {"plane": "axial"}, [],
                                "plane must be one of ('sagittal', 'coronal', "
                                "'transverse'), got 'axial'"),

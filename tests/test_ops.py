@@ -208,6 +208,35 @@ def test_conv2d_input_gradient_matches_naive_oracle(monkeypatch, shape, dilation
         np.testing.assert_allclose(gx, want, rtol=0, atol=1e-6 * scale)
 
 
+# kernel shape -> whether the kernel gradient stacks the patch matrix of the
+# input, which it does where forward does; the trunk's 3x3 convs go tap by tap
+KERNEL_GRAD_LOWERINGS = {**LOWERINGS, (3, 3, 36, 36): False, (3, 3, 12, 12): False}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+@pytest.mark.parametrize("shape", KERNEL_GRAD_LOWERINGS, ids=lambda s: "x".join(map(str, s)))
+def test_conv2d_kernel_gradient_matches_naive_oracle(monkeypatch, shape, dilation, dtype):
+    rng = np.random.default_rng(sum(shape) + dilation)
+    x = rng.normal(size=(2, 7, 9, shape[2])).astype(dtype)
+    w = rng.normal(size=shape).astype(dtype)
+    g = rng.normal(size=(2, 7, 9, shape[3])).astype(dtype)
+    node = ops.conv2d(Node.leaf(x), Node.leaf(w, requires_grad=True), dilation=dilation)
+    ran = []
+    real = ops._patch_matrix
+    monkeypatch.setattr(ops, "_patch_matrix", lambda *a: ran.append(a) or real(*a))
+    gw = node._backward(g)[1]
+    assert len(ran) == KERNEL_GRAD_LOWERINGS[shape]
+    assert gw.shape == w.shape and gw.dtype == dtype
+    want = oracles.conv2d_kernel_grad_naive(x, g, shape, dilation)
+    # the floor scaled to the output covers taps whose pixels cancel
+    scale = np.abs(want).max()
+    if dtype == np.float64:
+        np.testing.assert_allclose(gw, want, rtol=1e-12, atol=1e-13 * scale)
+    else:
+        np.testing.assert_allclose(gw, want, rtol=0, atol=1e-6 * scale)
+
+
 @pytest.mark.parametrize("c", [1, 3, 36])
 @pytest.mark.parametrize("dilation", [1, 2, 4, 8])
 @pytest.mark.parametrize("k", [5, 3])

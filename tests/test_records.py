@@ -11,7 +11,7 @@ from mixnet.arch import NetConfig, Network
 from mixnet.autodiff import Node
 from mixnet.errors import ConfigError, DataError, ParameterError
 from mixnet.metrics import evaluate_segmentation
-from mixnet.records import check_count, check_record, conforms, kind_of, read_record
+from mixnet.records import check_count, check_real, check_record, conforms, kind_of, read_record
 from mixnet.tensor import he_init
 from mixnet.trainer import TrainConfig, Trainer, lr_at
 
@@ -145,6 +145,18 @@ def test_check_count_returns_a_plain_int_and_takes_numpy_integers():
     for bad in (np.float64(3), np.True_, "3", 4):
         with pytest.raises(ParameterError, match=r"^n must be an integer in \[3, 3\]"):
             check_count(bad, "n", least=3, most=3)
+
+
+def test_check_real_takes_finite_reals_only():
+    for good in (0, 0.5, np.float32(0.25), np.int64(0)):
+        got = check_real(good, "r", below=1)
+        assert got == good and type(got) is float
+    for bad in (np.nan, np.inf, -np.inf, np.float32(np.nan), True, np.True_, "0.5", -0.1, 1,
+                1.0, 10 ** 400, None, 0.5j):
+        with pytest.raises(ParameterError, match=r"^r must be a finite number in \[0, 1\), got "):
+            check_real(bad, "r", below=1)
+    with pytest.raises(ConfigError, match=r"^r must be a finite number >= 2, got 1.5$"):
+        check_real(1.5, "r", ConfigError, least=2)
 
 
 def _read_back(labels, tmp):

@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import gc
 import json
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from mixnet.arch import NetConfig, Network
 from mixnet import arch, augment, ops
 from mixnet.augment import expand_slices
-from mixnet.autodiff import Node, backward
+from mixnet.autodiff import Node, backward, no_grad
 from mixnet.errors import ConfigError, DataError, TrainingDiverged
 from mixnet.metrics import dice_binary
 from mixnet import trainer as tr
@@ -237,6 +239,26 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         read_record(tr.TrainConfig, {"epochs": 3, "warmup": 1}, "config", ConfigError)
     assert read_record(tr.TrainConfig, {"epochs": 3}, "config", ConfigError).epochs == 3
+
+
+@pytest.mark.parametrize("field, bad", [("lr0", float("nan")), ("weight_decay", float("inf")),
+                                        ("lr0", True), ("momentum", "0.5"),
+                                        ("lr0", -1e-4)], ids=str)
+def test_train_rates_are_finite_reals(field, bad):
+    with pytest.raises(ConfigError, match=rf"^{field} must be a finite number "):
+        tr.TrainConfig(**{field: bad}).validate()
+
+
+def test_numpy_settings_reach_the_checkpoint_as_plain_numbers(tmp_path):
+    x, y = tiny_task()
+    cfg = tr.TrainConfig(epochs=np.int64(1), batch_size=np.int32(2), lr0=np.float32(1e-3),
+                         momentum=np.float64(0.5), weight_decay=np.int64(0), val_every=0)
+    t = tr.Trainer(tiny_net(), x, y, cfg)
+    assert [type(getattr(cfg, f)) for f in ("epochs", "lr0", "weight_decay")] == [int, float,
+                                                                                   float]
+    tr.save_checkpoint(tmp_path / "ck.bin", t.net, t)
+    assert tr.load_checkpoint_header(tmp_path / "ck.bin")["train_config"].lr0 == float(
+        np.float32(1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +543,70 @@ def test_v1_step_frees_what_no_backward_rule_reads():
         backward(loss)
 
     assert _traced_peak(step) < 30e6
+
+
+def test_v1_step_holds_no_patch_matrix_in_the_trunk_and_no_pool_input():
+    # the trunk's kernel gradients go tap by tap and the init pool keeps a
+    # byte per output, not its input: a step that builds each dilated
+    # conv's patch matrix and keeps the init conv's output peaks near 19.7 MB
+    net = Network(NetConfig(variant="v1"), seed=0)
+    opt = tr.Optimizer(net.store, lr0=0, momentum=0, weight_decay=0)
+    x, y = _v1_batch(4)
+
+    def step():
+        loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
+        opt.zero_grad()
+        backward(loss)
+
+    assert _traced_peak(step) < 17e6
+
+
+def test_init_conv_output_is_freed_once_pooled(monkeypatch):
+    # the graph is alive, yet the pool's input is gone; backward still
+    # routes each window's gradient to its first maximum
+    real = ops.maxpool2x2
+    pools = []
+
+    def spy(x, name="maxpool"):
+        node = real(x, name=name)
+        rule, seen = node._backward, {"x": x.data.copy(), "ref": weakref.ref(x.data)}
+
+        def bwd(g):
+            seen["g"], seen["gx"] = g, rule(g)[0]
+            return (seen["gx"],)
+        node._backward = bwd
+        pools.append(seen)
+        return node
+
+    net = Network(NetConfig(variant="v1"), seed=0)
+    monkeypatch.setattr(ops, "maxpool2x2", spy)
+    x, y = (a[:1, :arch.MIN_SIDE, :arch.MIN_SIDE] for a in _v1_batch(1))
+    loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
+    gc.collect()
+    assert len(pools) == 1 and pools[0]["ref"]() is None
+    backward(loss)
+    p = pools[0]
+    np.testing.assert_array_equal(p["gx"], oracles.maxpool2x2_first_max_naive(p["x"], p["g"])[1])
+
+
+def test_maxpool_keeps_a_byte_per_output_and_none_under_no_grad():
+    x = np.random.default_rng(12).normal(size=(4, 48, 48, 72)).astype(np.float32)
+
+    def kept(x, grad=True):
+        """Bytes the pool's node holds beyond its output."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if grad else no_grad():
+                node = ops.maxpool2x2(x)
+            return tracemalloc.get_traced_memory()[0] - node.data.nbytes, node.size
+        finally:
+            tracemalloc.stop()
+
+    held, outputs = kept(Node.leaf(x, requires_grad=True))
+    assert outputs <= held < outputs + 4096
+    for node, grad in ((Node.leaf(x, requires_grad=True), False), (Node.leaf(x), True)):
+        assert kept(node, grad)[0] < 4096
 
 
 def test_epoch_peak_is_one_step():
