@@ -125,16 +125,11 @@ def concat_channels(parts: Sequence[Node], name: str = "concat") -> Node:
 
 
 def _pad(a: np.ndarray, pads, value=0) -> np.ndarray:
-    """``np.pad(a, pads, constant_values=value)`` bit for bit, or ``a``
-    itself when every pad is zero: one filled array of the padded shape
-    with ``a`` written into its interior (np.pad took 5-35 us a call
-    longer at the trunk's and head's float32 shapes, numpy 2.4.6 on a
-    2-core x86 box)."""
+    """``np.pad(a, pads, constant_values=value)``, or ``a`` itself when
+    every pad is zero."""
     if not any(lo or hi for lo, hi in pads):
         return a
-    out = np.full([n + lo + hi for n, (lo, hi) in zip(a.shape, pads)], value, dtype=a.dtype)
-    out[tuple(slice(lo, lo + n) for n, (lo, _) in zip(a.shape, pads))] = a
-    return out
+    return np.pad(a, pads, constant_values=value)
 
 
 def _same_pads(k: int, d: int) -> tuple:

@@ -9,9 +9,9 @@
   ``trainer.TrainConfig`` and ``lr_at``, and ``cli`` (batch size, trials,
   max slices) call it.
 * :func:`check_real` is the one rule for a real setting: a finite int,
-  float or numpy real (never a bool or a string) of at least its least
-  value, returned as a plain ``float``.  ``trainer.TrainConfig`` calls it
-  for ``lr0``, ``momentum`` and ``weight_decay``.
+  float or numpy real (never a bool or a string) of at least 0, returned
+  as a plain ``float``, else a ``ConfigError``.  ``trainer.TrainConfig``
+  calls it for ``lr0``, ``momentum`` and ``weight_decay``.
 * :func:`check_labels` is the one rule for label ids: integers in
   [0, classes).  ``ops.softmax_cross_entropy``, ``volume`` (writing and
   reading label volumes), ``metrics.evaluate_segmentation`` and the
@@ -44,19 +44,19 @@ def check_count(v, what: str, error=ParameterError, least: int = 1, most=None) -
     return int(v)
 
 
-def check_real(v, what: str, error=ParameterError, least: float = 0.0, below=None):
+def check_real(v, what: str, below=None) -> float:
     """``v`` as a ``float``, if it is an ``int``, ``float`` or numpy real
-    (never a ``bool`` or a string) that is finite, at least ``least`` and,
-    if ``below`` is given, less than ``below``; else raise ``error``, the
-    caller's class, naming ``what``."""
+    (never a ``bool`` or a string) that is finite, at least 0 and, if
+    ``below`` is given, less than ``below``; else raise ``ConfigError``
+    naming ``what``."""
     real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
     try:    # an int past the float range is not a finite real
-        ok = real and math.isfinite(v) and v >= least and (below is None or v < below)
+        ok = real and math.isfinite(v) and v >= 0 and (below is None or v < below)
     except OverflowError:
         ok = False
     if not ok:
-        bound = f">= {least:g}" if below is None else f"in [{least:g}, {below:g})"
-        raise error(f"{what} must be a finite number {bound}, got {v!r}")
+        bound = ">= 0" if below is None else f"in [0, {below:g})"
+        raise ConfigError(f"{what} must be a finite number {bound}, got {v!r}")
     return float(v)
 
 

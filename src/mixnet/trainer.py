@@ -115,9 +115,9 @@ class TrainConfig:
         if self.loss_reduction not in ("sum", "mean"):
             raise ConfigError(f"loss_reduction must be 'sum' or 'mean', "
                               f"got {self.loss_reduction!r}")
-        self.momentum = check_real(self.momentum, "momentum", ConfigError, below=1.0)
+        self.momentum = check_real(self.momentum, "momentum", below=1.0)
         for name in ("lr0", "weight_decay"):
-            setattr(self, name, check_real(getattr(self, name), name, ConfigError))
+            setattr(self, name, check_real(getattr(self, name), name))
         return self
 
 

@@ -153,10 +153,10 @@ def test_check_real_takes_finite_reals_only():
         assert got == good and type(got) is float
     for bad in (np.nan, np.inf, -np.inf, np.float32(np.nan), True, np.True_, "0.5", -0.1, 1,
                 1.0, 10 ** 400, None, 0.5j):
-        with pytest.raises(ParameterError, match=r"^r must be a finite number in \[0, 1\), got "):
+        with pytest.raises(ConfigError, match=r"^r must be a finite number in \[0, 1\), got "):
             check_real(bad, "r", below=1)
-    with pytest.raises(ConfigError, match=r"^r must be a finite number >= 2, got 1.5$"):
-        check_real(1.5, "r", ConfigError, least=2)
+    with pytest.raises(ConfigError, match=r"^r must be a finite number >= 0, got -1.5$"):
+        check_real(-1.5, "r")
 
 
 def _read_back(labels, tmp):

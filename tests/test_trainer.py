@@ -513,11 +513,10 @@ def _v1_batch(n):
     return x, rng.integers(0, 4, size=(n, 48, 48))
 
 
-def test_v1_step_holds_each_activation_once():
-    # the bound fails if every node keeps a .grad, or relu, conv2d and
-    # maxpool2x2 keep masks and padded copies of their inputs: that step
-    # peaks near 67 MB
-    net = Network(NetConfig(variant="v1"), seed=0)
+def step_peak(variant: str) -> int:
+    """Traced peak bytes of one step of a default ``variant`` network on a
+    4 x 48 x 48 batch (CI prints it for each variant)."""
+    net = Network(NetConfig(variant=variant), seed=0)
     opt = tr.Optimizer(net.store, lr0=0, momentum=0, weight_decay=0)
     x, y = _v1_batch(4)
 
@@ -526,39 +525,28 @@ def test_v1_step_holds_each_activation_once():
         opt.zero_grad()
         backward(loss)
 
-    assert _traced_peak(step) < 48e6
+    return _traced_peak(step)
+
+
+def test_v1_step_holds_each_activation_once():
+    # the bound fails if every node keeps a .grad, or relu, conv2d and
+    # maxpool2x2 keep masks and padded copies of their inputs: that step
+    # peaks near 67 MB
+    assert step_peak("v1") < 48e6
 
 
 def test_v1_step_frees_what_no_backward_rule_reads():
     # a conv output that only feeds relu, a residual add before its relu
     # and the head's output before upscale are freed in forward; if the
     # graph's edges held them, the step would peak near 38 MB
-    net = Network(NetConfig(variant="v1"), seed=0)
-    opt = tr.Optimizer(net.store, lr0=0, momentum=0, weight_decay=0)
-    x, y = _v1_batch(4)
-
-    def step():
-        loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
-        opt.zero_grad()
-        backward(loss)
-
-    assert _traced_peak(step) < 30e6
+    assert step_peak("v1") < 30e6
 
 
 def test_v1_step_holds_no_patch_matrix_in_the_trunk_and_no_pool_input():
     # the trunk's kernel gradients go tap by tap and the init pool keeps a
     # byte per output, not its input: a step that builds each dilated
     # conv's patch matrix and keeps the init conv's output peaks near 19.7 MB
-    net = Network(NetConfig(variant="v1"), seed=0)
-    opt = tr.Optimizer(net.store, lr0=0, momentum=0, weight_decay=0)
-    x, y = _v1_batch(4)
-
-    def step():
-        loss = ops.softmax_cross_entropy(net.forward(x), y, "mean")
-        opt.zero_grad()
-        backward(loss)
-
-    assert _traced_peak(step) < 17e6
+    assert step_peak("v1") < 17e6
 
 
 def test_init_conv_output_is_freed_once_pooled(monkeypatch):
