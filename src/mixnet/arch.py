@@ -116,13 +116,14 @@ class NetConfig:
     filters: int = 24
 
     def validate(self) -> "NetConfig":
+        """This config, its counts plain ints, if in range; else ``ConfigError``."""
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        check_count(self.modalities, "modalities", ConfigError)
-        check_classes(self.classes, ConfigError)
-        if check_count(self.filters, "filters", ConfigError, least=2) % 2:
+        filters = check_count(self.filters, "filters", ConfigError, least=2)
+        if filters % 2:
             raise ConfigError(f"filters must be a positive even number, got {self.filters}")
-        return self
+        return replace(self, modalities=check_count(self.modalities, "modalities", ConfigError),
+                       classes=check_classes(self.classes, ConfigError), filters=filters)
 
     @property
     def trunk_filters(self) -> int:
@@ -169,7 +170,7 @@ class Network:
     def __init__(self, config: NetConfig, seed: int = 0,
                  arrays: Optional[dict] = None):
         self.config = config.validate()
-        self.seed = int(seed)
+        self.seed = check_count(seed, "seed", least=0)
         self.store: dict[str, Node] = {}
         self._arrays = arrays
         # materialize every parameter with a dummy pass

@@ -114,6 +114,7 @@ GENERATE_DEFAULTS = {
 def _check_generate(cfg: dict) -> None:
     volume.check_synthesis(cfg["dims"], cfg["classes"], cfg["modalities"],
                            cfg["spacing"], cfg["subjects"], ConfigError)
+    check_count(cfg["seed"], "seed", ConfigError, least=0)
 
 
 def cmd_generate(args) -> int:
@@ -203,6 +204,7 @@ def _train_configs(cfg: dict) -> tuple[NetConfig, TrainConfig]:
     if cfg["augment"] not in AUGMENT:
         raise ConfigError(f"augment must be one of {AUGMENT}, got {cfg['augment']!r}")
     check_count(cfg["max_slices"], "max_slices", ConfigError, least=0)
+    check_count(cfg["seed"], "seed", ConfigError, least=0)
     # modalities and classes come from the manifest, once the data is read
     net_config = NetConfig(variant=cfg["variant"], filters=cfg["filters"]).validate()
     train_config = TrainConfig(
@@ -361,6 +363,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_verify(args) -> int:
     check_count(args.trials, "trials", ConfigError)
+    check_count(args.seed, "seed", ConfigError, least=0)
     if args.suite == "all":
         results = verify.run_all(trials=args.trials, seed=args.seed)
     else:

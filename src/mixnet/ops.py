@@ -421,17 +421,17 @@ def bilinear_resize(x: Node, out_h: int, out_w: int, name: str = "resize") -> No
 # pyramid pooling head
 
 
-def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int],
+def pyramid_head(parts: Sequence[Node], w: Node, b: Node, bins: Sequence[int],
                  name: str = "pyramid_head") -> Node:
     """Pyramid pooling prior plus the output convolution in one op.
 
     With x the channel concatenation of the input parts, computes
     ``conv2d(concat([x] + [bilinear_resize(avgpool_region(x, n), H, W)
     for n in bins]), w, b)`` without forming either concatenation.
-    x: a list of parts (N, H, W, C_i), or one node (a one-part list), C =
-    sum(C_i); w: (k, k, (1 + len(bins)) * C, K) with k odd, b: (K,);
-    bins: integers >= 1.  Input channel block j of ``w`` belongs to ``x``
-    (j = 0) or to ``bins[j-1]``, and its row block i to part i.
+    parts: a list of nodes (N, H, W, C_i), C = sum(C_i); w: (k, k,
+    (1 + len(bins)) * C, K) with k odd, b: (K,); bins: integers >= 1.
+    Input channel block j of ``w`` belongs to ``x`` (j = 0) or to
+    ``bins[j-1]``, and its row block i to part i.
 
     Each block's source (x itself as the identity bin, else the pooled
     map) is multiplied by the block's kernel as one (C, k*k*K) matrix
@@ -449,7 +449,6 @@ def pyramid_head(x: Node | Sequence[Node], w: Node, b: Node, bins: Sequence[int]
     kernel gradient's identity block stacks the parts' products.  The
     identities behind this are in the ``arch`` docstring.
     """
-    parts = [x] if isinstance(x, Node) else list(x)
     if not parts:
         raise ParameterError("pyramid_head needs at least one input part")
     for p in parts:

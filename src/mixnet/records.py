@@ -3,23 +3,25 @@
 * :func:`check_record` and :func:`read_record` read its settings records:
   config files, checkpoint headers, volume sidecars and dataset manifests.
 * :func:`check_count` is the one rule for a count: an integer (never a
-  bool) of at least its least value.  ``ops`` (dilations, bins, resize
-  sizes), ``tensor.he_init``, ``volume`` (classes, synthesis settings,
-  ``predict_volume``'s batch size), ``arch.NetConfig``,
-  ``trainer.TrainConfig`` and ``lr_at``, and ``cli`` (batch size, trials,
-  max slices) call it.
+  bool) of at least its least value; a seed is a count of at least 0.
+  ``ops`` (dilations, bins, resize sizes), ``tensor`` (fan-in, seeds),
+  ``volume`` (classes, synthesis settings and seed, ``predict_volume``'s
+  batch size), ``arch`` (``NetConfig``, ``Network``'s seed),
+  ``trainer.TrainConfig`` and ``lr_at``, and ``cli`` (batch size,
+  trials, max slices, seeds) call it.
 * :func:`check_real` is the one rule for a real setting: a finite int,
   float or numpy real (never a bool or a string) of at least 0, returned
-  as a plain ``float``, else a ``ConfigError``.  ``trainer.TrainConfig``
-  calls it for ``lr0``, ``momentum`` and ``weight_decay``.
+  as a plain ``float``, else the caller's error class.  ``TrainConfig``
+  (``lr0``, ``momentum``, ``weight_decay``) and ``volume`` (each spacing
+  and fusion weight) call it.
 * :func:`check_labels` is the one rule for label ids: integers in
   [0, classes).  ``ops.softmax_cross_entropy``, ``volume`` (writing and
   reading label volumes), ``metrics.evaluate_segmentation`` and the
   ``Trainer``'s validation pair call it.
 
 Each checks and never coerces: an epoch count of 1.5 or a label of 1.7
-is rejected, not truncated; a count with the caller's error class, a
-label volume with ``DataError``.
+is rejected, not truncated; a count or a real with the caller's error
+class, a label volume with ``DataError``.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ def check_count(v, what: str, error=ParameterError, least: int = 1, most=None) -
     return int(v)
 
 
-def check_real(v, what: str, below=None) -> float:
+def check_real(v, what: str, error, below=None) -> float:
     """``v`` as a ``float``, if it is an ``int``, ``float`` or numpy real
     (never a ``bool`` or a string) that is finite, at least 0 and, if
-    ``below`` is given, less than ``below``; else raise ``ConfigError``
-    naming ``what``."""
+    ``below`` is given, less than ``below``; else raise ``error``, the
+    caller's class, naming ``what``."""
     real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
     try:    # an int past the float range is not a finite real
         ok = real and math.isfinite(v) and v >= 0 and (below is None or v < below)
@@ -56,7 +58,7 @@ def check_real(v, what: str, below=None) -> float:
         ok = False
     if not ok:
         bound = ">= 0" if below is None else f"in [0, {below:g})"
-        raise ConfigError(f"{what} must be a finite number {bound}, got {v!r}")
+        raise error(f"{what} must be a finite number {bound}, got {v!r}")
     return float(v)
 
 

@@ -46,13 +46,13 @@ def he_init(shape, fan_in: int, seed: int) -> np.ndarray:
 
 
 def derive_seed(*parts) -> int:
-    """Fold an arbitrary tuple of ints/strings into a stable 64-bit seed.
+    """Fold a tuple of strings and integers >= 0 into a stable 64-bit seed.
 
     Used to give every parameter, subject and augmentation draw its own
-    reproducible stream: same parts, same seed, on any platform.
+    reproducible stream: same parts, same seed (an integer by its value).
     """
     h = hashlib.sha256()
     for p in parts:
-        h.update(repr(p).encode())
+        h.update(repr(p if isinstance(p, str) else check_count(p, "seed", least=0)).encode())
         h.update(b"\x00")
     return int.from_bytes(h.digest()[:8], "little")

@@ -106,18 +106,19 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
 
     def validate(self) -> "TrainConfig":
-        """Check every count and rate, and keep each as the plain ``int`` or
-        ``float`` its rule returns, so a numpy-typed value reaches no
-        checkpoint header."""
+        """Check every count, rate and the seed, and keep each as the plain
+        ``int`` or ``float`` its rule returns, so a numpy-typed value
+        reaches no checkpoint header."""
         for name, least in (("epochs", 1), ("batch_size", 1), ("val_every", 0),
                             ("checkpoint_every", 0)):
             setattr(self, name, check_count(getattr(self, name), name, ConfigError, least))
         if self.loss_reduction not in ("sum", "mean"):
             raise ConfigError(f"loss_reduction must be 'sum' or 'mean', "
                               f"got {self.loss_reduction!r}")
-        self.momentum = check_real(self.momentum, "momentum", below=1.0)
+        self.momentum = check_real(self.momentum, "momentum", ConfigError, below=1.0)
         for name in ("lr0", "weight_decay"):
-            setattr(self, name, check_real(getattr(self, name), name))
+            setattr(self, name, check_real(getattr(self, name), name, ConfigError))
+        self.seed = check_count(self.seed, "seed", ConfigError, least=0)
         return self
 
 

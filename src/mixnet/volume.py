@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .records import check_count, check_labels, check_record, read_record
+from .records import check_count, check_labels, check_real, check_record, read_record
 from .tensor import derive_seed
 
 PLANES = {"sagittal": 0, "coronal": 1, "transverse": 2}
@@ -45,13 +45,13 @@ def plane_axis(plane: str) -> int:
 
 
 def check_spacing(spacing, error=DataError) -> tuple[float, ...]:
-    """``spacing`` as a tuple of floats, if it is three finite positive
-    numbers (mm per voxel); else raise ``error``, the caller's class."""
+    """``spacing`` as a tuple of floats, if it is three ``check_real`` reals
+    above 0 (mm per voxel); else raise ``error``, the caller's class."""
     try:
-        sp = tuple(float(s) for s in spacing)
-    except (TypeError, ValueError):
+        sp = tuple(check_real(s, "a spacing", error) for s in spacing)
+    except (TypeError, error):
         sp = ()
-    if len(sp) != 3 or not all(0 < s < np.inf for s in sp):
+    if len(sp) != 3 or not all(s > 0 for s in sp):
         raise error(f"spacing must be three finite positive numbers, got {spacing!r}")
     return sp
 
@@ -64,14 +64,13 @@ def check_classes(classes: int, error=DataError, what: str = "classes") -> int:
 
 
 def check_weights(weights, count: int, error=ParameterError) -> np.ndarray:
-    """Fusion weights as float64, if there are ``count`` of them, each
-    finite and non-negative, and not all zero; else raise ``error``."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (count,):
-        raise error(f"need one weight per volume, shape ({count},), got {w.shape}")
-    if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
-        raise error(f"weights must be finite, non-negative and not all zero, "
-                    f"got {tuple(float(v) for v in w)}")
+    """Fusion weights as float64, if there are ``count`` of them, each a
+    ``check_real`` real, and not all zero; else raise ``error``."""
+    if np.shape(weights) != (count,):
+        raise error(f"need one weight per volume, shape ({count},), got {np.shape(weights)}")
+    w = np.array([check_real(v, "each weight", error) for v in weights])
+    if w.sum() <= 0:
+        raise error(f"weights must not all be zero, got {weights!r}")
     return w
 
 
@@ -374,6 +373,7 @@ def generate_dataset(out_dir, subjects: int = 3, dims=(64, 64, 64),
     """Write a directory of synthetic subjects plus a manifest.json."""
     dims, classes, modalities, spacing, subjects = check_synthesis(
         dims, classes, modalities, spacing, subjects)
+    seed = check_count(seed, "seed", least=0)
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for i in range(subjects):

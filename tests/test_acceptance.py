@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mixnet import cli, metrics, ops, volume
+from mixnet import cli, metrics, ops, verify, volume
 from mixnet.arch import NetConfig, Network, embed_v3_into_v1
 from mixnet.augment import (elastic_slice, expand_slices, policy_for_plane,
                             policy_ops)
@@ -27,7 +27,9 @@ def _pass(criterion, detail):
 
 
 # ---------------------------------------------------------------------------
-# 1. gradient correctness: every op + a full dilated residual unit
+# 1. gradient correctness: every case of verify's op table, under this
+# file's own finite differences rather than autodiff.grad_check, and a
+# full dilated residual unit
 
 
 def _fd_worst(build, arrays, step=1e-3):
@@ -73,49 +75,6 @@ def _fd_worst(build, arrays, step=1e-3):
     return worst
 
 
-def _op_cases(rng):
-    n, h, w, c = 1, int(rng.integers(4, 7)), int(rng.integers(4, 7)), 2
-    x = rng.normal(size=(n, h, w, c))
-    k3 = rng.normal(size=(3, 3, c, 3))
-    k5 = rng.normal(size=(5, 5, c, 2))
-    b3 = rng.normal(size=(3,))
-    logits = rng.normal(size=(n, h, w, 3))
-    labels = rng.integers(0, 3, size=(n, h, w))
-    pair = rng.normal(size=(n, h, w, c))
-    k_head = rng.normal(size=(3, 3, 3 * c, 3))
-    g_head = Node.leaf(rng.normal(size=(n, h, w, 3)))
-    return [
-        ("conv2d", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2])),
-         [x, k3, b3]),
-        ("conv2d_dilated",
-         lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2], dilation=2)),
-         [x, k3, b3]),
-        ("conv2d_5x5", lambda lv: ops.reduce_sum(ops.conv2d(lv[0], lv[1])),
-         [x, k5]),
-        ("maxpool2x2", lambda lv: ops.reduce_sum(ops.maxpool2x2(lv[0])), [x]),
-        ("avgpool_region",
-         lambda lv: ops.reduce_sum(ops.avgpool_region(lv[0], 2)), [x]),
-        ("bilinear_up",
-         lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], h + 3, w + 5)), [x]),
-        ("bilinear_down",
-         lambda lv: ops.reduce_sum(ops.bilinear_resize(lv[0], 3, 2)), [x]),
-        ("pyramid_head",
-         lambda lv: ops.reduce_sum(ops.mul(
-             ops.pyramid_head(lv[0], lv[1], lv[2], (2, 4)), g_head)), [x, k_head, b3]),
-        ("relu", lambda lv: ops.reduce_sum(ops.relu(lv[0])), [x]),
-        ("add", lambda lv: ops.reduce_sum(ops.add(lv[0], lv[1])), [pair, x]),
-        ("mul", lambda lv: ops.reduce_sum(ops.mul(lv[0], lv[1])), [pair, x]),
-        ("concat",
-         lambda lv: ops.reduce_sum(ops.mul(ops.concat_channels(lv),
-                                           ops.concat_channels(lv))),
-         [pair, x]),
-        ("xent_sum",
-         lambda lv: ops.softmax_cross_entropy(lv[0], labels, "sum"), [logits]),
-        ("xent_mean",
-         lambda lv: ops.softmax_cross_entropy(lv[0], labels, "mean"), [logits]),
-    ]
-
-
 def _res_unit_cases(rng, dilation):
     """One dilated residual unit; identity and projection shortcuts."""
     x = rng.normal(size=(1, 6, 6, 4))
@@ -152,17 +111,14 @@ def test_criterion_1_gradient_correctness():
     worst_by_op = {}
     for instance in range(5):
         rng = np.random.default_rng(100 + instance)
-        for name, build, arrays in _op_cases(rng):
-            err = _fd_worst(build, arrays)
-            worst_by_op[name] = max(worst_by_op.get(name, 0.0), err)
         dilation = (1, 2, 4, 8, 3)[instance]
-        for name, build, arrays in _res_unit_cases(rng, dilation):
+        for name, build, arrays in verify._op_builders(rng) + _res_unit_cases(rng, dilation):
             err = _fd_worst(build, arrays)
             worst_by_op[name] = max(worst_by_op.get(name, 0.0), err)
     worst = max(worst_by_op.values())
     offenders = {k: f"{v:.2e}" for k, v in worst_by_op.items() if v > TOL}
     assert worst <= TOL, f"gradient mismatches: {offenders}"
-    _pass(1, f"{len(worst_by_op)} ops x 5 instances, max rel err {worst:.2e} "
+    _pass(1, f"{len(worst_by_op)} cases x 5 instances, max rel err {worst:.2e} "
              f"(tol {TOL:.0e})")
 
 

@@ -558,6 +558,12 @@ QUICK_TRAIN = {"epochs": 1, "augment": "none", "variant": "v3", "filters": 4,
 QUICK_GENERATE = {"subjects": 1, "dims": [8, 8, 8]}
 OUT_OF_RANGE = {"max-slices": ("train", {}, ["--max-slices", "-1"],
                                "max_slices must be an integer >= 0, got -1"),
+                **{f"seed-{command}": (command, {}, ["--seed", "-1"],
+                                       "seed must be an integer >= 0, got -1")
+                   for command in ("train", "generate", "verify")},
+                **{f"seed-{command}-file": (command, {"seed": -1}, [],
+                                            "seed must be an integer >= 0, got -1")
+                   for command in ("train", "generate")},
                 "max-slices-file": ("train", {"max_slices": -1}, [],
                                     "max_slices must be an integer >= 0, got -1"),
                 "epochs-file": ("train", {"epochs": 0}, [],
@@ -750,8 +756,10 @@ def test_fuse_checks_every_sidecar_before_a_body(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("weights,message", [
-    ("nan,1,1", "finite, non-negative"), ("1,inf,1", "finite, non-negative"),
-    ("1,-1,1", "finite, non-negative"), ("0,0,0", "not all zero"),
+    ("nan,1,1", "each weight must be a finite number >= 0, got nan"),
+    ("1,inf,1", "each weight must be a finite number >= 0, got inf"),
+    ("1,-1,1", "each weight must be a finite number >= 0, got -1.0"),
+    ("0,0,0", "weights must not all be zero, got (0.0, 0.0, 0.0)"),
     ("1,1", "one weight per volume")])
 def test_fuse_bad_weights_are_a_usage_error(tmp_path, capsys, weights, message):
     probs = np.full((4, 4, 4, 3), 1 / 3, np.float32)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixnet import ops
+from mixnet import ops, verify
 from mixnet.autodiff import Node, backward, grad_check
 from mixnet.errors import DataError, ParameterError, ShapeError
 
@@ -86,26 +86,13 @@ def test_convolutions_take_odd_square_kernels_and_one_integer_dilation():
         with pytest.raises(ShapeError, match="with k odd"):
             ops.conv2d(x, leaf(np.zeros(kk + (2, 3))), b)
         with pytest.raises(ShapeError, match="with k odd"):
-            ops.pyramid_head(x, leaf(np.zeros(kk + (6, 3))), b, (2, 3))
+            ops.pyramid_head([x], leaf(np.zeros(kk + (6, 3))), b, (2, 3))
     for dilation in (1.5, (1, 2), 0, True):
         with pytest.raises(ParameterError, match="^dilation must be an integer >= 1"):
             ops.conv2d(x, leaf(np.zeros((3, 3, 2, 3))), b, dilation=dilation)
     # a numpy integer is an integer
     out = ops.conv2d(x, leaf(np.zeros((3, 3, 2, 3))), b, dilation=np.int64(2))
     assert out.shape == (1, 6, 6, 3)
-
-
-def test_conv2d_gradients():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(1, 4, 4, 2))
-    w = rng.normal(size=(3, 3, 2, 3))
-    b = rng.normal(size=(3,))
-
-    def build(lv):
-        return ops.reduce_sum(ops.conv2d(lv[0], lv[1], lv[2], dilation=2))
-
-    report = grad_check(build, [x, w, b])
-    assert report.passed, report.worst
 
 
 def test_conv2d_float32_stays_float32():
@@ -340,16 +327,6 @@ def test_maxpool_forward_and_backward_match_first_max_oracle(dtype):
         np.testing.assert_array_equal(_bits(gx), _bits(want_gx))
 
 
-def test_maxpool_gradient():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(2, 5, 4, 2))
-
-    def build(lv):
-        return ops.reduce_sum(ops.maxpool2x2(lv[0]))
-
-    assert grad_check(build, [x]).passed
-
-
 @pytest.mark.parametrize("shape", [(4, 96, 96, 72), (4, 96, 96, 24), (3, 7, 9, 5)])
 def test_pool_then_relu_is_relu_then_pool_bit_for_bit(shape):
     """relu is monotone, so the init unit may pool first: same values, same
@@ -402,16 +379,6 @@ def test_pool_and_resize_sizes_are_checked_never_truncated():
     assert ops.bilinear_resize(x, np.int64(9), 11).shape == (1, 9, 11, 1)
 
 
-def test_avgpool_region_gradient():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(1, 7, 6, 2))
-
-    def build(lv):
-        return ops.reduce_sum(ops.avgpool_region(lv[0], 3))
-
-    assert grad_check(build, [x]).passed
-
-
 # ---------------------------------------------------------------------------
 # resize
 
@@ -446,20 +413,6 @@ def test_bilinear_matches_naive_oracle():
         got = ops.bilinear_resize(leaf(x), oh, ow).data
         want = oracles.bilinear_naive(x, oh, ow)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-
-
-def test_bilinear_gradient_up_and_down():
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(1, 4, 5, 2))
-
-    def build_up(lv):
-        return ops.reduce_sum(ops.bilinear_resize(lv[0], 9, 11))
-
-    def build_down(lv):
-        return ops.reduce_sum(ops.bilinear_resize(lv[0], 2, 3))
-
-    assert grad_check(build_up, [x]).passed
-    assert grad_check(build_down, [x]).passed
 
 
 def _assert_adjoint(op, x, rng):
@@ -510,7 +463,7 @@ def test_pyramid_head_matches_unfused_composition(variant, dtype, tol):
                    / np.sqrt(kh * kw * 5 * c)).astype(dtype),
                   rng.normal(size=(4,)).astype(dtype)]
         g = rng.normal(size=(n, h, w, 4)).astype(dtype)
-        got = _head_and_grads(ops.pyramid_head, arrays, g)
+        got = _head_and_grads(_head_over, arrays, g)
         want = _head_and_grads(oracles.pyramid_head_unfused, arrays, g)
         for what, a, ref in zip(("logits", "gx", "gw", "gb"), got, want):
             assert a.dtype == dtype, what
@@ -590,14 +543,14 @@ def test_pyramid_head_shape_errors():
     x = leaf(np.zeros((1, 6, 6, 2)))
     b = leaf(np.zeros(3))
     with pytest.raises(ShapeError):   # kernel not (1 + len(bins)) * C wide
-        ops.pyramid_head(x, leaf(np.zeros((3, 3, 4, 3))), b, (2, 3))
+        ops.pyramid_head([x], leaf(np.zeros((3, 3, 4, 3))), b, (2, 3))
     with pytest.raises(ShapeError):
-        ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), leaf(np.zeros(2)), (2, 3))
+        ops.pyramid_head([x], leaf(np.zeros((3, 3, 6, 3))), leaf(np.zeros(2)), (2, 3))
     with pytest.raises(ShapeError):   # more bins than pixels
-        ops.pyramid_head(x, leaf(np.zeros((3, 3, 6, 3))), b, (2, 7))
+        ops.pyramid_head([x], leaf(np.zeros((3, 3, 6, 3))), b, (2, 7))
     for bins in ((), (0, 2), (2.5,), (True, 2)):     # counted, never truncated
         with pytest.raises(ParameterError):
-            ops.pyramid_head(x, leaf(np.zeros((3, 3, 2 * (1 + len(bins)), 3))), b, bins)
+            ops.pyramid_head([x], leaf(np.zeros((3, 3, 2 * (1 + len(bins)), 3))), b, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -633,17 +586,12 @@ def test_relu_backward_bits_match_masked_gradient(dtype):
 
 
 
-def test_concat_channels_values_and_gradient():
+def test_concat_channels_values():
     rng = np.random.default_rng(16)
     a = rng.normal(size=(1, 3, 3, 2))
     b = rng.normal(size=(1, 3, 3, 5))
     out = ops.concat_channels([leaf(a), leaf(b)]).data
     np.testing.assert_array_equal(out, np.concatenate([a, b], axis=-1))
-
-    def build(lv):
-        return ops.reduce_sum(ops.relu(ops.concat_channels(lv)))
-
-    assert grad_check(build, [a, b]).passed
 
 
 def test_concat_channels_rejects_spatial_mismatch():
@@ -689,18 +637,6 @@ def test_xent_is_stable_for_huge_logits():
     loss = float(ops.softmax_cross_entropy(logits, labels).data)
     assert np.isfinite(loss)
     assert loss < 1e-6  # the correct class dominates completely
-
-
-def test_xent_gradient_both_reductions():
-    rng = np.random.default_rng(19)
-    logits = rng.normal(size=(1, 3, 3, 4))
-    labels = rng.integers(0, 4, size=(1, 3, 3))
-
-    for red in ("sum", "mean"):
-        def build(lv, red=red):
-            return ops.softmax_cross_entropy(lv[0], labels, red)
-
-        assert grad_check(build, [logits]).passed
 
 
 def test_xent_gradient_is_probs_minus_onehot():
@@ -807,3 +743,15 @@ def test_avgpool_region_backward_matches_the_adjoint_loop(dtype, rtol):
         want = oracles.region_mean_adjoint_naive(g, h, w)
         assert got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=rtol, err_msg=str((h, w, bins)))
+
+
+# seeds at which verify's op table puts a coordinate within one 1e-3 step of
+# a relu kink or a pool near-tie, and the case it does so in
+@pytest.mark.parametrize("seed, case", [(8, "relu"), (9, "relu"), (23, "maxpool2x2"),
+                                        (33, "concat")])
+def test_verify_op_gradients_retry_a_kink_within_one_step(seed, case):
+    builders = {name: (build, arrays)
+                for name, build, arrays in verify._op_builders(np.random.default_rng(seed))}
+    assert not grad_check(*builders[case], tolerance=verify.GRAD_TOL).passed
+    failed = [r.line() for r in verify.check_op_gradients(seed) if not r.passed]
+    assert not failed

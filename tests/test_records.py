@@ -12,7 +12,7 @@ from mixnet.autodiff import Node
 from mixnet.errors import ConfigError, DataError, ParameterError
 from mixnet.metrics import evaluate_segmentation
 from mixnet.records import check_count, check_real, check_record, conforms, kind_of, read_record
-from mixnet.tensor import he_init
+from mixnet.tensor import derive_seed, he_init
 from mixnet.trainer import TrainConfig, Trainer, lr_at
 
 
@@ -94,7 +94,7 @@ COUNT_SITES = {
     "bilinear_resize size": (ParameterError, 1,
                              lambda v, _: ops.bilinear_resize(_node((1, 6, 6, 1)), 4, v)),
     "pyramid_head bins": (ParameterError, 1, lambda v, _: ops.pyramid_head(
-        _node((1, 6, 6, 1)), _node((3, 3, 2, 1)), _node((1,)), (v,))),
+        [_node((1, 6, 6, 1))], _node((3, 3, 2, 1)), _node((1,)), (v,))),
     "he_init fan_in": (ParameterError, 1, lambda v, _: he_init((2, 2), v, 0)),
     "predict_volume batch_size": (ParameterError, 1, lambda v, _: _predict(v)),
     "synthesis subjects": (ParameterError, 1, lambda v, _: volume.check_synthesis(
@@ -123,8 +123,21 @@ COUNT_SITES = {
         argparse.Namespace(batch_size=v))),
     "cli verify trials": (ConfigError, 1,
                           lambda v, _: cli.cmd_verify(argparse.Namespace(trials=v))),
+    "cli verify seed": (ConfigError, 0, lambda v, _: cli.cmd_verify(
+        argparse.Namespace(trials=1, seed=v))),
     "cli train max_slices": (ConfigError, 0, lambda v, _: cli._train_configs(
         {**cli.TRAIN_DEFAULTS, "max_slices": v})),
+    # a seed is a count of at least 0
+    "TrainConfig seed": (ConfigError, 0, lambda v, _: TrainConfig(seed=v).validate()),
+    "Network seed": (ParameterError, 0, lambda v, _: Network(
+        NetConfig(variant="v3", modalities=1, classes=2, filters=2), seed=v)),
+    "generate_dataset seed": (ParameterError, 0, lambda v, tmp: volume.generate_dataset(
+        tmp / "data", subjects=1, dims=(8, 8, 8), seed=v)),
+    "derive_seed part": (ParameterError, 0, lambda v, _: derive_seed(v, "params")),
+    "cli generate seed": (ConfigError, 0, lambda v, _: cli._check_generate(
+        {**cli.GENERATE_DEFAULTS, "seed": v})),
+    "cli train seed": (ConfigError, 0, lambda v, _: cli._train_configs(
+        {**cli.TRAIN_DEFAULTS, "seed": v})),
 }
 
 
@@ -136,7 +149,7 @@ def test_a_count_is_an_integer_at_least_its_least_value_never_coerced(site, bad,
     bound = rf"(>= {least}|in \[{least}, 256\])"
     with pytest.raises(error, match=rf"must be an integer {bound}, got {re.escape(repr(v))}$"):
         call(v, tmp_path)
-    assert not (tmp_path / "seg.vol").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_check_count_returns_a_plain_int_and_takes_numpy_integers():
@@ -149,14 +162,30 @@ def test_check_count_returns_a_plain_int_and_takes_numpy_integers():
 
 def test_check_real_takes_finite_reals_only():
     for good in (0, 0.5, np.float32(0.25), np.int64(0)):
-        got = check_real(good, "r", below=1)
+        got = check_real(good, "r", ConfigError, below=1)
         assert got == good and type(got) is float
     for bad in (np.nan, np.inf, -np.inf, np.float32(np.nan), True, np.True_, "0.5", -0.1, 1,
                 1.0, 10 ** 400, None, 0.5j):
         with pytest.raises(ConfigError, match=r"^r must be a finite number in \[0, 1\), got "):
-            check_real(bad, "r", below=1)
-    with pytest.raises(ConfigError, match=r"^r must be a finite number >= 0, got -1.5$"):
-        check_real(-1.5, "r")
+            check_real(bad, "r", ConfigError, below=1)
+    for error in (ConfigError, DataError, ParameterError):   # the caller's class
+        with pytest.raises(error, match=r"^r must be a finite number >= 0, got -1.5$"):
+            check_real(-1.5, "r", error)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "1", None, -1, np.nan])
+def test_spacing_and_fusion_weights_are_reals_never_coerced(bad):
+    assert volume.check_spacing((1, np.float32(0.5), np.int64(2))) == (1.0, 0.5, 2.0)
+    with pytest.raises(DataError, match="^spacing must be three finite positive numbers"):
+        volume.check_spacing((bad, 1, 1))
+    with pytest.raises(ParameterError, match="^spacing must be three finite positive"):
+        volume.synthesize_subject(dims=(8, 8, 8), spacing=(1, bad, 1))
+    np.testing.assert_array_equal(volume.check_weights([np.int64(0), 0.5], 2), [0, 0.5])
+    message = rf"^each weight must be a finite number >= 0, got {re.escape(repr(bad))}$"
+    with pytest.raises(ConfigError, match=message):
+        volume.check_weights([bad, 1], 2, ConfigError)
+    with pytest.raises(ParameterError, match=message):
+        volume.fuse_predictions([np.full((2, 2, 2, 2), 0.5, np.float32)] * 2, [1, bad])
 
 
 def _read_back(labels, tmp):

@@ -77,6 +77,12 @@ def test_derive_seed_is_stable_and_sensitive():
     assert T.derive_seed("3") != T.derive_seed(3)
 
 
+def test_derive_seed_folds_an_integer_by_its_value():
+    assert T.derive_seed(4) == 18320664322583595312      # the value it has always had
+    assert T.derive_seed(np.int64(4)) == T.derive_seed(np.uint8(4)) == T.derive_seed(4)
+    assert type(T.derive_seed(np.int64(4), "params")) is int
+
+
 def test_check_finite_flag():
     # a Tensor never scans its values: the trainer checks the loss and the
     # optimizer the gradients, so NaNs pass through construction untouched

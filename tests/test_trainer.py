@@ -252,13 +252,22 @@ def test_train_rates_are_finite_reals(field, bad):
 def test_numpy_settings_reach_the_checkpoint_as_plain_numbers(tmp_path):
     x, y = tiny_task()
     cfg = tr.TrainConfig(epochs=np.int64(1), batch_size=np.int32(2), lr0=np.float32(1e-3),
-                         momentum=np.float64(0.5), weight_decay=np.int64(0), val_every=0)
-    t = tr.Trainer(tiny_net(), x, y, cfg)
-    assert [type(getattr(cfg, f)) for f in ("epochs", "lr0", "weight_decay")] == [int, float,
-                                                                                   float]
+                         momentum=np.float64(0.5), weight_decay=np.int64(0), val_every=0,
+                         seed=np.uint64(3))
+    net = Network(NetConfig(variant="v3", modalities=np.int64(3), classes=np.int64(3),
+                            filters=np.int32(4)), seed=np.int64(1))
+    t = tr.Trainer(net, x, y, cfg)
+    assert [type(getattr(cfg, f)) for f in ("epochs", "lr0", "weight_decay", "seed")] == [
+        int, float, float, int]
+    assert [type(v) for v in (net.config.modalities, net.config.classes, net.config.filters,
+                              net.seed)] == [int] * 4
+    t.fit()
     tr.save_checkpoint(tmp_path / "ck.bin", t.net, t)
-    assert tr.load_checkpoint_header(tmp_path / "ck.bin")["train_config"].lr0 == float(
-        np.float32(1e-3))
+    header = tr.load_checkpoint_header(tmp_path / "ck.bin")
+    assert header["train_config"].lr0 == float(np.float32(1e-3))
+    assert header["net_config"] == NetConfig(variant="v3", classes=3, filters=4)
+    again = tr.load_network(tmp_path / "ck.bin")
+    np.testing.assert_array_equal(again.forward(x).data, t.net.forward(x).data)
 
 
 # ---------------------------------------------------------------------------

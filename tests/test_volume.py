@@ -395,9 +395,10 @@ def test_generate_dataset_writes_numpy_settings_as_plain_numbers(tmp_path):
     # numpy integers are counts: the manifest holds them as the ints they are
     manifest = vol.generate_dataset(tmp_path, subjects=np.int64(1), dims=np.array([8, 8, 8]),
                                     classes=np.int64(3), modalities=np.int32(2),
-                                    spacing=np.array([1, 1, 2], np.float32))
+                                    spacing=np.array([1, 1, 2], np.float32), seed=np.int64(4))
     assert (manifest["dims"], manifest["classes"], manifest["spacing"]) == ([8, 8, 8], 3,
                                                                             [1.0, 1.0, 2.0])
+    assert type(manifest["seed"]) is int
     assert vol.load_manifest(tmp_path)["dims"] == (8, 8, 8)
     assert len(manifest["subjects"][0]["modalities"]) == 2
 
