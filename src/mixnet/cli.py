@@ -74,7 +74,7 @@ def _resolve(defaults: dict, args, check, recorded: dict | None = None) -> dict:
                 from_file = json.load(fh)
         except OSError as e:
             raise DataError(f"cannot read config file: {e}") from None
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"{args.config}: invalid JSON: {e}") from None
         kinds = {k: kind_of(v) for k, v in defaults.items()}
         resolved.update(check_record(from_file, kinds, args.config, ConfigError))

@@ -31,10 +31,10 @@ from typing import Optional
 import numpy as np
 
 from . import ops
-from .arch import NetConfig, Network
+from .arch import NetConfig, Network, check_slice
 from .augment import AugmentedSlices
 from .autodiff import backward
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from .metrics import dice_binary
 from .records import check_count, check_labels, check_real, check_record, read_record
 from .volume import atomic_open, predict_volume
@@ -130,7 +130,9 @@ class Trainer:
     returns, which are kept as they are and indexed one batch at a time.
     An optional validation pair is checked here like the training pair and
     scored with per-class foreground Dice after each epoch, on the
-    probabilities that :func:`volume.predict_volume` gives.
+    probabilities that :func:`volume.predict_volume` gives.  Both pairs'
+    slice sizes and modalities are checked against the network here too,
+    so a misfit stops before the first step.
     """
 
     def __init__(self, net: Network, images: np.ndarray, labels: np.ndarray,
@@ -153,6 +155,12 @@ class Trainer:
                 raise DataError(f"bad validation set: images {vx.shape}, labels "
                                 f"{vy.shape}, training images {images.shape}")
             check_labels(vy, net.config.classes, "validation labels")
+        if images.shape[3] != net.config.modalities:
+            raise ShapeError(f"training images have {images.shape[3]} modalities, "
+                             f"the network takes {net.config.modalities}")
+        check_slice(images.shape[1], images.shape[2])
+        if val is not None:
+            check_slice(val[0].shape[1], val[0].shape[2])
         self.net = net
         self.images = images
         self.labels = labels

@@ -2,6 +2,8 @@
 optimizer arithmetic and augmentation counts.
 
 Each check returns a CheckResult; ``run_all`` collects every suite in ``SUITES``.
+A suite's ``seed`` is an integer >= 0 and ``trials`` an integer >= 1
+(``ParameterError`` otherwise).
 The command line ``verify`` subcommand prints one line per check and
 fails the process if any check fails, so a build can be validated on a
 machine with nothing but the package installed.
@@ -18,14 +20,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from . import metrics, ops
 from .arch import MIN_SIDE, NetConfig, Network, embed_v3_into_v1
-from .augment import expand_slices, policy_ops, rotate_slice
-from .autodiff import Node, grad_check
+from .augment import elastic_slice, expand_slices, policy_for_plane, policy_ops, rotate_slice
+from .autodiff import Node, grad_check, topo_order
 from .errors import VerificationFailure
+from .records import check_count
 from .trainer import LR_BOUNDARIES, Optimizer, lr_at
 
 GRAD_TOL = 1e-4
@@ -124,7 +128,7 @@ def _op_builders(rng):
 
 
 def check_op_gradients(seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", least=0))
     results = []
     for name, build, arrays in _op_builders(rng):
         report = grad_check(build, arrays, steps=(1e-3, 1e-5, 3e-7), tolerance=GRAD_TOL)
@@ -222,6 +226,21 @@ def _reference_shapes(variant: str) -> dict:
     return shapes
 
 
+def _reference_maps(variant: str) -> tuple[list, dict]:
+    """The output unit's input parts, level-major with streams adjacent,
+    as (name, channels) pairs, and the channels of each ``.fuse`` concat
+    by name, at the reference width."""
+    if variant == "v1":
+        return [(f"level{i}.out", 72) for i in range(1, 6)], {}
+    if variant == "v3":
+        return [(f"level{i}.s{s}.out", 24) for i in range(1, 6) for s in range(3)], {}
+    parts = [(name, 24) for i in range(1, 6) for name in
+             ([f"level{i}.out"] if i % 2 else [f"level{i}.s{s}.out" for s in range(3)])]
+    fused = {**{f"level{i}.fuse": 72 for i in (1, 3, 5)},
+             **{f"level{i}.s{s}.fuse": 48 for i in (2, 4) for s in range(3)}}
+    return parts, fused
+
+
 class _ConvLog(Network):
     """A network that records, by name, the dilation each trunk conv is
     called with."""
@@ -248,6 +267,28 @@ def _reference_dilations(shapes: dict) -> dict:
     return want
 
 
+def _head_result(variant: str, logits: Node) -> CheckResult:
+    """The ``.fuse`` concats and the ``out.final`` vertex's input parts (its
+    parents but the kernel and bias) against ``_reference_maps``, all at
+    half the 26x30 input's resolution."""
+    parts, fused = _reference_maps(variant)
+    half = (1, 13, 15)
+    graph = {v.name: v for v in topo_order(logits) if v.name}
+    final = graph.get("out.final")
+    got = [(p.name, p.shape) for p in final.parents[:-2]] if final else []
+    want = [(name, half + (c,)) for name, c in parts]
+    wrong = [f"head part {i} is {g}, want {w}" for i, (g, w)
+             in enumerate(zip_longest(got, want)) if g != w]
+    got = {name: v.shape for name, v in graph.items() if name.endswith(".fuse")}
+    want = {name: half + (c,) for name, c in fused.items()}
+    wrong += [f"{name} is {got.get(name)}, want {want.get(name)}"
+              for name in sorted(got.keys() | want.keys()) if got.get(name) != want.get(name)]
+    return _result(f"structure/{variant}/head", not wrong, "; ".join(wrong[:3]) or
+                   f"{len(parts)} level outputs, {sum(c for _, c in parts)} channels, "
+                   f"read level-major with streams adjacent, and {len(fused)} fuse "
+                   f"concats, all at 13x15")
+
+
 def check_structure() -> list:
     results = []
     x = np.zeros((1, 26, 30, 3), np.float32)
@@ -266,7 +307,7 @@ def check_structure() -> list:
         results.append(_result(f"structure/{variant}/parameters", ok, detail))
 
         net.dilations = {}
-        out_shape = net.forward(x).shape
+        logits = net.forward(x)
         paper = _reference_dilations(want)
         wrong = sorted(name for name in paper.keys() | net.dilations.keys()
                        if net.dilations.get(name) != paper.get(name))
@@ -275,22 +316,25 @@ def check_structure() -> list:
         results.append(_result(f"structure/{variant}/levels", not wrong, detail or
                                f"{len(paper)} trunk convs: each level's dilated 3x3 "
                                f"at 2, 1, 4, 1, 8, every other at 1"))
-        results.append(_result(f"structure/{variant}/logits", out_shape == (1, 26, 30, 4),
-                               f"logits {out_shape} for input (1, 26, 30, 3)"))
+        results.append(_head_result(variant, logits))
+        results.append(_result(f"structure/{variant}/logits", logits.shape == (1, 26, 30, 4),
+                               f"logits {logits.shape} for input (1, 26, 30, 3)"))
     return results
 
 
 def check_embedding(seed: int = 0) -> list:
-    v3 = Network(NetConfig(variant="v3", classes=4, filters=8), seed=seed)
+    """A default-width v3 network and its v1 embedding on five 48x48 slices."""
+    v3 = Network(NetConfig(variant="v3"), seed=seed)
     v1 = embed_v3_into_v1(v3)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(3):
-        x = rng.normal(size=(1, 24, 24, 3)).astype(np.float32)
+    for _ in range(5):
+        x = rng.normal(size=(1, 48, 48, 3)).astype(np.float32)
         diff = np.abs(v1.forward(x).data - v3.forward(x).data).max()
         worst = max(worst, float(diff))
     return [_result("embedding/v3_in_v1", worst <= EMBED_TOL,
-                    f"max logit diff {worst:.2e} over 3 probes (tol {EMBED_TOL:.0e})")]
+                    f"max logit diff {worst:.2e} over 5 probes of 48x48 at the "
+                    f"default width (tol {EMBED_TOL:.0e})")]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +430,8 @@ def check_metrics(trials: int = 100, seed: int = 0) -> list:
     """Each trial scores one random mask pair, extents 3 to 12, at a
     random anisotropic spacing and again at an isotropic non-integer one;
     the near-tie cases come first."""
-    rng = np.random.default_rng(seed)
+    trials = check_count(trials, "trials")
+    rng = np.random.default_rng(check_count(seed, "seed", least=0))
     mismatches = []
     for dims, s, src, offsets in NEAR_TIE_CASES:
         a, b = near_tie_pair(dims, src, offsets)
@@ -445,10 +490,16 @@ def check_optimizer() -> list:
     lr_ok = all(lr_at(1.0, e, 20) == f for e, f in enumerate(table))
     results.append(_result("optim/lr_table", lr_ok,
                            f"20-epoch schedule, boundaries {LR_BOUNDARIES}"))
+    halvings = (20, 40, 60, 75, 80, 85, 90, 95)
+    wrong = [e for e in range(100)
+             if lr_at(2e-4, e, 100) != 2e-4 * 2.0 ** -sum(b <= e for b in halvings)]
+    results.append(_result("optim/lr_sweep_100", not wrong,
+                           f"100-epoch schedule halves at epochs {halvings}, "
+                           f"wrong at epochs {wrong[:5] or 'none'}"))
 
     p = Node.leaf(np.array(1.5, dtype=np.float64), requires_grad=True)
     opt = Optimizer({"p": p}, lr0=0.05, momentum=0.9, weight_decay=0.01)
-    grads = [0.3, -0.7, 0.1]
+    grads = [0.3, -0.7, 0.1, 0.9, -0.2]
     got = []
     for g in grads:
         p.grad = np.array(g, dtype=np.float64)
@@ -457,7 +508,7 @@ def check_optimizer() -> list:
     want = nesterov_ref(1.5, grads, lr=0.05, momentum=0.9, weight_decay=0.01)
     worst = max(abs(a - b) for a, b in zip(got, want))
     results.append(_result("optim/nesterov_trace", worst <= 1e-12,
-                           f"3-step float64 trace, max abs err {worst:.2e}"))
+                           f"{len(grads)}-step float64 trace, max abs err {worst:.2e}"))
     return results
 
 
@@ -466,25 +517,43 @@ def check_optimizer() -> list:
 
 
 def check_augmentation(seed: int = 0) -> list:
+    seed = check_count(seed, "seed", least=0)
     results = []
     full = policy_ops("full")
     light = policy_ops("light")
     results.append(_result("augment/policy_sizes",
                            len(full) == 15 and len(light) == 3,
                            f"full={len(full)} light={len(light)}"))
+    planes = {plane: policy_for_plane(plane) for plane in ("sagittal", "coronal", "transverse")}
+    results.append(_result("augment/plane_policies", planes == {
+        "sagittal": "light", "coronal": "light", "transverse": "full"}, str(planes)))
     rng = np.random.default_rng(seed)
     images = rng.normal(size=(2, 16, 16, 2)).astype(np.float32)
-    labels = rng.integers(0, 3, size=(2, 16, 16)).astype(np.uint8)
+    # ids with gaps: a blend of two (3 and 7 to 5, say) is an id no slice holds
+    labels = rng.choice(np.array([0, 3, 7], np.uint8), size=(2, 16, 16))
     img15, lab15 = expand_slices(images, labels, "full", seed=seed)
-    img3, _ = expand_slices(images, labels, "light", seed=seed)
-    counts_ok = img15.shape[0] == 30 and img3.shape[0] == 6
-    originals_ok = all(np.array_equal(img15[i * 15], images[i]) and
-                       np.array_equal(lab15[i * 15], labels[i])
+    img3, lab3 = expand_slices(images, labels, "light", seed=seed)
+    shapes = [v.shape for v in (img15, lab15, img3, lab3)]
+    results.append(_result("augment/expansion_counts", shapes == [
+        (30, 16, 16, 2), (30, 16, 16), (6, 16, 16, 2), (6, 16, 16)],
+        f"full 2->{img15.shape[0]}, light 2->{img3.shape[0]}, images and labels"))
+    originals_ok = all(np.array_equal(img[i * k], images[i]) and
+                       np.array_equal(lab[i * k], labels[i])
+                       for img, lab, k in ((img15, lab15, 15), (img3, lab3, 3))
                        for i in range(2))
-    results.append(_result("augment/expansion_counts", counts_ok,
-                           f"full 2->{img15.shape[0]}, light 2->{img3.shape[0]}"))
     results.append(_result("augment/originals_preserved", originals_ok,
-                           "block leaders equal their source slices"))
+                           "each policy's block leaders equal their source slices, "
+                           "images and labels"))
+    # an op keeps its slice's ids, though its zero fill may add background
+    invented = [f"slice {i} op {k}" for i in range(2) for k in range(15)
+                if not set(np.unique(lab15[i * 15 + k])) <= {0, *np.unique(labels[i])}]
+    results.append(_result("augment/label_ids_kept", not invented,
+                           f"ids of the full policy's slices, invented in: "
+                           f"{invented[:3] or 'none'}"))
+    warped, warped_labels = elastic_slice(images[0], labels[0], rng, alpha=0.0, sigma=4.0)
+    results.append(_result("augment/elastic_identity", np.array_equal(warped, images[0]) and
+                           np.array_equal(warped_labels, labels[0]),
+                           "an elastic warp at alpha 0 returns its slice"))
     r, rl = rotate_slice(images[0], labels[0], 90)
     rot_ok = np.array_equal(r[:, :, 0], np.rot90(images[0][:, :, 0])) and \
         np.array_equal(rl, np.rot90(labels[0]))
@@ -509,6 +578,8 @@ SUITES = {
 
 
 def run_all(trials: int = 100, seed: int = 0) -> list:
+    check_count(trials, "trials")
+    check_count(seed, "seed", least=0)
     return [r for suite in SUITES.values() for r in suite(trials, seed)]
 
 

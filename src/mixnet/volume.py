@@ -153,7 +153,7 @@ def read_meta(path) -> VolumeMeta:
     try:
         with open(side) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{side}: invalid JSON: {e}") from None
     return read_record(VolumeMeta, raw, side, DataError)
 
@@ -412,7 +412,7 @@ def load_manifest(data_dir) -> dict:
     with open(path) as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: invalid JSON: {e}") from None
     manifest = check_record(manifest, MANIFEST_KINDS, path, DataError,
                             ("classes", "spacing", "subjects"))

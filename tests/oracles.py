@@ -10,18 +10,14 @@ come from their backward rules, ``expand_slices_naive`` is the
 materialising loop over the tested ``augment.apply_op``, and
 ``predict_volume_restacked`` runs a network's ``predict_probs``.
 
-The metric references and the Nesterov trace are the plain-loop ones
-that ship with the package in :mod:`mixnet.verify` for ``mixnet
-verify``; they share no code with :mod:`mixnet.metrics` or
-:mod:`mixnet.trainer`.
+The metric references are the plain-loop ones that ship with the
+package in :mod:`mixnet.verify` for ``mixnet verify``; they share no code
+with :mod:`mixnet.metrics`.
 """
 
 import numpy as np
 
-from mixnet.verify import (dice_ref as dice_naive, hd95_ref as hd95_naive,  # noqa: F401
-                           nesterov_ref as nesterov_trace,
-                           surface_ref as surface_voxels_naive,
-                           vs_ref as volumetric_similarity_naive)
+from mixnet.verify import hd95_ref as hd95_naive, surface_ref as surface_voxels_naive  # noqa: F401
 
 
 def conv2d_naive(x, w, b=None, dilation=1):

@@ -146,25 +146,6 @@ def test_elastic_zero_alpha_is_identity():
 # expansion
 
 
-def test_expand_counts_and_block_layout():
-    rng = np.random.default_rng(5)
-    images = rng.normal(size=(3, 12, 12, 2)).astype(np.float32)
-    labels = rng.integers(0, 3, size=(3, 12, 12)).astype(np.uint8)
-
-    full_img, full_lab = A.expand_slices(images, labels, "full", seed=1)
-    assert full_img.shape == (45, 12, 12, 2)
-    assert full_lab.shape == (45, 12, 12)
-
-    light_img, light_lab = A.expand_slices(images, labels, "light", seed=1)
-    assert light_img.shape == (9, 12, 12, 2)
-
-    # every block starts with the untouched original
-    for i in range(3):
-        np.testing.assert_array_equal(full_img[i * 15], images[i])
-        np.testing.assert_array_equal(full_lab[i * 15], labels[i])
-        np.testing.assert_array_equal(light_img[i * 3], images[i])
-
-
 def test_expand_is_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(6)
     images = rng.normal(size=(2, 12, 12, 1)).astype(np.float32)

@@ -515,7 +515,7 @@ def _fails_cleanly(capsys, code, *argv):
 @pytest.mark.parametrize("case", [*MALFORMED_HEADERS, *UNRESUMABLE_HEADERS])
 def test_malformed_checkpoint_header_is_a_data_error(dataset, tmp_path, capsys, case):
     good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
-    x = np.zeros((1, 8, 8, 3), np.float32)
+    x = np.zeros((1, 24, 24, 3), np.float32)
     trainer = Trainer(Network(NetConfig(variant="v3", classes=3, filters=4)),
                       x, x[..., 0], TrainConfig())
     save_checkpoint(good, trainer.net, trainer)
@@ -547,6 +547,19 @@ def test_config_file_value_of_the_wrong_kind_is_a_usage_error(dataset, tmp_path,
     err = _fails_cleanly(capsys, 1, command, *data, "--out", tmp_path / "out",
                          "--config", cfg_file)
     assert f"{key}={value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+@pytest.mark.parametrize("body", [b"\xff{}", b"{"], ids=["not-utf8", "not-json"])
+def test_a_config_file_that_is_not_json_is_a_usage_error(dataset, tmp_path, capsys,
+                                                         command, body):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(body)
+    data = ["--data", dataset] if command == "train" else []
+    err = _fails_cleanly(capsys, 1, command, *data, "--out", tmp_path / "out",
+                         "--config", cfg_file)
+    assert err.startswith(f"error: {cfg_file}: invalid JSON: "), err
     assert not (tmp_path / "out").exists()
 
 

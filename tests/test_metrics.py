@@ -125,26 +125,6 @@ def test_hd95_rejects_bad_spacing():
             M.hd95(mask, mask, spacing=(1.0, bad, 1.0))
 
 
-def test_hd95_bitwise_equals_naive_oracle():
-    # the library path chunks and vectorizes but must not change a single
-    # bit relative to the obvious implementation
-    rng = np.random.default_rng(1)
-    checked_defined = 0
-    for trial in range(30):
-        dims = tuple(rng.integers(3, 13, size=3))
-        a = rng.random(size=dims) < rng.uniform(0.05, 0.5)
-        b = rng.random(size=dims) < rng.uniform(0.05, 0.5)
-        spacing = tuple(rng.uniform(0.5, 3.0, size=3))
-        got = M.hd95(a, b, spacing)
-        want = oracles.hd95_naive(a, b, spacing)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want, f"trial {trial}: {got!r} != {want!r}"
-            checked_defined += 1
-    assert checked_defined >= 20
-
-
 def test_hd95_checks_spacing_and_shapes_before_empty_masks():
     empty = np.zeros((4, 4, 4), bool)
     full = np.ones((4, 4, 4), bool)

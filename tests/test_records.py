@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mixnet import cli, ops, volume
+from mixnet import cli, ops, verify, volume
 from mixnet.arch import NetConfig, Network
 from mixnet.autodiff import Node
 from mixnet.errors import ConfigError, DataError, ParameterError
@@ -138,6 +138,19 @@ COUNT_SITES = {
         {**cli.GENERATE_DEFAULTS, "seed": v})),
     "cli train seed": (ConfigError, 0, lambda v, _: cli._train_configs(
         {**cli.TRAIN_DEFAULTS, "seed": v})),
+    "verify check_op_gradients seed": (ParameterError, 0,
+                                       lambda v, _: verify.check_op_gradients(v)),
+    "verify check_network_gradients seed": (ParameterError, 0,
+                                            lambda v, _: verify.check_network_gradients(v)),
+    "verify check_embedding seed": (ParameterError, 0, lambda v, _: verify.check_embedding(v)),
+    "verify check_metrics seed": (ParameterError, 0,
+                                  lambda v, _: verify.check_metrics(1, seed=v)),
+    "verify check_metrics trials": (ParameterError, 1,
+                                    lambda v, _: verify.check_metrics(trials=v)),
+    "verify check_augmentation seed": (ParameterError, 0,
+                                       lambda v, _: verify.check_augmentation(v)),
+    "verify run_all seed": (ParameterError, 0, lambda v, _: verify.run_all(1, seed=v)),
+    "verify run_all trials": (ParameterError, 1, lambda v, _: verify.run_all(trials=v)),
 }
 
 

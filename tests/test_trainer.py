@@ -14,7 +14,7 @@ from mixnet.arch import NetConfig, Network
 from mixnet import arch, augment, ops
 from mixnet.augment import expand_slices
 from mixnet.autodiff import Node, backward, no_grad
-from mixnet.errors import ConfigError, DataError, TrainingDiverged
+from mixnet.errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from mixnet.metrics import dice_binary
 from mixnet import trainer as tr
 from mixnet.records import read_record
@@ -38,18 +38,6 @@ def tiny_task(seed=0, n=2, size=24):
 # learning rate schedule
 
 
-def test_lr_schedule_20_epoch_table():
-    # halvings at fractions .2 .4 .6 .75 .8 .85 .9 .95 of 20 epochs:
-    # epochs 4, 8, 12, 15, 16, 17, 18, 19
-    factors = [1, 1, 1, 1,
-               1 / 2, 1 / 2, 1 / 2, 1 / 2,
-               1 / 4, 1 / 4, 1 / 4, 1 / 4,
-               1 / 8, 1 / 8, 1 / 8,
-               1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
-    for e, f in enumerate(factors):
-        assert tr.lr_at(2e-4, e, 20) == pytest.approx(2e-4 * f, rel=1e-15), e
-
-
 def test_lr_schedule_boundary_is_inclusive():
     # fraction exactly at a boundary already counts as crossed
     assert tr.lr_at(1.0, 1, 5) == 0.5          # 1/5 = 0.2
@@ -68,20 +56,6 @@ def test_lr_schedule_rejects_bad_total():
 
 def scalar_param(value):
     return Node.leaf(np.array(value, dtype=np.float64), requires_grad=True)
-
-
-def test_nesterov_step_matches_reference_trace():
-    grads = [0.3, -0.7, 0.1, 0.9, -0.2]
-    lr, mu, wd = 0.05, 0.9, 0.01
-    p = scalar_param(1.5)
-    opt = tr.Optimizer({"p": p}, lr0=lr, momentum=mu, weight_decay=wd)
-    got = []
-    for g in grads:
-        p.grad = np.array(g, dtype=np.float64)
-        opt.step()
-        got.append(float(p.data))
-    want = oracles.nesterov_trace(1.5, grads, lr, mu, wd)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_two_step_trace_by_hand():
@@ -181,6 +155,24 @@ def test_trainer_checks_the_validation_pair_before_training(case):
     with pytest.raises(DataError, match="^(bad validation set|validation labels)"):
         tr.Trainer(tiny_net(), x, y, tr.TrainConfig(epochs=1, batch_size=2),
                    val=(vx, vy))
+
+
+@pytest.mark.parametrize("case", ["small training slices", "small validation slices",
+                                  "two modalities"])
+def test_trainer_checks_slice_sizes_and_modalities_before_training(case):
+    x, y = tiny_task()
+    small_x, small_y = tiny_task(size=16)
+    train, val, message = {
+        "small training slices": ((small_x, small_y), None, "^a 16x16 slice is too small"),
+        "small validation slices": ((x, y), (small_x, small_y),
+                                    "^a 16x16 slice is too small"),
+        "two modalities": ((x[..., :2], y), None, "^training images have 2 modalities"),
+    }[case]
+    t = None
+    with pytest.raises(ShapeError, match=message):
+        t = tr.Trainer(tiny_net(), *train, tr.TrainConfig(epochs=1, batch_size=2), val=val)
+        t.fit()
+    assert t is None or t.step_count == 0
 
 
 def test_log_rows_are_as_wide_as_the_header(tmp_path):

@@ -191,6 +191,7 @@ MALFORMED_SIDECARS = {
     "byte-order": lambda m: m.update(byte_order="big"),
     "dims-2d": lambda m: m.update(dims=[4, 4]),
     "classes-1": lambda m: m.update(classes=1),
+    "not-utf8": lambda m: b"\xff" + json.dumps(m).encode(),
 }
 
 
@@ -201,8 +202,9 @@ def test_malformed_sidecar_is_a_data_error(tmp_path, capsys, case):
         vol.write_volume(path, np.zeros((4, 4, 4), np.uint8), (1, 1, 1), "labels",
                          classes=3)
     side = json.loads((tmp_path / "bad.vol.json").read_text())
-    MALFORMED_SIDECARS[case](side)
-    (tmp_path / "bad.vol.json").write_text(json.dumps(side))
+    body = MALFORMED_SIDECARS[case](side)     # the file's bytes, else an edit in place
+    (tmp_path / "bad.vol.json").write_bytes(
+        body if isinstance(body, bytes) else json.dumps(side).encode())
     with pytest.raises(DataError):
         vol.read_volume(bad)
     capsys.readouterr()
@@ -465,6 +467,9 @@ def test_load_manifest_errors(tmp_path):
         vol.load_manifest(tmp_path)
     (tmp_path / "manifest.json").write_text("{}")
     with pytest.raises(DataError):
+        vol.load_manifest(tmp_path)
+    (tmp_path / "manifest.json").write_bytes(b"\xff{}")
+    with pytest.raises(DataError, match="manifest.json: invalid JSON: .* decode"):
         vol.load_manifest(tmp_path)
     (tmp_path / "manifest.json").write_text(json.dumps(
         {"classes": "4", "spacing": [1, 1, 1], "subjects": []}))
